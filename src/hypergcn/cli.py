@@ -19,6 +19,7 @@ import numpy as np
 from . import densek as dk
 from .dataio import (
     DataError,
+    DatasetBundle,
     balanced_split_labels,
     gen_noisy_ssl,
     load_bundle,
@@ -51,6 +52,8 @@ def _log(msg: str) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> TrainConfig:
+    if not 0.0 <= args.dropout < 1.0:
+        raise _UsageError(f"--dropout {args.dropout} outside [0, 1)")
     return TrainConfig(
         method=getattr(args, "method", "hypergcn"),
         hidden=args.hidden,
@@ -77,11 +80,17 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hlr-lambda", type=float, default=0.001)
 
 
+def _k_from(k_frac: float, n: int) -> int:
+    if not 0.0 < k_frac <= 1.0:
+        raise _UsageError(f"--k-frac {k_frac} outside (0, 1]")
+    return max(1, int(round(k_frac * n)))
+
+
 def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HYPERGCN_THREADS", "1")))
-    except ValueError:
-        return 1
+    text = os.environ.get("HYPERGCN_THREADS", "1")
+    if not text.strip().isdigit() or int(text) < 1:
+        raise _UsageError(f"HYPERGCN_THREADS={text!r} is not a positive integer")
+    return int(text)
 
 
 def cmd_validate(args) -> int:
@@ -158,7 +167,7 @@ def cmd_trials(args) -> int:
 def cmd_densek(args) -> int:
     bundle = load_bundle(args.data)
     h = bundle.hypergraph
-    k = max(1, int(round(args.k_frac * h.n)))
+    k = _k_from(args.k_frac, h.n)
     inst = dk.DenseKInstance(hypergraph=h, k=k)
     method = args.method
     if method == "max-degree":
@@ -200,17 +209,14 @@ def cmd_gen_noisy(args) -> int:
 def cmd_gen_densek(args) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.vertices
-    k = max(1, int(round(args.k_frac * n)))
-    h, target = dk.gen_sample(n, k, args.p, rng)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "hyperedges.txt"), "w") as fh:
-        for e in h.edges:
-            fh.write(" ".join(str(v) for v in e) + "\n")
-    with open(os.path.join(args.out, "labels.txt"), "w") as fh:
-        for y in target:
-            fh.write(f"{int(y)}\n")
-    np.savetxt(os.path.join(args.out, "features.csv"),
-               dk.vertex_features(h), fmt="%.17g", delimiter=",")
+    k = _k_from(args.k_frac, n)
+    try:
+        h, target = dk.gen_sample(n, k, args.p, rng)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    bundle = DatasetBundle(name=f"densek-n{n}-k{k}", hypergraph=h,
+                           features=dk.vertex_features(h), labels=target, num_classes=2)
+    save_bundle(bundle, args.out)
     _emit({"written": args.out, "n": n, "k": k, "density_of_target":
            dk.density(h, np.flatnonzero(target))})
     return 0

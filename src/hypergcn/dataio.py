@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .expansion import WeightedGraph
 from .hypergraph import Hypergraph
 
 
@@ -252,29 +251,3 @@ def gen_noisy_ssl(
         num_classes=2,
     )
 
-
-def save_weighted_graph(g: WeightedGraph, path: str | Path) -> None:
-    """Debug dump: 'u v w' per line, self-loops as u == v, sorted keys."""
-    with open(path, "w") as fh:
-        for (u, v), w in sorted(g.pairs.items()):
-            fh.write(f"{u} {v} {w:.17g}\n")
-        for v, w in enumerate(g.loops):
-            if w != 0.0:
-                fh.write(f"{v} {v} {w:.17g}\n")
-
-
-def load_weighted_graph(path: str | Path, n: int) -> WeightedGraph:
-    g = WeightedGraph(n=n)
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            u_s, v_s, w_s = line.split()
-            u, v, w = int(u_s), int(v_s), float(w_s)
-        except ValueError as exc:
-            raise DataError(f"{Path(path).name} line {lineno}: {exc}") from None
-        if u == v:
-            g.loops[u] = w
-        else:
-            g.add_pair(u, v, w)
-    return g

@@ -41,16 +41,9 @@ def density(h: Hypergraph, w: Iterable[int]) -> int:
     return sum(1 for e in h.edges if all(v in ws for v in e))
 
 
-def _incident_counts(h: Hypergraph) -> np.ndarray:
-    d = np.zeros(h.n, dtype=np.int64)
-    for e in h.edges:
-        d[list(e)] += 1
-    return d
-
-
 def max_degree(inst: DenseKInstance) -> list[int]:
     """The k hypernodes of largest degree, ties resolved by lowest id."""
-    d = _incident_counts(inst.hypergraph)
+    d = np.bincount(inst.hypergraph.incidence, minlength=inst.hypergraph.n)
     order = np.lexsort((np.arange(inst.hypergraph.n), -d))
     return sorted(int(v) for v in order[: inst.k])
 
@@ -65,7 +58,7 @@ def remove_min_degree(inst: DenseKInstance) -> list[int]:
     for idx, e in enumerate(h.edges):
         for v in e:
             incident[v].append(idx)
-    deg = _incident_counts(h)
+    deg = np.bincount(h.incidence, minlength=h.n)
 
     for _ in range(h.n - inst.k):
         cands = np.flatnonzero(alive)
@@ -165,7 +158,7 @@ def vertex_features(
     standard normal columns, useful when degrees carry no signal.
     """
     if kind == "degree":
-        d = _incident_counts(h).astype(np.float64)
+        d = np.bincount(h.incidence, minlength=h.n).astype(np.float64)
         top = d.max() if d.size and d.max() > 0 else 1.0
         return np.column_stack([d / top, np.ones(h.n)])
     if kind == "gaussian":
@@ -225,17 +218,16 @@ def train_densek(
             raise ValueError("target labelling must assign 0/1 per vertex")
 
     streams = nn.rng_streams(cfg.seed)
-    dtype = cfg.np_dtype()
     prepared = []
     for h, target in train_set:
         x, a = _sample_inputs(
             h, feature_kind, feature_dim, streams.init, streams.ties, cfg.self_loops
         )
-        prepared.append((x.astype(dtype), a, np.asarray(target, dtype=np.float64)))
+        prepared.append((x, a, np.asarray(target, dtype=np.float64)))
 
     p = prepared[0][0].shape[1]
-    theta1 = nn.glorot_init(p, cfg.hidden, streams.init, dtype)
-    theta2 = nn.glorot_init(cfg.hidden, maps, streams.init, dtype)
+    theta1 = nn.glorot_init(p, cfg.hidden, streams.init)
+    theta2 = nn.glorot_init(cfg.hidden, maps, streams.init)
     state = nn.AdamState.for_params([theta1, theta2], cfg.lr, cfg.weight_decay)
 
     loss_trace: list[float] = []
@@ -245,8 +237,8 @@ def train_densek(
             n = x.shape[0]
             if cfg.dropout > 0.0:
                 masks = (
-                    nn.dropout_mask(x.shape, cfg.dropout, streams.dropout, dtype),
-                    nn.dropout_mask((n, cfg.hidden), cfg.dropout, streams.dropout, dtype),
+                    nn.dropout_mask(x.shape, cfg.dropout, streams.dropout),
+                    nn.dropout_mask((n, cfg.hidden), cfg.dropout, streams.dropout),
                 )
             else:
                 masks = (None, None)

@@ -10,13 +10,21 @@ Three expansion rules turn each hyperedge into pairwise edges:
 Pair weights from distinct hyperedges accumulate. Every expansion then
 sets self-loops (unit by default, or degree-restoring) and the result is
 symmetrically normalized for use in graph convolutions.
+
+A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
+w[t]. Pairs are listed in order of first emission, where hyperedges emit
+in index order and each rule emits its pairs in a fixed order within a
+hyperedge; a pair's weight is the sum of its emitted weights added in
+that same order. Every per-vertex sum (incident weight, degree) runs over
+the interleaved (u, v), (v, u) view of the pairs in pair order, so every
+result is a fixed function of the hypergraph, the signal and the draws.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Callable, Literal, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,40 +33,44 @@ from .hypergraph import Hypergraph, degrees
 
 SelfLoopRule = Literal["unit", "degree"]
 
+_DIFF_BUDGET = 2**22  # values per slice of extreme_pairs' difference tensor
 
-@dataclass
+
+@dataclass(frozen=True)
 class WeightedGraph:
-    """Accumulated symmetric weighted graph over n vertices.
-
-    `pairs` maps an unordered vertex pair (u, v) with u < v to its
-    accumulated weight; `loops` holds per-vertex self-loop weights.
-    """
+    """Accumulated symmetric weighted graph over n vertices: distinct
+    pairs u[t] < v[t] of weight w[t] in first-emission order, plus
+    per-vertex self-loop weights `loops`."""
 
     n: int
-    pairs: dict[tuple[int, int], float] = field(default_factory=dict)
-    loops: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.loops is None:
-            self.loops = np.zeros(self.n, dtype=np.float64)
-
-    def add_pair(self, u: int, v: int, w: float) -> None:
-        if u == v:
-            raise ValueError(f"self-pair ({u},{v}) is not a pair entry")
-        key = (u, v) if u < v else (v, u)
-        self.pairs[key] = self.pairs.get(key, 0.0) + w
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    loops: np.ndarray
 
     @property
     def pair_count(self) -> int:
-        return len(self.pairs)
+        return len(self.w)
+
+    @property
+    def pairs(self) -> Mapping[tuple[int, int], float]:
+        """Read-only {(u, v): weight} view in pair order."""
+        keys = zip(self.u.tolist(), self.v.tolist())
+        return MappingProxyType(dict(zip(keys, self.w.tolist())))
+
+    def coo(self, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """COO triplets of the symmetric pair matrix with `diag` on its
+        diagonal: (u0, v0), (v0, u0), (u1, v1), ... in pair order, then
+        the n diagonal entries."""
+        ids = np.arange(self.n)
+        rows = np.concatenate([np.column_stack([self.u, self.v]).ravel(), ids])
+        cols = np.concatenate([np.column_stack([self.v, self.u]).ravel(), ids])
+        return rows, cols, np.concatenate([np.repeat(self.w, 2), diag])
 
     def incident_pair_weight(self) -> np.ndarray:
         """Per-vertex sum of incident pair weights (loops excluded)."""
-        s = np.zeros(self.n, dtype=np.float64)
-        for (u, v), w in self.pairs.items():
-            s[u] += w
-            s[v] += w
-        return s
+        rows = np.column_stack([self.u, self.v]).ravel()
+        return np.bincount(rows, weights=np.repeat(self.w, 2), minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -87,11 +99,6 @@ def as_signal(s: np.ndarray, n: int) -> np.ndarray:
     return arr
 
 
-def _pick_tied(tie_count: int, draw: float) -> int:
-    # one uniform draw selects among tied candidates; clip guards draw == 1.0
-    return min(int(draw * tie_count), tie_count - 1)
-
-
 def extreme_pair(
     h: Hypergraph,
     edge_index: int,
@@ -112,7 +119,8 @@ def extreme_pair(
     iu, ju = np.triu_indices(len(e), k=1)
     vals = d2[iu, ju]
     tied = np.flatnonzero(vals == vals.max())
-    pick = tied[_pick_tied(tied.size, rng.random())]
+    # one uniform draw selects among tied candidates; clip guards draw == 1.0
+    pick = tied[min(int(rng.random() * tied.size), tied.size - 1)]
     return e[iu[pick]], e[ju[pick]]
 
 
@@ -122,43 +130,69 @@ def extreme_pairs(
     """Extreme pair of every hyperedge, vectorized over same-size groups.
 
     Consumes exactly one uniform draw per hyperedge in hyperedge order,
-    matching a sequence of `extreme_pair` calls draw for draw.
+    matching a sequence of `extreme_pair` calls draw for draw. Each group
+    is processed in slices whose difference tensor holds at most
+    `_DIFF_BUDGET` values, so memory does not grow with the group.
     """
     s = as_signal(signal, h.n)
-    m = h.m
-    out = np.zeros((m, 2), dtype=np.int64)
-    if m == 0:
-        return out
-    draws = rng.random(m)
-    by_size: dict[int, list[int]] = {}
-    for idx, e in enumerate(h.edges):
-        by_size.setdefault(len(e), []).append(idx)
-    for size, idxs in by_size.items():
-        members = np.array([h.edges[i] for i in idxs], dtype=np.int64)
-        pts = s[members]  # (g, size, d)
-        diff = pts[:, :, None, :] - pts[:, None, :, :]
-        d2 = np.einsum("gabk,gabk->gab", diff, diff)
+    out = np.zeros((h.m, 2), dtype=np.int64)
+    draws = rng.random(h.m)
+    for size, idxs, members in h.size_groups:
         iu, ju = np.triu_indices(size, k=1)
-        vals = d2[:, iu, ju]  # (g, size*(size-1)/2)
-        best = vals.max(axis=1, keepdims=True)
-        for row, idx in enumerate(idxs):
-            tied = np.flatnonzero(vals[row] == best[row, 0])
-            pick = tied[_pick_tied(tied.size, draws[idx])]
-            out[idx, 0] = members[row, iu[pick]]
-            out[idx, 1] = members[row, ju[pick]]
+        step = max(1, _DIFF_BUDGET // (size * size * max(1, s.shape[1])))
+        for lo in range(0, idxs.size, step):
+            ids, rows = idxs[lo : lo + step], members[lo : lo + step]
+            pts = s[rows]  # (g, size, d)
+            diff = pts[:, :, None, :] - pts[:, None, :, :]
+            vals = np.einsum("gabk,gabk->gab", diff, diff)[:, iu, ju]
+            tied = vals == vals.max(axis=1, keepdims=True)
+            count = tied.sum(axis=1)
+            rank = np.minimum((draws[ids] * count).astype(np.int64), count - 1)
+            # position of the (rank+1)-th tied entry of each row
+            pick = np.argmax(np.cumsum(tied, axis=1) > rank[:, None], axis=1)
+            out[ids] = np.take_along_axis(rows, np.column_stack([iu[pick], ju[pick]]), 1)
     return out
 
 
-def _finish_loops(g: WeightedGraph, h: Hypergraph, rule: SelfLoopRule) -> None:
-    if rule == "unit":
-        g.loops = np.ones(h.n, dtype=np.float64)
-    elif rule == "degree":
+def _accumulate(h: Hypergraph, emit: Callable, rule: SelfLoopRule) -> WeightedGraph:
+    """Sum the emitted pairs of every hyperedge into a WeightedGraph.
+
+    `emit(size, edge ids, member matrix)` returns (a, b, weight) arrays of
+    shape (g, c) for one size group: the c pairs each hyperedge emits, in
+    emission order. Emissions are put in hyperedge order by a stable sort
+    on edge id; each distinct pair is then listed at its first emission
+    and its weights summed in emission order, as sequential accumulation
+    would.
+    """
+    if rule not in ("unit", "degree"):
+        raise ValueError(f"unknown self-loop rule {rule!r}")
+    parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
+    for size, idxs, members in h.size_groups:
+        ga, gb, gw = emit(size, idxs, members)
+        gw = np.broadcast_to(gw, ga.shape)
+        parts.append((np.repeat(idxs, ga.shape[1]), ga.ravel(), gb.ravel(), gw.ravel()))
+    eid, a, b, wt = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(eid, kind="stable")
+    lo, hi, wt = np.minimum(a, b)[order], np.maximum(a, b)[order], wt[order]
+    _, first, inverse = np.unique(
+        lo * h.n + hi, return_index=True, return_inverse=True
+    )
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    first.sort()
+    g = WeightedGraph(
+        n=h.n,
+        u=lo[first],
+        v=hi[first],
+        w=np.bincount(rank[inverse], weights=wt, minlength=first.size),
+        loops=np.ones(h.n, dtype=np.float64),
+    )
+    if rule == "degree":
         # restore each vertex degree to d_v; residual is non-negative for
         # all three rules because a hyperedge contributes at most w(e)
         # to any one of its vertices
-        g.loops = np.maximum(degrees(h) - g.incident_pair_weight(), 0.0)
-    else:
-        raise ValueError(f"unknown self-loop rule {rule!r}")
+        g = replace(g, loops=np.maximum(degrees(h) - g.incident_pair_weight(), 0.0))
+    return g
 
 
 def expand_one_edge(
@@ -168,12 +202,12 @@ def expand_one_edge(
     self_loops: SelfLoopRule = "unit",
 ) -> WeightedGraph:
     """Represent each hyperedge by its single extreme pair, weight w(e)/|e|."""
-    g = WeightedGraph(n=h.n)
-    pairs = extreme_pairs(h, signal, rng)
-    for idx, (e, w) in enumerate(zip(h.edges, h.weights)):
-        g.add_pair(int(pairs[idx, 0]), int(pairs[idx, 1]), w / len(e))
-    _finish_loops(g, h, self_loops)
-    return g
+    ext = extreme_pairs(h, signal, rng)
+
+    def emit(size, idxs, members):
+        return ext[idxs, :1], ext[idxs, 1:], h.weights[idxs, None] / size
+
+    return _accumulate(h, emit, self_loops)
 
 
 def expand_mediators(
@@ -186,56 +220,45 @@ def expand_mediators(
     vertex through both extremes, each pair weighted w(e)/(2|e|-3).
 
     Emits max(1, 2|e|-3) pairs per hyperedge; the per-hyperedge weight
-    mass always sums to w(e).
+    mass always sums to w(e). Within a hyperedge the extreme pair comes
+    first, then (i, k), (j, k) for each remaining vertex k in id order.
     """
-    g = WeightedGraph(n=h.n)
-    pairs = extreme_pairs(h, signal, rng)
-    for idx, (e, w) in enumerate(zip(h.edges, h.weights)):
-        i, j = int(pairs[idx, 0]), int(pairs[idx, 1])
-        if len(e) == 2:
-            g.add_pair(i, j, w)
-            continue
-        wt = w / (2 * len(e) - 3)
-        g.add_pair(i, j, wt)
-        for k in e:
-            if k != i and k != j:
-                g.add_pair(i, k, wt)
-                g.add_pair(j, k, wt)
-    _finish_loops(g, h, self_loops)
-    return g
+    ext = extreme_pairs(h, signal, rng)
+
+    def emit(size, idxs, members):
+        i, j = ext[idxs, :1], ext[idxs, 1:]
+        others = members[(members != i) & (members != j)].reshape(idxs.size, size - 2)
+        a = np.empty((idxs.size, 2 * size - 3), dtype=np.int64)
+        b = np.empty_like(a)
+        a[:, :1], b[:, :1] = i, j
+        a[:, 1::2], b[:, 1::2] = i, others
+        a[:, 2::2], b[:, 2::2] = j, others
+        return a, b, h.weights[idxs, None] / (2 * size - 3)
+
+    return _accumulate(h, emit, self_loops)
 
 
 def expand_clique(
     h: Hypergraph, self_loops: SelfLoopRule = "unit"
 ) -> WeightedGraph:
     """Replace each hyperedge by a clique, every pair weighted
-    2 w(e)/(|e| (|e|-1)). Signal-independent."""
-    g = WeightedGraph(n=h.n)
-    for e, w in zip(h.edges, h.weights):
-        wt = 2.0 * w / (len(e) * (len(e) - 1))
-        for u, v in itertools.combinations(e, 2):
-            g.add_pair(u, v, wt)
-    _finish_loops(g, h, self_loops)
-    return g
+    2 w(e)/(|e| (|e|-1)). Signal-independent; pairs are emitted in
+    lexicographic order within a hyperedge."""
+
+    def emit(size, idxs, members):
+        iu, ju = np.triu_indices(size, k=1)
+        wt = 2.0 * h.weights[idxs, None] / (size * (size - 1))
+        return members[:, iu], members[:, ju], wt
+
+    return _accumulate(h, emit, self_loops)
 
 
 def normalize(g: WeightedGraph) -> NormalizedAdjacency:
     """Symmetric normalization D̃^{-1/2} Ã D̃^{-1/2} of pair weights plus
     self-loops. No extra identity is added; the expansion already set the
     self-loops. Raises on any vertex with zero total degree."""
-    k = len(g.pairs)
-    rows = np.empty(2 * k + g.n, dtype=np.int64)
-    cols = np.empty(2 * k + g.n, dtype=np.int64)
-    vals = np.empty(2 * k + g.n, dtype=np.float64)
-    for t, ((u, v), w) in enumerate(g.pairs.items()):
-        rows[2 * t], cols[2 * t], vals[2 * t] = u, v, w
-        rows[2 * t + 1], cols[2 * t + 1], vals[2 * t + 1] = v, u, w
-    rows[2 * k :] = np.arange(g.n)
-    cols[2 * k :] = np.arange(g.n)
-    vals[2 * k :] = g.loops
-
-    deg = np.zeros(g.n, dtype=np.float64)
-    np.add.at(deg, rows, vals)
+    rows, cols, vals = g.coo(g.loops)
+    deg = np.bincount(rows, weights=vals, minlength=g.n)
     bad = np.flatnonzero(deg <= 0.0)
     if bad.size:
         raise ValueError(

@@ -4,11 +4,18 @@ Vertices are dense 0-based integers. Hyperedges are stored as sorted
 tuples of distinct vertex ids; duplicate hyperedges are allowed and their
 contributions accumulate in every expansion. Instances are immutable
 after construction and safe to share across threads.
+
+Two array views of the hyperedges are derived on first use and cached on
+the instance: the flat incidence (every hyperedge's ids in hyperedge
+order) and the same-size groups that the expansions vectorize over. Both
+are pure functions of `edges`, so caching them never changes a result.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +52,23 @@ class Hypergraph:
     def edge_sizes(self) -> np.ndarray:
         return np.array([len(e) for e in self.edges], dtype=np.int64)
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Vertex ids of every hyperedge, concatenated in hyperedge order."""
+        return np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64)
+
+    @cached_property
+    def size_groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """(size, edge ids, member matrix) per distinct hyperedge size; row r
+        of the (g, size) member matrix is hyperedge `edge ids[r]`."""
+        sizes = self.edge_sizes()
+        groups = []
+        for size in np.unique(sizes):
+            idxs = np.flatnonzero(sizes == size)
+            members = np.array([self.edges[i] for i in idxs], dtype=np.int64)
+            groups.append((int(size), idxs, members.reshape(idxs.size, size)))
+        return tuple(groups)
+
 
 def validate(h: Hypergraph) -> list[str]:
     """Check every structural invariant of `h`.
@@ -78,10 +102,8 @@ def validate(h: Hypergraph) -> list[str]:
 
 def degrees(h: Hypergraph) -> np.ndarray:
     """Vertex degrees d_v = sum of w(e) over hyperedges containing v."""
-    d = np.zeros(h.n, dtype=np.float64)
-    for e, w in zip(h.edges, h.weights):
-        d[list(e)] += w
-    return d
+    weights = np.repeat(h.weights, h.edge_sizes())
+    return np.bincount(h.incidence, weights=weights, minlength=h.n)
 
 
 def size_counts(h: Hypergraph) -> tuple[int, int, int]:
@@ -97,8 +119,5 @@ def size_counts(h: Hypergraph) -> tuple[int, int, int]:
     For every hyperedge of size >= 2, 2|e|-3 <= |e|(|e|-1)/2 with
     equality exactly at sizes 2 and 3, hence N_m <= N_c.
     """
-    sizes = [len(e) for e in h.edges]
-    n_inc = sum(sizes)
-    n_med = sum(2 * s - 3 for s in sizes)
-    n_clq = sum(s * (s - 1) // 2 for s in sizes)
-    return n_inc, n_med, n_clq
+    s = h.edge_sizes()
+    return int(s.sum()), int((2 * s - 3).sum()), int((s * (s - 1) // 2).sum())

@@ -1,7 +1,6 @@
 """Minimal numerical engine for the fixed two-layer convolution.
 
-Dense matrices are float64 numpy arrays (float32 available through the
-dtype arguments). The forward model is
+Dense matrices are float64 numpy arrays. The forward model is
 
     Z = row_softmax( A2 · ReLU( A1 · X · Θ1 ) · Θ2 )
 
@@ -56,12 +55,10 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def glorot_init(
-    rows: int, cols: int, rng: np.random.Generator, dtype=np.float64
-) -> np.ndarray:
+def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform initialization in +-sqrt(6 / (rows + cols))."""
     limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
+    return rng.uniform(-limit, limit, size=(rows, cols))
 
 
 def dropout_mask(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,10 +52,6 @@ class TrainConfig:
     hlr_lambda: float = 0.001
     seed: int = 0
     self_loops: SelfLoopRule = "unit"
-    dtype: Literal["float64", "float32"] = "float64"
-
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
 
 @dataclass
@@ -83,20 +78,9 @@ class TrainReport:
 
 def pair_laplacian(g: WeightedGraph) -> sp.csr_array:
     """Combinatorial Laplacian D - W of the pair weights (loops ignored)."""
-    k = len(g.pairs)
-    rows = np.empty(2 * k + g.n, dtype=np.int64)
-    cols = np.empty(2 * k + g.n, dtype=np.int64)
-    vals = np.empty(2 * k + g.n, dtype=np.float64)
-    deg = np.zeros(g.n, dtype=np.float64)
-    for t, ((u, v), w) in enumerate(g.pairs.items()):
-        rows[2 * t], cols[2 * t], vals[2 * t] = u, v, -w
-        rows[2 * t + 1], cols[2 * t + 1], vals[2 * t + 1] = v, u, -w
-        deg[u] += w
-        deg[v] += w
-    rows[2 * k :] = np.arange(g.n)
-    cols[2 * k :] = np.arange(g.n)
-    vals[2 * k :] = deg
-    return sp.coo_array((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
+    # D - W negates W with -D on the diagonal; negation is exact
+    rows, cols, vals = g.coo(-g.incident_pair_weight())
+    return sp.coo_array((-vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
 def ssl_loss_and_grads(
@@ -142,15 +126,14 @@ def train_ssl(
     if split.train_idx.size == 0:
         raise ValueError("empty labelled set")
 
-    dtype = cfg.np_dtype()
-    x = np.ascontiguousarray(x, dtype=dtype)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     labels = np.asarray(split.labels, dtype=np.int64)
     n, p = x.shape
     q = int(labels.max()) + 1
 
     streams = nn.rng_streams(cfg.seed)
-    theta1 = nn.glorot_init(p, cfg.hidden, streams.init, dtype)
-    theta2 = nn.glorot_init(cfg.hidden, q, streams.init, dtype)
+    theta1 = nn.glorot_init(p, cfg.hidden, streams.init)
+    theta2 = nn.glorot_init(cfg.hidden, q, streams.init)
     state = nn.AdamState.for_params([theta1, theta2], cfg.lr, cfg.weight_decay)
 
     counts = size_counts(h)
@@ -199,8 +182,8 @@ def train_ssl(
     for _ in range(cfg.epochs):
         if cfg.dropout > 0.0:
             masks = (
-                nn.dropout_mask((n, p), cfg.dropout, streams.dropout, dtype),
-                nn.dropout_mask((n, cfg.hidden), cfg.dropout, streams.dropout, dtype),
+                nn.dropout_mask((n, p), cfg.dropout, streams.dropout),
+                nn.dropout_mask((n, cfg.hidden), cfg.dropout, streams.dropout),
             )
         else:
             masks = (None, None)

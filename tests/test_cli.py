@@ -64,6 +64,35 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["densek", "--data", "DATA", "--method", "max-degree", "--k-frac", "1.5"],
+            ["densek", "--data", "DATA", "--method", "max-degree", "--k-frac", "0"],
+            ["gen-densek", "--vertices", "60", "--k-frac", "1.5", "--out", "OUT"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--epochs", "2", "--dropout", "1.0"],
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, capsys, dataset_dir, tmp_path, argv):
+        argv = [dataset_dir if a == "DATA" else str(tmp_path / "o") if a == "OUT" else a
+                for a in argv]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert "usage error:" in err
+
+    def test_bad_thread_count_is_usage_error(self, capsys, dataset_dir, monkeypatch):
+        monkeypatch.setenv("HYPERGCN_THREADS", "abc")
+        code, _, err = run_cli(
+            capsys,
+            ["trials", "--data", dataset_dir, "--method", "mlp", "--budget", "4",
+             "--trials", "2", "--epochs", "2"],
+        )
+        assert code == 1
+        assert "usage error: HYPERGCN_THREADS" in err
+
+
 class TestContracts:
     def test_counts_payload(self, capsys, dataset_dir):
         code, out, _ = run_cli(capsys, ["counts", "--data", dataset_dir])
@@ -149,6 +178,13 @@ class TestContracts:
         assert payload["n"] == 60
         with open(f"{out_dir}/hyperedges.txt") as fh:
             assert len(fh.read().strip().splitlines()) == 30
+        from hypergcn.dataio import load_bundle
+
+        bundle = load_bundle(out_dir)
+        assert (bundle.hypergraph.n, bundle.hypergraph.m) == (60, 30)
+        assert bundle.labels.sum() == payload["k"]
+        with open(f"{out_dir}/manifest.json") as fh:
+            assert json.load(fh)["n"] == 60
 
     def test_config_echo_includes_seed(self, capsys, dataset_dir):
         _, out, _ = run_cli(

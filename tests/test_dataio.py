@@ -10,11 +10,8 @@ from hypergcn.dataio import (
     balanced_split_labels,
     gen_noisy_ssl,
     load_bundle,
-    load_weighted_graph,
     save_bundle,
-    save_weighted_graph,
 )
-from hypergcn.expansion import expand_mediators
 from hypergcn.hypergraph import Hypergraph
 
 
@@ -219,16 +216,3 @@ class TestGenNoisySsl:
         assert bundle.hypergraph.m == 7
         assert bundle.features.shape == (40, 5)
 
-
-class TestWeightedGraphSerialization:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        h = Hypergraph.from_edges(8, [(0, 1, 2), (3, 4, 5, 6), (6, 7)])
-        g = expand_mediators(h, rng.normal(size=(8, 2)), rng)
-        path = tmp_path / "graph.txt"
-        save_weighted_graph(g, path)
-        loaded = load_weighted_graph(path, 8)
-        assert set(loaded.pairs) == set(g.pairs)
-        for key in g.pairs:
-            assert loaded.pairs[key] == pytest.approx(g.pairs[key], abs=0)
-        np.testing.assert_array_equal(loaded.loops, g.loops)

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergcn.expansion import (
     NormalizedAdjacency,
@@ -14,6 +17,8 @@ from hypergcn.expansion import (
     normalize,
 )
 from hypergcn.hypergraph import Hypergraph, degrees
+
+NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def random_hypergraph(rng, n_max=20, m_max=10, size_range=(2, 6)):
@@ -77,10 +82,28 @@ class TestExtremePair:
             h = random_hypergraph(rng)
             s = rng.normal(size=(h.n, 3))
             seed = int(rng.integers(0, 2**31))
-            batch = extreme_pairs(h, s, np.random.default_rng(seed))
-            scalar_rng = np.random.default_rng(seed)
-            for idx in range(h.m):
-                assert tuple(batch[idx]) == extreme_pair(h, idx, s, scalar_rng)
+            # rounded and all-zero signals make ties, so the draws decide
+            for sig in (s, np.round(s), np.zeros_like(s)):
+                batch = extreme_pairs(h, sig, np.random.default_rng(seed))
+                scalar_rng = np.random.default_rng(seed)
+                for idx in range(h.m):
+                    assert tuple(batch[idx]) == extreme_pair(h, idx, sig, scalar_rng)
+
+    def test_working_set_bounded(self):
+        # 400 hyperedges of size 20 over a 256-dim signal: an unsliced
+        # difference tensor alone would take 328 MB
+        rng = np.random.default_rng(4)
+        h = Hypergraph.from_edges(
+            1000, [rng.choice(1000, size=20, replace=False) for _ in range(400)]
+        )
+        s = rng.normal(size=(1000, 256))
+        tracemalloc.start()
+        try:
+            extreme_pairs(h, s, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
     def test_argmax_against_enumeration(self):
         rng = np.random.default_rng(99)
@@ -240,23 +263,21 @@ class TestSelfLoopRules:
 
 class TestNormalize:
     def test_single_pair(self):
-        g = WeightedGraph(n=2)
-        g.add_pair(0, 1, 1.0)
-        g.loops = np.ones(2)
+        g = WeightedGraph(
+            n=2, u=np.array([0]), v=np.array([1]), w=np.array([1.0]), loops=np.ones(2)
+        )
         a = normalize(g)
         np.testing.assert_allclose(
             a.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
         )
 
     def test_loops_only_is_identity(self):
-        g = WeightedGraph(n=3)
-        g.loops = np.ones(3)
+        g = WeightedGraph(n=3, u=NO_IDS, v=NO_IDS, w=np.empty(0), loops=np.ones(3))
         a = normalize(g)
         np.testing.assert_allclose(a.matrix.toarray(), np.eye(3), atol=1e-15)
 
     def test_isolated_vertex_rejected(self):
-        g = WeightedGraph(n=2)
-        g.loops = np.zeros(2)
+        g = WeightedGraph(n=2, u=NO_IDS, v=NO_IDS, w=np.empty(0), loops=np.zeros(2))
         with pytest.raises(ValueError, match="isolated vertex with no self-loop"):
             normalize(g)
 
@@ -327,6 +348,77 @@ class TestPermutationEquivariance:
             tuple(sorted((perm[u], perm[v]))): w for (u, v), w in g.pairs.items()
         }
         assert pairs_close(relabeled, g_perm.pairs)
+
+
+def dict_oracle(h, rule, ext, self_loops):
+    """Sequential dict accumulation of each rule's pairs, hyperedge by
+    hyperedge; `ext` holds the extreme pairs. Also returns per-hyperedge
+    emitted mass."""
+    pairs, mass = {}, []
+    for idx, (e, w) in enumerate(zip(h.edges, h.weights)):
+        if rule == "clique":
+            emitted = [(a, b, 2.0 * w / (len(e) * (len(e) - 1)))
+                       for a, b in itertools.combinations(e, 2)]
+        elif rule == "one-edge":
+            emitted = [(*ext[idx], w / len(e))]
+        else:
+            i, j = ext[idx]
+            wt = w if len(e) == 2 else w / (2 * len(e) - 3)
+            emitted = [(i, j, wt)] + [
+                p for k in e if k not in (i, j) for p in ((i, k, wt), (j, k, wt))
+            ]
+        for a, b, wt in emitted:
+            key = (min(a, b), max(a, b))
+            pairs[key] = pairs.get(key, 0.0) + wt
+        mass.append(sum(wt for _, _, wt in emitted))
+    loops = np.ones(h.n)
+    if self_loops == "degree":
+        deg, incident = np.zeros(h.n), np.zeros(h.n)
+        for e, w in zip(h.edges, h.weights):
+            deg[list(e)] += w
+        for (u, v), wt in pairs.items():
+            incident[u] += wt
+            incident[v] += wt
+        loops = np.maximum(deg - incident, 0.0)
+    return pairs, loops, mass
+
+
+@st.composite
+def hypergraph_and_signal(draw):
+    n = draw(st.integers(2, 30))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 12), unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=10))
+    # duplicate hyperedges accumulate
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    weights = draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges), max_size=len(edges)))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["normal", "rounded", "zero"]))
+    s = np.random.default_rng(draw(st.integers(0, 2**31))).normal(size=(n, d))
+    s = {"normal": s, "rounded": np.round(s), "zero": np.zeros_like(s)}[kind]
+    return Hypergraph.from_edges(n, edges, weights), s
+
+
+class TestDictOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_signal(), st.sampled_from(["unit", "degree"]),
+           st.integers(0, 2**31))
+    def test_expansions_equal_dict_accumulation(self, hs, self_loops, seed):
+        h, s = hs
+        scalar_rng = np.random.default_rng(seed)
+        ext = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+        for rule, g in (
+            ("one-edge", expand_one_edge(h, s, np.random.default_rng(seed), self_loops)),
+            ("mediators", expand_mediators(h, s, np.random.default_rng(seed), self_loops)),
+            ("clique", expand_clique(h, self_loops)),
+        ):
+            pairs, loops, mass = dict_oracle(h, rule, ext, self_loops)
+            assert list(g.pairs.items()) == list(pairs.items())
+            np.testing.assert_array_equal(g.loops, loops)
+            # one-edge keeps a single pair of weight w(e)/|e|; the other
+            # rules spread exactly w(e) over their pairs
+            want = h.weights / h.edge_sizes() if rule == "one-edge" else h.weights
+            np.testing.assert_allclose(mass, want, rtol=1e-12)
+            assert g.w.sum() == pytest.approx(want.sum(), rel=1e-12)
 
 
 class TestIdentityAdjacency:

@@ -127,9 +127,9 @@ class TestSpmm:
     def test_averaging_pair(self):
         from hypergcn.expansion import WeightedGraph
 
-        g = WeightedGraph(n=2)
-        g.add_pair(0, 1, 1.0)
-        g.loops = np.ones(2)
+        g = WeightedGraph(
+            n=2, u=np.array([0]), v=np.array([1]), w=np.array([1.0]), loops=np.ones(2)
+        )
         a = normalize(g)
         np.testing.assert_allclose(spmm(a, np.array([[2.0], [4.0]])), [[3.0], [3.0]])
 
