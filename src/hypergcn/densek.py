@@ -3,16 +3,17 @@
 The objective is the number of hyperedges fully contained in a chosen
 set of k hypernodes. Two deterministic greedy heuristics (top-k by
 degree, and iterative minimum-degree peeling), an exact enumeration
-oracle for small instances, and a learned solver that trains a
-mediator-expansion convolution to emit several candidate probability
-maps under a hindsight objective. Degrees here are hyperedge counts;
-hyperedge weights play no role in the combinatorial objective.
+oracle for small instances, and a learned solver: the semi-supervised
+trainer's optimizer step (`training.fit_step`) under a hindsight loss,
+emitting several candidate probability maps. Degrees here are hyperedge
+counts; hyperedge weights play no role in the combinatorial objective.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterable, Sequence
 
@@ -20,9 +21,11 @@ import numpy as np
 from scipy.special import expit
 
 from . import nn
-from .expansion import NormalizedAdjacency, expand_mediators, normalize
+from .expansion import expand_mediators, normalize
 from .hypergraph import Hypergraph
-from .training import TrainConfig
+from .training import Graph, TrainConfig, fit_step, predict_logits
+
+METHODS = ("hypergcn", "fast-hypergcn")
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,15 @@ def hindsight_bce(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, i
     return per_map, int(np.argmin(per_map))
 
 
+def hindsight_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss function for `nn.step`: the smallest per-map binary
+    cross-entropy; only that best map receives gradient."""
+    per_map, best = hindsight_bce(logits, target)
+    dlogits = np.zeros_like(logits)
+    dlogits[:, best] = (expit(logits)[:, best] - target) / logits.shape[0]
+    return float(per_map[best]), dlogits
+
+
 def vertex_features(
     h: Hypergraph, kind: str = "degree", rng: np.random.Generator | None = None, dim: int = 8
 ) -> np.ndarray:
@@ -174,6 +186,7 @@ class DenseKModel:
 
     theta1: np.ndarray
     theta2: np.ndarray
+    method: str
     feature_kind: str
     feature_dim: int
     self_loops: str = "unit"
@@ -186,15 +199,24 @@ class DenseKModel:
 
 def _sample_inputs(
     h: Hypergraph,
+    method: str,
     feature_kind: str,
     feature_dim: int,
     feat_rng: np.random.Generator,
     tie_rng: np.random.Generator,
     self_loops,
-) -> tuple[np.ndarray, NormalizedAdjacency]:
+) -> tuple[np.ndarray, Graph]:
+    """Input features of one hypergraph and the graph `fit_step` takes:
+    the features' mediator adjacency for fast-hypergcn, the mediator
+    re-expansion of any signal for hypergcn."""
+    if method not in METHODS:
+        raise ValueError(f"unknown densek method {method!r}; expected one of {METHODS}")
     x = vertex_features(h, feature_kind, feat_rng, feature_dim)
-    a = normalize(expand_mediators(h, x, tie_rng, self_loops))
-    return x, a
+
+    def reexpand(signal: np.ndarray):
+        return normalize(expand_mediators(h, signal, tie_rng, self_loops))
+
+    return x, reexpand(x) if method == "fast-hypergcn" else reexpand
 
 
 def train_densek(
@@ -207,9 +229,11 @@ def train_densek(
     """Fit the probability-map model under the hindsight objective.
 
     Per sample the loss is the minimum binary cross-entropy over the M
-    emitted maps, so maps are free to specialize. The mediator expansion
-    of each sample is built once from its input features; one optimizer
-    step is taken per sample per epoch, in fixed sample order.
+    emitted maps, so maps are free to specialize. `cfg.method` is
+    `hypergcn`, which re-expands each sample per layer on every step, or
+    `fast-hypergcn`, which builds each sample's mediator expansion once
+    from its input features; any other method raises ValueError. One
+    optimizer step is taken per sample per epoch, in fixed sample order.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
@@ -220,10 +244,12 @@ def train_densek(
     streams = nn.rng_streams(cfg.seed)
     prepared = []
     for h, target in train_set:
-        x, a = _sample_inputs(
-            h, feature_kind, feature_dim, streams.init, streams.ties, cfg.self_loops
+        x, graph = _sample_inputs(
+            h, cfg.method, feature_kind, feature_dim, streams.init, streams.ties,
+            cfg.self_loops,
         )
-        prepared.append((x, a, np.asarray(target, dtype=np.float64)))
+        target = np.asarray(target, dtype=np.float64)
+        prepared.append((x, graph, partial(hindsight_loss, target=target)))
 
     p = prepared[0][0].shape[1]
     theta1 = nn.glorot_init(p, cfg.hidden, streams.init)
@@ -233,35 +259,15 @@ def train_densek(
     loss_trace: list[float] = []
     for _ in range(cfg.epochs):
         epoch_loss = 0.0
-        for x, a, target in prepared:
-            n = x.shape[0]
-            if cfg.dropout > 0.0:
-                masks = (
-                    nn.dropout_mask(x.shape, cfg.dropout, streams.dropout),
-                    nn.dropout_mask((n, cfg.hidden), cfg.dropout, streams.dropout),
-                )
-            else:
-                masks = (None, None)
-            hidden, x_in, pre1 = nn.forward_hidden(a, x, theta1, masks[0])
-            logits, h_in = nn.forward_logits(a, hidden, theta2, masks[1])
-            per_map, best = hindsight_bce(logits, target)
-            if not np.all(np.isfinite(per_map)):
-                raise FloatingPointError("non-finite hindsight loss")
-            probs = expit(logits)
-            dlogits = np.zeros_like(logits)
-            dlogits[:, best] = (probs[:, best] - target) / n
-            cache = nn.GcnCache(
-                a1=a, a2=a, x_in=x_in, pre1=pre1, h_in=h_in, mask2=masks[1],
-                logits=logits, z=probs, theta2=theta2,
-            )
-            g1, g2 = nn.backward_from_dlogits(cache, dlogits)
-            nn.adam_step([theta1, theta2], [g1, g2], state)
-            epoch_loss += float(per_map[best])
+        for x, graph, loss_fn in prepared:
+            epoch_loss += fit_step(graph, x, theta1, theta2, state, loss_fn,
+                                   cfg.dropout, streams.dropout)
         loss_trace.append(epoch_loss / len(prepared))
 
     return DenseKModel(
         theta1=theta1,
         theta2=theta2,
+        method=cfg.method,
         feature_kind=feature_kind,
         feature_dim=feature_dim,
         self_loops=cfg.self_loops,
@@ -272,13 +278,11 @@ def train_densek(
 def predict_maps(model: DenseKModel, h: Hypergraph, seed: int = 0) -> ProbabilityMaps:
     """Emit the model's probability maps for a hypergraph (no dropout)."""
     streams = nn.rng_streams(seed)
-    x, a = _sample_inputs(
-        h, model.feature_kind, model.feature_dim, streams.init, streams.ties,
-        model.self_loops,
+    x, graph = _sample_inputs(
+        h, model.method, model.feature_kind, model.feature_dim, streams.init,
+        streams.ties, model.self_loops,
     )
-    hidden, _, _ = nn.forward_hidden(a, x, model.theta1)
-    logits, _ = nn.forward_logits(a, hidden, model.theta2)
-    return ProbabilityMaps(values=expit(logits))
+    return ProbabilityMaps(values=expit(predict_logits(graph, x, model.theta1, model.theta2)))
 
 
 def decode_topk(maps: ProbabilityMaps, inst: DenseKInstance) -> list[int]:

@@ -33,7 +33,7 @@ from .hypergraph import Hypergraph, degrees
 
 SelfLoopRule = Literal["unit", "degree"]
 
-_DIFF_BUDGET = 2**22  # values per slice of extreme_pairs' difference tensor
+_DIFF_BUDGET = 2**22  # values per chunk of extreme_pairs' temporaries
 
 
 @dataclass(frozen=True)
@@ -130,21 +130,28 @@ def extreme_pairs(
     """Extreme pair of every hyperedge, vectorized over same-size groups.
 
     Consumes exactly one uniform draw per hyperedge in hyperedge order,
-    matching a sequence of `extreme_pair` calls draw for draw. Each group
-    is processed in slices whose difference tensor holds at most
-    `_DIFF_BUDGET` values, so memory does not grow with the group.
+    matching a sequence of `extreme_pair` calls draw for draw. Squared
+    distances are computed for the i < j pairs only, over slices of a
+    group and chunks of its pairs sized so that a chunk's temporaries
+    (two gathers, their difference and the distances) hold at most
+    `_DIFF_BUDGET` values. Memory does not grow with the group; one
+    hyperedge of size s adds only its s(s-1)/2 distances.
     """
     s = as_signal(signal, h.n)
     out = np.zeros((h.m, 2), dtype=np.int64)
     draws = rng.random(h.m)
+    per_pair = 3 * s.shape[1] + 1
     for size, idxs, members in h.size_groups:
         iu, ju = np.triu_indices(size, k=1)
-        step = max(1, _DIFF_BUDGET // (size * size * max(1, s.shape[1])))
+        step = max(1, _DIFF_BUDGET // (iu.size * per_pair))  # hyperedges per slice
+        chunk = max(1, _DIFF_BUDGET // (step * per_pair))  # pairs per chunk
         for lo in range(0, idxs.size, step):
             ids, rows = idxs[lo : lo + step], members[lo : lo + step]
             pts = s[rows]  # (g, size, d)
-            diff = pts[:, :, None, :] - pts[:, None, :, :]
-            vals = np.einsum("gabk,gabk->gab", diff, diff)[:, iu, ju]
+            vals = np.empty((ids.size, iu.size))
+            for c in range(0, iu.size, chunk):
+                diff = pts[:, iu[c : c + chunk]] - pts[:, ju[c : c + chunk]]
+                vals[:, c : c + chunk] = np.einsum("gpk,gpk->gp", diff, diff)
             tied = vals == vals.max(axis=1, keepdims=True)
             count = tied.sum(axis=1)
             rank = np.minimum((draws[ids] * count).astype(np.int64), count - 1)

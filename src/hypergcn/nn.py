@@ -1,19 +1,22 @@
 """Minimal numerical engine for the fixed two-layer convolution.
 
-Dense matrices are float64 numpy arrays. The forward model is
+Dense matrices are float64 numpy arrays. The network computes the logits
 
-    Z = row_softmax( A2 · ReLU( A1 · X · Θ1 ) · Θ2 )
+    A2 · ReLU( A1 · X · Θ1 ) · Θ2
 
-with optional inverted dropout on the input of each layer. Gradients of
-the cross-entropy objective are computed analytically; there is no
-autodiff. The adaptive-moment optimizer applies decoupled weight decay
-to the first-layer parameters only.
+with optional inverted dropout on the input of each layer. One
+loss-agnostic `step` runs the forward pass, asks a loss function for the
+loss and its gradient on the logits, and pulls that gradient back to Θ1
+and Θ2 analytically; there is no autodiff. Any objective on the logits
+plugs in: `softmax_ce` here, the Laplacian-regularized cross-entropy in
+`training`, the hindsight binary cross-entropy in `densek`. The
+adaptive-moment optimizer applies decoupled weight decay to Θ1 only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,24 +65,13 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def dropout_mask(
-    shape: tuple[int, ...], rate: float, rng: np.random.Generator, dtype=np.float64
+    shape: tuple[int, ...], rate: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Inverted-dropout mask: kept units are scaled by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / (1.0 - rate)
-
-
-def dropout(
-    x: np.ndarray, rate: float, rng: np.random.Generator, training: bool
-) -> np.ndarray:
-    """Apply inverted dropout when training, identity otherwise."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if not training or rate == 0.0:
-        return x
-    return x * dropout_mask(x.shape, rate, rng, dtype=x.dtype)
+    return keep.astype(np.float64) / (1.0 - rate)
 
 
 def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
@@ -87,21 +79,6 @@ def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
     if a.n != x.shape[0]:
         raise ValueError(f"adjacency n={a.n} does not match x rows {x.shape[0]}")
     return a.matrix @ x
-
-
-@dataclass
-class GcnCache:
-    """Intermediates of one forward pass, retained for the backward pass."""
-
-    a1: NormalizedAdjacency
-    a2: NormalizedAdjacency
-    x_in: np.ndarray  # layer-1 input after dropout
-    pre1: np.ndarray  # A1 (x_in Θ1), before ReLU
-    h_in: np.ndarray  # layer-2 input after dropout
-    mask2: np.ndarray | None
-    logits: np.ndarray
-    z: np.ndarray
-    theta2: np.ndarray
 
 
 def forward_hidden(
@@ -122,62 +99,17 @@ def forward_logits(
     theta2: np.ndarray,
     mask2: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Second convolution layer up to the logits. Returns (logits, h_in)."""
+    """Second convolution layer up to the logits. Returns (logits, h_in).
+
+    Every forward pass, in training and at prediction, ends here, so this
+    is the one place that rejects a diverged network: any non-finite
+    logit raises FloatingPointError.
+    """
     h_in = hidden if mask2 is None else hidden * mask2
-    return spmm(a2, h_in @ theta2), h_in
-
-
-def forward_gcn(
-    a: NormalizedAdjacency,
-    x: np.ndarray,
-    theta1: np.ndarray,
-    theta2: np.ndarray,
-    dropout_masks: tuple[np.ndarray | None, np.ndarray | None] | None = None,
-    a2: NormalizedAdjacency | None = None,
-) -> tuple[np.ndarray, GcnCache]:
-    """Two-layer forward pass returning row-stochastic Z and the cache.
-
-    `a` feeds the first layer; `a2` (default: same as `a`) feeds the
-    second, supporting per-layer re-expansion schedules. `dropout_masks`
-    are precomputed inverted-dropout masks for each layer input, or None
-    for no dropout.
-    """
-    if a2 is None:
-        a2 = a
-    mask1, mask2 = dropout_masks if dropout_masks is not None else (None, None)
-    hidden, x_in, pre1 = forward_hidden(a, x, theta1, mask1)
-    logits, h_in = forward_logits(a2, hidden, theta2, mask2)
-    z = softmax_rows(logits)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite output in forward pass")
-    cache = GcnCache(
-        a1=a, a2=a2, x_in=x_in, pre1=pre1, h_in=h_in, mask2=mask2,
-        logits=logits, z=z, theta2=theta2,
-    )
-    return z, cache
-
-
-def loss_ce(z: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Cross-entropy over the labelled set, averaged over |V_L|.
-
-    Multiply by len(mask) to recover the plain sum. The training loop
-    evaluates the same quantity from logits (see `loss_ce_logits`) so Z
-    never needs clamping.
-    """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty labelled set")
-    picked = z[mask, np.asarray(labels)[mask]]
-    return float(-np.log(picked).mean())
-
-
-def loss_ce_logits(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Cross-entropy computed from logits via fused log-softmax."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty labelled set")
-    logp = log_softmax_rows(logits[mask])
-    return float(-logp[np.arange(mask.size), np.asarray(labels)[mask]].mean())
+    logits = spmm(a2, h_in @ theta2)
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite logits in forward pass")
+    return logits, h_in
 
 
 def softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -186,52 +118,86 @@ def softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return z * (dz - inner)
 
 
-def backward_from_dlogits(cache: GcnCache, dlogits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shared trunk backward: gradients of Θ1 and Θ2 given d(loss)/d(logits)."""
-    g2 = spmm(cache.a2, dlogits)  # adjacency is symmetric
-    grad_theta2 = cache.h_in.T @ g2
-    dh_in = g2 @ cache.theta2.T
-    dhidden = dh_in if cache.mask2 is None else dh_in * cache.mask2
-    dpre1 = dhidden * (cache.pre1 > 0.0)
-    g1 = spmm(cache.a1, dpre1)
-    grad_theta1 = cache.x_in.T @ g1
-    return grad_theta1, grad_theta2
-
-
-def backward_gcn(
-    cache: GcnCache,
-    labels: np.ndarray,
-    mask: np.ndarray,
-    extra_dz: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of the masked mean cross-entropy w.r.t. Θ1, Θ2.
-
-    `extra_dz` adds an additional upstream gradient on Z (for explicit
-    regularizers on the output probabilities); it is pulled through the
-    softmax before joining the cross-entropy term.
-    """
+def softmax_ce(
+    logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Loss function for `step`: softmax cross-entropy averaged over the
+    labelled set `mask`, from the logits by a fused log-softmax, and its
+    gradient on the logits. `mask` is a multiset: a vertex listed twice
+    counts twice."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty labelled set")
-    dlogits = np.zeros_like(cache.z)
-    # np.add.at so repeated mask entries accumulate like a multiset
-    np.add.at(dlogits, mask, cache.z[mask])
-    np.add.at(dlogits, (mask, np.asarray(labels)[mask]), -1.0)
+    picked = np.asarray(labels)[mask]
+    loss = float(-log_softmax_rows(logits[mask])[np.arange(mask.size), picked].mean())
+    z = softmax_rows(logits)
+    dlogits = np.zeros_like(z)
+    np.add.at(dlogits, mask, z[mask])
+    np.add.at(dlogits, (mask, picked), -1.0)
     dlogits /= mask.size
-    if extra_dz is not None:
-        dlogits += softmax_vjp(cache.z, extra_dz)
-    return backward_from_dlogits(cache, dlogits)
+    return loss, dlogits
+
+
+def backward_from_dlogits(
+    dlogits: np.ndarray,
+    a1: NormalizedAdjacency,
+    a2: NormalizedAdjacency,
+    x_in: np.ndarray,
+    pre1: np.ndarray,
+    h_in: np.ndarray,
+    mask2: np.ndarray | None,
+    theta2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of Θ1 and Θ2 given d(loss)/d(logits), from the forward
+    pass's layer inputs after dropout (`x_in`, `h_in`), layer-1
+    pre-activation `pre1` and layer-2 dropout mask."""
+    g2 = spmm(a2, dlogits)  # adjacency is symmetric
+    grad_theta2 = h_in.T @ g2
+    dh_in = g2 @ theta2.T
+    dhidden = dh_in if mask2 is None else dh_in * mask2
+    dpre1 = dhidden * (pre1 > 0.0)
+    g1 = spmm(a1, dpre1)
+    grad_theta1 = x_in.T @ g1
+    return grad_theta1, grad_theta2
+
+
+def step(
+    a1: NormalizedAdjacency,
+    a2: NormalizedAdjacency,
+    x: np.ndarray,
+    theta1: np.ndarray,
+    theta2: np.ndarray,
+    masks: tuple[np.ndarray | None, np.ndarray | None],
+    loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    layer1: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and exact gradients of Θ1 and Θ2 for one forward pass.
+
+    `a1` and `a2` feed the two layers and `masks` are the dropout masks
+    of their inputs (None for no dropout). `loss_fn(logits)` returns
+    (loss, d loss / d logits); the step knows nothing else about the
+    objective. `layer1` is `forward_hidden(a1, x, theta1, masks[0])`
+    when the caller computed it already, and is then not recomputed.
+    Returns (loss, grad Θ1, grad Θ2).
+    """
+    mask1, mask2 = masks
+    if layer1 is None:
+        layer1 = forward_hidden(a1, x, theta1, mask1)
+    hidden, x_in, pre1 = layer1
+    logits, h_in = forward_logits(a2, hidden, theta2, mask2)
+    loss, dlogits = loss_fn(logits)
+    return (loss, *backward_from_dlogits(dlogits, a1, a2, x_in, pre1, h_in, mask2, theta2))
 
 
 @dataclass
 class AdamState:
-    """Adaptive-moment optimizer state with decoupled per-parameter decay."""
+    """Adaptive-moment optimizer state. Decoupled weight decay applies to
+    the first parameter (Θ1) only."""
 
     lr: float
     weight_decay: float
     m: list[np.ndarray]
     v: list[np.ndarray]
-    decay: list[bool]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -239,21 +205,13 @@ class AdamState:
 
     @classmethod
     def for_params(
-        cls,
-        params: list[np.ndarray],
-        lr: float,
-        weight_decay: float,
-        decay: list[bool] | None = None,
+        cls, params: list[np.ndarray], lr: float, weight_decay: float
     ) -> "AdamState":
-        if decay is None:
-            # weight decay on the first-layer parameters only
-            decay = [i == 0 for i in range(len(params))]
         return cls(
             lr=lr,
             weight_decay=weight_decay,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
-            decay=list(decay),
         )
 
 
@@ -262,15 +220,15 @@ def adam_step(
 ) -> tuple[list[np.ndarray], AdamState]:
     """One in-place adaptive-moment update.
 
-    Decoupled L2 shrinkage is applied to parameters flagged in
-    `state.decay`; with zero gradients and zero moments the parameters
-    change only by that shrinkage.
+    Decoupled L2 shrinkage is applied to the first parameter only; with
+    zero gradients and zero moments the parameters change only by that
+    shrinkage.
     """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for p, g, m, v, dec in zip(params, grads, state.m, state.v, state.decay):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if p.shape != g.shape:
             raise ValueError(f"parameter shape {p.shape} != grad shape {g.shape}")
         m *= b1
@@ -279,6 +237,6 @@ def adam_step(
         v += (1.0 - b2) * np.square(g)
         update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         p -= state.lr * update
-        if dec and state.weight_decay:
+        if i == 0 and state.weight_decay:
             p -= state.lr * state.weight_decay * p
     return params, state

@@ -13,12 +13,19 @@ Method dispatch:
 
 Every method trains the same two-layer network for a fixed number of
 epochs with the adaptive-moment optimizer; there is no early stopping.
+The pieces shared with the DkSH solver in `densek` live here once:
+`layer_adjacencies` gives the two layer adjacencies (a fixed one, or
+HyperGCN's per-layer re-expansion), `fit_step` takes one optimizer step
+(dropout masks, `nn.step` with the setting's loss function, Adam) and
+`predict_logits` runs the trained network without dropout.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,36 +90,84 @@ def pair_laplacian(g: WeightedGraph) -> sp.csr_array:
     return sp.coo_array((-vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
-def ssl_loss_and_grads(
-    a1: NormalizedAdjacency,
-    a2: NormalizedAdjacency,
+def hlr_ce(
+    logits: np.ndarray,
+    labels: np.ndarray,
+    mask: np.ndarray,
+    lap: sp.csr_array,
+    lam: float,
+) -> tuple[float, np.ndarray]:
+    """Loss function for `nn.step` under MLP-HLR: softmax cross-entropy
+    plus lam * sum_uv w_uv ||Z_u - Z_v||^2, written with the pair
+    Laplacian `lap`, on Z = softmax(logits). The penalty's gradient
+    flows through the softmax."""
+    loss, dlogits = nn.softmax_ce(logits, labels, mask)
+    z = nn.softmax_rows(logits)
+    lz = lap @ z
+    dlogits += nn.softmax_vjp(z, 2.0 * lam * lz)
+    return loss + lam * float((z * lz).sum()), dlogits
+
+
+# A fixed adjacency, or a function from a signal to a fresh adjacency
+Graph = NormalizedAdjacency | Callable[[np.ndarray], NormalizedAdjacency]
+
+
+def layer_adjacencies(
+    graph: Graph,
     x: np.ndarray,
     theta1: np.ndarray,
     theta2: np.ndarray,
-    labels: np.ndarray,
-    train_idx: np.ndarray,
-    masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-    hlr: tuple[sp.csr_array, float] | None = None,
-) -> tuple[float, np.ndarray, np.ndarray, nn.GcnCache]:
-    """Loss and exact parameter gradients for fixed adjacencies.
+    mask1: np.ndarray | None = None,
+) -> tuple[NormalizedAdjacency, NormalizedAdjacency, tuple | None]:
+    """The two layer adjacencies of one forward pass.
 
-    `hlr` optionally adds lam * sum_uv w_uv ||Z_u - Z_v||^2 expressed via
-    the pair Laplacian; its gradient flows through the softmax.
+    A fixed adjacency feeds both layers. A function re-expands per layer
+    (HyperGCN): layer 1 from the signal x Θ1, layer 2 from the layer-1
+    output times Θ2. Returns (a1, a2, layer1), where layer1 is the
+    `nn.forward_hidden` result the second expansion needed (None for a
+    fixed adjacency), for the forward pass to reuse.
     """
-    z, cache = nn.forward_gcn(a1, x, theta1, theta2, masks, a2=a2)
-    loss = nn.loss_ce_logits(cache.logits, labels, train_idx)
-    extra_dz = None
-    if hlr is not None:
-        lap, lam = hlr
-        lz = lap @ z
-        loss += lam * float((z * lz).sum())
-        extra_dz = 2.0 * lam * lz
-    g1, g2 = nn.backward_gcn(cache, labels, train_idx, extra_dz)
-    return loss, g1, g2, cache
+    if isinstance(graph, NormalizedAdjacency):
+        return graph, graph, None
+    a1 = graph(x @ theta1)
+    layer1 = nn.forward_hidden(a1, x, theta1, mask1)
+    return a1, graph(layer1[0] @ theta2), layer1
 
 
-def _expander_for(method: str):
-    return expand_mediators if method == "hypergcn" else expand_one_edge
+def fit_step(
+    graph: Graph,
+    x: np.ndarray,
+    theta1: np.ndarray,
+    theta2: np.ndarray,
+    state: nn.AdamState,
+    loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    rate: float,
+    rng: np.random.Generator,
+) -> float:
+    """One optimizer step: draw the dropout masks from `rng` (layer 1's,
+    then layer 2's; none when `rate` is 0), take the layer adjacencies,
+    run `nn.step` with `loss_fn` and update Θ1 and Θ2 in place. Returns
+    the loss."""
+    masks = (None, None)
+    if rate > 0.0:
+        masks = (
+            nn.dropout_mask(x.shape, rate, rng),
+            nn.dropout_mask((x.shape[0], theta1.shape[1]), rate, rng),
+        )
+    a1, a2, layer1 = layer_adjacencies(graph, x, theta1, theta2, masks[0])
+    loss, g1, g2 = nn.step(a1, a2, x, theta1, theta2, masks, loss_fn, layer1)
+    nn.adam_step([theta1, theta2], [g1, g2], state)
+    return loss
+
+
+def predict_logits(
+    graph: Graph, x: np.ndarray, theta1: np.ndarray, theta2: np.ndarray
+) -> np.ndarray:
+    """Logits of the network without dropout, under the same schedule."""
+    a1, a2, layer1 = layer_adjacencies(graph, x, theta1, theta2)
+    if layer1 is None:
+        layer1 = nn.forward_hidden(a1, x, theta1)
+    return nn.forward_logits(a2, layer1[0], theta2)[0]
 
 
 def train_ssl(
@@ -139,67 +194,39 @@ def train_ssl(
     counts = size_counts(h)
     edge_counts = {"N": counts[0], "N_m": counts[1], "N_c": counts[2]}
 
-    per_epoch = cfg.method in ("hypergcn", "one-hypergcn")
-    hlr = None
-    expansions = 0
-    adjacency_pairs = 0
-    a_fixed: NormalizedAdjacency | None = None
+    expansions = adjacency_pairs = 0
 
-    if cfg.method == "hgnn":
-        g = expand_clique(h, cfg.self_loops)
-        a_fixed = normalize(g)
-        expansions, adjacency_pairs = 1, g.pair_count
-    elif cfg.method == "fast-hypergcn":
-        g = expand_mediators(h, x, streams.ties, cfg.self_loops)
-        a_fixed = normalize(g)
-        expansions, adjacency_pairs = 1, g.pair_count
-    elif cfg.method in ("mlp", "mlp-hlr"):
-        a_fixed = NormalizedAdjacency.identity(n)
-        if cfg.method == "mlp-hlr":
-            g = expand_mediators(h, x, streams.ties, cfg.self_loops)
-            hlr = (pair_laplacian(g), cfg.hlr_lambda)
-            expansions, adjacency_pairs = 1, g.pair_count
-
-    expander = _expander_for(cfg.method)
-
-    def epoch_adjacencies(masks):
-        """Adjacencies for one step; per-epoch methods re-expand per layer."""
+    def built(g: WeightedGraph) -> WeightedGraph:
         nonlocal expansions, adjacency_pairs
-        if not per_epoch:
-            return a_fixed, a_fixed
-        g1 = expander(h, x @ theta1, streams.ties, cfg.self_loops)
-        a1 = normalize(g1)
-        hidden_repr, _, _ = nn.forward_hidden(a1, x, theta1, masks[0])
-        g2 = expander(h, hidden_repr @ theta2, streams.ties, cfg.self_loops)
-        a2 = normalize(g2)
-        expansions += 2
-        if adjacency_pairs == 0:
-            adjacency_pairs = g1.pair_count
-        return a1, a2
+        expansions += 1
+        adjacency_pairs = adjacency_pairs or g.pair_count
+        return g
+
+    loss_fn = partial(nn.softmax_ce, labels=labels, mask=split.train_idx)
+    if cfg.method in ("hypergcn", "one-hypergcn"):
+        expander = expand_mediators if cfg.method == "hypergcn" else expand_one_edge
+
+        def graph(signal):
+            return normalize(built(expander(h, signal, streams.ties, cfg.self_loops)))
+    elif cfg.method == "hgnn":
+        graph = normalize(built(expand_clique(h, cfg.self_loops)))
+    elif cfg.method == "fast-hypergcn":
+        graph = normalize(built(expand_mediators(h, x, streams.ties, cfg.self_loops)))
+    else:
+        graph = NormalizedAdjacency.identity(n)
+        if cfg.method == "mlp-hlr":
+            g = built(expand_mediators(h, x, streams.ties, cfg.self_loops))
+            loss_fn = partial(hlr_ce, labels=labels, mask=split.train_idx,
+                              lap=pair_laplacian(g), lam=cfg.hlr_lambda)
 
     losses: list[float] = []
     t0 = time.perf_counter()
     for _ in range(cfg.epochs):
-        if cfg.dropout > 0.0:
-            masks = (
-                nn.dropout_mask((n, p), cfg.dropout, streams.dropout),
-                nn.dropout_mask((n, cfg.hidden), cfg.dropout, streams.dropout),
-            )
-        else:
-            masks = (None, None)
-        a1, a2 = epoch_adjacencies(masks)
-        loss, g1, g2, _ = ssl_loss_and_grads(
-            a1, a2, x, theta1, theta2, labels, split.train_idx, masks, hlr
-        )
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"non-finite loss at epoch {len(losses)}")
-        nn.adam_step([theta1, theta2], [g1, g2], state)
-        losses.append(loss)
+        losses.append(fit_step(graph, x, theta1, theta2, state, loss_fn,
+                               cfg.dropout, streams.dropout))
     seconds_per_epoch = (time.perf_counter() - t0) / max(1, cfg.epochs)
 
-    a1, a2 = epoch_adjacencies((None, None))
-    z, _ = nn.forward_gcn(a1, x, theta1, theta2, a2=a2)
-    error = evaluate(z, split)
+    error = evaluate(nn.softmax_rows(predict_logits(graph, x, theta1, theta2)), split)
     return TrainReport(
         method=cfg.method,
         losses=losses,

@@ -341,6 +341,33 @@ class TestTrainDensek:
         h, _ = gen_sample(24, 18, 0.7, rng)
         assert predict_maps(model, h).values.shape == (24, 2)
 
+    def test_methods_differ(self):
+        # hypergcn re-expands per layer on every step; fast-hypergcn keeps
+        # the feature-built expansion, so the two traces must part
+        rng = np.random.default_rng(18)
+        samples = [gen_sample(30, 22, 0.7, rng) for _ in range(3)]
+        traces = {}
+        for method in ("hypergcn", "fast-hypergcn"):
+            cfg = TrainConfig(method=method, epochs=4, seed=2)
+            model = train_densek(samples, cfg, maps=3)
+            assert model.method == method
+            traces[method] = model.loss_trace
+        assert traces["hypergcn"] != traces["fast-hypergcn"]
+
+    @pytest.mark.parametrize("method", ("hgnn", "mlp", "one-hypergcn"))
+    def test_unknown_method_rejected(self, method):
+        rng = np.random.default_rng(19)
+        samples = [gen_sample(20, 15, 0.7, rng)]
+        with pytest.raises(ValueError, match=method):
+            train_densek(samples, TrainConfig(method=method, epochs=1), maps=2)
+
+    def test_diverging_run_raises(self):
+        rng = np.random.default_rng(20)
+        samples = [gen_sample(20, 15, 0.7, rng) for _ in range(2)]
+        cfg = TrainConfig(method="fast-hypergcn", epochs=2, lr=1e200, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            train_densek(samples, cfg, maps=2)
+
     def test_vertex_features(self):
         h = Hypergraph.from_edges(3, [(0, 1), (0, 2)])
         x = vertex_features(h)

@@ -105,6 +105,20 @@ class TestExtremePair:
             tracemalloc.stop()
         assert peak < 100 * 2**20
 
+    def test_large_hyperedge_working_set_bounded(self):
+        # one hyperedge of size 600 over a 64-dim signal: its full
+        # difference tensor alone would take 176 MB
+        rng = np.random.default_rng(5)
+        h = Hypergraph.from_edges(700, [rng.choice(700, size=600, replace=False)])
+        s = rng.normal(size=(700, 64))
+        tracemalloc.start()
+        try:
+            extreme_pairs(h, s, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
     def test_argmax_against_enumeration(self):
         rng = np.random.default_rng(99)
         for _ in range(30):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,20 +9,37 @@ from hypergcn.hypergraph import Hypergraph
 from hypergcn.nn import (
     AdamState,
     adam_step,
-    backward_gcn,
-    dropout,
     dropout_mask,
-    forward_gcn,
+    forward_hidden,
+    forward_logits,
     glorot_init,
     log_softmax_rows,
-    loss_ce,
-    loss_ce_logits,
     relu,
     rng_streams,
+    softmax_ce,
     softmax_rows,
     softmax_vjp,
     spmm,
+    step,
 )
+
+
+def loss_ce(z, labels, mask):
+    """Reference cross-entropy from probabilities: -log Z[v, y_v]
+    averaged over the labelled set (a multiset)."""
+    mask = np.asarray(mask, dtype=np.int64)
+    return float(-np.log(z[mask, np.asarray(labels)[mask]]).mean())
+
+
+def forward_z(a, x, t1, t2):
+    """Row-softmax output of the two-layer network without dropout."""
+    hidden, _, _ = forward_hidden(a, x, t1)
+    return softmax_rows(forward_logits(a, hidden, t2)[0])
+
+
+def ce_step(a, x, t1, t2, labels, mask):
+    """(loss, grad Θ1, grad Θ2) of the masked cross-entropy."""
+    return step(a, a, x, t1, t2, (None, None), partial(softmax_ce, labels=labels, mask=mask))
 
 
 def random_adjacency(rng, n):
@@ -89,17 +107,18 @@ class TestGlorot:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        out = dropout(x, 0.0, np.random.default_rng(0), training=True)
+        out = x * dropout_mask(x.shape, 0.0, np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
     def test_eval_mode_is_identity(self):
+        # without a mask (prediction) the layer input is x itself
         x = np.ones((3, 3))
-        out = dropout(x, 0.9, np.random.default_rng(0), training=False)
+        _, out, _ = forward_hidden(NormalizedAdjacency.identity(3), x, np.eye(3), None)
         np.testing.assert_array_equal(out, x)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            dropout(np.ones((2, 2)), 1.0, np.random.default_rng(0), training=True)
+            dropout_mask((2, 2), 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             dropout_mask((2, 2), -0.1, np.random.default_rng(0))
 
@@ -158,13 +177,13 @@ class TestForward:
     def test_zero_output_layer_gives_uniform_rows(self):
         a = NormalizedAdjacency.identity(2)
         x = np.eye(2)
-        z, _ = forward_gcn(a, x, np.eye(2), np.zeros((2, 3)))
+        z = forward_z(a, x, np.eye(2), np.zeros((2, 3)))
         np.testing.assert_allclose(z, np.full((2, 3), 1 / 3), atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
         a = random_adjacency(rng, 7)
-        z, _ = forward_gcn(
+        z = forward_z(
             a, rng.normal(size=(7, 4)),
             glorot_init(4, 3, rng), glorot_init(3, 2, rng),
         )
@@ -178,7 +197,7 @@ class TestForward:
             x = rng.normal(size=(n, 3))
             t1 = glorot_init(3, 4, rng)
             t2 = glorot_init(4, 3, rng)
-            z, _ = forward_gcn(a, x, t1, t2)
+            z = forward_z(a, x, t1, t2)
             ref = scalar_forward(a.matrix.toarray().tolist(), x.tolist(), t1.tolist(), t2.tolist())
             np.testing.assert_allclose(z, ref, atol=1e-10)
 
@@ -188,7 +207,7 @@ class TestForward:
         x = rng.normal(size=(5, 3))
         t1 = glorot_init(3, 4, rng)
         t2 = glorot_init(4, 2, rng)
-        z, _ = forward_gcn(NormalizedAdjacency.identity(5), x, t1, t2)
+        z = forward_z(NormalizedAdjacency.identity(5), x, t1, t2)
         np.testing.assert_allclose(
             z, softmax_rows(relu(x @ t1) @ t2), atol=1e-14
         )
@@ -216,20 +235,19 @@ class TestLoss:
         logits = rng.normal(size=(5, 3))
         labels = rng.integers(0, 3, size=5)
         mask = np.array([0, 2])
-        assert loss_ce_logits(logits, labels, mask) == pytest.approx(
+        assert softmax_ce(logits, labels, mask)[0] == pytest.approx(
             loss_ce(softmax_rows(logits), labels, mask), rel=1e-12
         )
 
     def test_empty_mask_rejected(self):
-        z = np.full((2, 2), 0.5)
+        logits = np.zeros((2, 2))
         with pytest.raises(ValueError, match="empty"):
-            loss_ce(z, np.array([0, 1]), np.array([], dtype=int))
+            softmax_ce(logits, np.array([0, 1]), np.array([], dtype=int))
 
 
 class TestBackward:
-    def _loss(self, a, x, t1, t2, labels, mask, masks=(None, None)):
-        _, cache = forward_gcn(a, x, t1, t2, masks)
-        return loss_ce_logits(cache.logits, labels, mask)
+    def _loss(self, a, x, t1, t2, labels, mask):
+        return ce_step(a, x, t1, t2, labels, mask)[0]
 
     def test_zero_output_layer_blocks_theta1_gradient(self):
         rng = np.random.default_rng(14)
@@ -238,8 +256,7 @@ class TestBackward:
         t1 = glorot_init(3, 4, rng)
         t2 = np.zeros((4, 2))
         labels = rng.integers(0, 2, size=5)
-        _, cache = forward_gcn(a, x, t1, t2)
-        g1, _ = backward_gcn(cache, labels, np.array([0, 1]))
+        _, g1, _ = ce_step(a, x, t1, t2, labels, np.array([0, 1]))
         np.testing.assert_array_equal(g1, np.zeros_like(t1))
 
     def test_matches_central_finite_differences(self):
@@ -253,10 +270,10 @@ class TestBackward:
             t2 = glorot_init(4, 3, rng)
             labels = rng.integers(0, 3, size=n)
             mask = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
-            _, cache = forward_gcn(a, x, t1, t2)
-            if np.abs(cache.pre1).min() < 1e-3:
+            _, _, pre1 = forward_hidden(a, x, t1)
+            if np.abs(pre1).min() < 1e-3:
                 continue  # avoid finite-difference error at the ReLU kink
-            g1, g2 = backward_gcn(cache, labels, mask)
+            _, g1, g2 = ce_step(a, x, t1, t2, labels, mask)
             for theta, grad, which in ((t1, g1, 0), (t2, g2, 1)):
                 fd = np.zeros_like(theta)
                 for idx in np.ndindex(theta.shape):
@@ -283,14 +300,29 @@ class TestBackward:
         labels = rng.integers(0, 2, size=6)
         mask = np.array([0, 2, 4])
         doubled = np.array([0, 2, 4, 0, 2, 4])
-        _, cache = forward_gcn(a, x, t1, t2)
-        g1a, g2a = backward_gcn(cache, labels, mask)
-        g1b, g2b = backward_gcn(cache, labels, doubled)
+        _, g1a, g2a = ce_step(a, x, t1, t2, labels, mask)
+        _, g1b, g2b = ce_step(a, x, t1, t2, labels, doubled)
         np.testing.assert_allclose(g1a, g1b, atol=1e-14)
         np.testing.assert_allclose(g2a, g2b, atol=1e-14)
-        la = loss_ce(cache.z, labels, mask)
-        lb = loss_ce(cache.z, labels, doubled)
+        z = forward_z(a, x, t1, t2)
+        la = loss_ce(z, labels, mask)
+        lb = loss_ce(z, labels, doubled)
         assert la * len(mask) * 2 == pytest.approx(lb * len(doubled))
+
+    def test_given_layer1_is_reused(self):
+        # the re-expansion schedule hands step the layer-1 output it
+        # computed; step must give the same result as computing it itself
+        rng = np.random.default_rng(17)
+        a = random_adjacency(rng, 6)
+        x = rng.normal(size=(6, 3))
+        t1, t2 = glorot_init(3, 4, rng), glorot_init(4, 2, rng)
+        masks = (dropout_mask((6, 3), 0.5, rng), dropout_mask((6, 4), 0.5, rng))
+        loss_fn = partial(softmax_ce, labels=rng.integers(0, 2, size=6), mask=np.arange(3))
+        fresh = step(a, a, x, t1, t2, masks, loss_fn)
+        reused = step(a, a, x, t1, t2, masks, loss_fn, forward_hidden(a, x, t1, masks[0]))
+        assert fresh[0] == reused[0]
+        for g_fresh, g_reused in zip(fresh[1:], reused[1:]):
+            np.testing.assert_array_equal(g_fresh, g_reused)
 
     def test_softmax_vjp_matches_jacobian(self):
         rng = np.random.default_rng(18)

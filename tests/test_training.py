@@ -1,17 +1,20 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from hypergcn.dataio import LabeledSplit
 from hypergcn.expansion import expand_clique, expand_mediators, expand_one_edge
 from hypergcn.hypergraph import Hypergraph
-from hypergcn.nn import forward_gcn, glorot_init, rng_streams
+from hypergcn.nn import glorot_init, step
 from hypergcn.training import (
     METHODS,
     TrainConfig,
     evaluate,
+    hlr_ce,
     pair_laplacian,
+    predict_logits,
     run_trials,
-    ssl_loss_and_grads,
     train_ssl,
 )
 
@@ -92,6 +95,16 @@ class TestTrainSsl:
             # two layers per epoch plus the final inference expansion
             assert report.expansions == 2 * epochs + 2
 
+    @pytest.mark.parametrize("method", ("fast-hypergcn", "hgnn", "mlp", "mlp-hlr"))
+    def test_diverging_run_raises(self, method):
+        # a huge step overflows the parameters; one epoch diverges in the
+        # final evaluation forward, three in training
+        h, x, split = two_component_instance()
+        for epochs in (1, 3):
+            cfg = TrainConfig(method=method, epochs=epochs, lr=1e200, seed=0)
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+                train_ssl(h, x, split, cfg)
+
     def test_deterministic_given_seed(self):
         h, x, split = two_component_instance()
         cfg = TrainConfig(method="hypergcn", epochs=10, seed=42)
@@ -162,20 +175,19 @@ class TestHlr:
         a = NormalizedAdjacency.identity(n)
         t1 = glorot_init(3, 4, rng)
         t2 = glorot_init(4, 2, rng)
-        loss, g1, g2, _ = ssl_loss_and_grads(
-            a, a, x, t1, t2, labels, mask, hlr=(lap, lam)
-        )
-        step = 1e-6
+        loss_fn = partial(hlr_ce, labels=labels, mask=mask, lap=lap, lam=lam)
+        loss, g1, g2 = step(a, a, x, t1, t2, (None, None), loss_fn)
+        eps = 1e-6
         for theta, grad in ((t1, g1), (t2, g2)):
             fd = np.zeros_like(theta)
             for idx in np.ndindex(theta.shape):
                 orig = theta[idx]
-                theta[idx] = orig + step
-                up = ssl_loss_and_grads(a, a, x, t1, t2, labels, mask, hlr=(lap, lam))[0]
-                theta[idx] = orig - step
-                dn = ssl_loss_and_grads(a, a, x, t1, t2, labels, mask, hlr=(lap, lam))[0]
+                theta[idx] = orig + eps
+                up = step(a, a, x, t1, t2, (None, None), loss_fn)[0]
+                theta[idx] = orig - eps
+                dn = step(a, a, x, t1, t2, (None, None), loss_fn)[0]
                 theta[idx] = orig
-                fd[idx] = (up - dn) / (2 * step)
+                fd[idx] = (up - dn) / (2 * eps)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
     def test_mlp_hlr_trains(self):
@@ -269,5 +281,5 @@ class TestMlpEquivalence:
         x = rng.normal(size=(7, 3))
         t1 = glorot_init(3, 5, rng)
         t2 = glorot_init(5, 2, rng)
-        z, _ = forward_gcn(NormalizedAdjacency.identity(7), x, t1, t2)
+        z = softmax_rows(predict_logits(NormalizedAdjacency.identity(7), x, t1, t2))
         np.testing.assert_allclose(z, softmax_rows(relu(x @ t1) @ t2), atol=1e-14)
