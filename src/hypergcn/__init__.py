@@ -15,7 +15,6 @@ from .dataio import (
     DataError,
     DatasetBundle,
     LabeledSplit,
-    balanced_split,
     gen_noisy_ssl,
     load_bundle,
     save_bundle,
@@ -37,7 +36,6 @@ __all__ = [
     "DataError",
     "DatasetBundle",
     "LabeledSplit",
-    "balanced_split",
     "gen_noisy_ssl",
     "load_bundle",
     "save_bundle",

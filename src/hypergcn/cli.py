@@ -176,7 +176,7 @@ def cmd_densek(args) -> int:
         chosen = dk.remove_min_degree(inst)
     elif method == "brute-force":
         chosen, _ = dk.brute_force(inst)
-    elif method in ("hypergcn", "fast-hypergcn"):
+    elif method in dk.METHODS:
         # train on freshly generated planted instances, then decode
         rng = np.random.default_rng(args.seed)
         sizes = rng.integers(100, 301, size=args.trials)
@@ -256,7 +256,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True,
                    choices=("max-degree", "remove-min-degree", "brute-force",
-                            "hypergcn", "fast-hypergcn"))
+                            *dk.METHODS))
     p.add_argument("--k-frac", type=float, default=0.75)
     p.add_argument("--maps", type=int, default=8)
     p.add_argument("--trials", type=int, default=100,

@@ -198,12 +198,6 @@ def balanced_split_labels(
     return LabeledSplit(labels=labels, train_idx=train_idx, eval_idx=eval_idx)
 
 
-def balanced_split(
-    bundle: DatasetBundle, budget: int, rng: np.random.Generator
-) -> LabeledSplit:
-    return balanced_split_labels(bundle.labels, budget, rng)
-
-
 def gen_noisy_ssl(
     eta: float,
     rng: np.random.Generator,

@@ -5,8 +5,9 @@ set of k hypernodes. Two deterministic greedy heuristics (top-k by
 degree, and iterative minimum-degree peeling), an exact enumeration
 oracle for small instances, and a learned solver: the semi-supervised
 trainer's optimizer step (`training.fit_step`) under a hindsight loss,
-emitting several candidate probability maps. Degrees here are hyperedge
-counts; hyperedge weights play no role in the combinatorial objective.
+emitting several candidate probability maps (`nn.forward` over each
+sample's `nn.Graph`). Degrees here are hyperedge counts; hyperedge
+weights play no role in the combinatorial objective.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.special import expit
 from . import nn
 from .expansion import expand_mediators, normalize
 from .hypergraph import Hypergraph
-from .training import Graph, TrainConfig, fit_step, predict_logits
+from .training import TrainConfig, fit_step
 
 METHODS = ("hypergcn", "fast-hypergcn")
 
@@ -205,18 +206,20 @@ def _sample_inputs(
     feat_rng: np.random.Generator,
     tie_rng: np.random.Generator,
     self_loops,
-) -> tuple[np.ndarray, Graph]:
-    """Input features of one hypergraph and the graph `fit_step` takes:
-    the features' mediator adjacency for fast-hypergcn, the mediator
-    re-expansion of any signal for hypergcn."""
+) -> tuple[np.ndarray, nn.Graph]:
+    """Input features of one hypergraph and its graph: the features'
+    mediator adjacency for fast-hypergcn, the mediator re-expansion of
+    each layer's signal for hypergcn."""
     if method not in METHODS:
         raise ValueError(f"unknown densek method {method!r}; expected one of {METHODS}")
     x = vertex_features(h, feature_kind, feat_rng, feature_dim)
 
-    def reexpand(signal: np.ndarray):
+    def expand(signal: np.ndarray):
         return normalize(expand_mediators(h, signal, tie_rng, self_loops))
 
-    return x, reexpand(x) if method == "fast-hypergcn" else reexpand
+    if method == "fast-hypergcn":
+        return x, nn.constant_graph(expand(x))
+    return x, nn.reexpanding_graph(expand)
 
 
 def train_densek(
@@ -282,7 +285,8 @@ def predict_maps(model: DenseKModel, h: Hypergraph, seed: int = 0) -> Probabilit
         h, model.method, model.feature_kind, model.feature_dim, streams.init,
         streams.ties, model.self_loops,
     )
-    return ProbabilityMaps(values=expit(predict_logits(graph, x, model.theta1, model.theta2)))
+    logits, _ = nn.forward(graph, x, model.theta1, model.theta2)
+    return ProbabilityMaps(values=expit(logits))
 
 
 def decode_topk(maps: ProbabilityMaps, inst: DenseKInstance) -> list[int]:

@@ -4,13 +4,13 @@ Dense matrices are float64 numpy arrays. The network computes the logits
 
     A2 · ReLU( A1 · X · Θ1 ) · Θ2
 
-with optional inverted dropout on the input of each layer. One
-loss-agnostic `step` runs the forward pass, asks a loss function for the
-loss and its gradient on the logits, and pulls that gradient back to Θ1
-and Θ2 analytically; there is no autodiff. Any objective on the logits
-plugs in: `softmax_ce` here, the Laplacian-regularized cross-entropy in
-`training`, the hindsight binary cross-entropy in `densek`. The
-adaptive-moment optimizer applies decoupled weight decay to Θ1 only.
+with optional inverted dropout on the input of each layer. Layer τ
+convolves over `graph(layer input, Θτ)`, a `Graph`. `forward` is the one
+forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
+`training.hlr_ce`, `densek.hindsight_loss`) for the loss and its gradient
+on the logits, and pulls that back to Θ1 and Θ2 analytically; there is
+no autodiff. The adaptive-moment optimizer applies decoupled weight
+decay to Θ1 only.
 """
 
 from __future__ import annotations
@@ -72,6 +72,30 @@ def dropout_mask(
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
+
+
+# A layer's adjacency as a function of (layer input, layer weights):
+# HyperGCN re-expands from their product, other methods' is constant
+Graph = Callable[[np.ndarray, np.ndarray], NormalizedAdjacency]
+
+
+def constant_graph(a: NormalizedAdjacency) -> Graph:
+    """The graph of a method with one adjacency for every layer."""
+    return lambda layer_input, weights: a
+
+
+def reexpanding_graph(expand: Callable[[np.ndarray], NormalizedAdjacency]) -> Graph:
+    """HyperGCN's graph: `expand` of the layer input (before dropout)
+    times the layer weights. A non-finite product, from a diverged
+    network, raises FloatingPointError."""
+
+    def graph(layer_input: np.ndarray, weights: np.ndarray) -> NormalizedAdjacency:
+        signal = layer_input @ weights
+        if not np.all(np.isfinite(signal)):
+            raise FloatingPointError("non-finite layer signal")
+        return expand(signal)
+
+    return graph
 
 
 def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
@@ -161,32 +185,43 @@ def backward_from_dlogits(
     return grad_theta1, grad_theta2
 
 
+def forward(
+    graph: Graph,
+    x: np.ndarray,
+    theta1: np.ndarray,
+    theta2: np.ndarray,
+    masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+) -> tuple[np.ndarray, tuple]:
+    """Logits and the saved arguments of `backward_from_dlogits`. `graph`
+    is called for layer 1, then layer 2, with the layer's input before
+    dropout; `masks` are the two inputs' dropout masks (None for none)."""
+    mask1, mask2 = masks
+    a1 = graph(x, theta1)
+    hidden, x_in, pre1 = forward_hidden(a1, x, theta1, mask1)
+    a2 = graph(hidden, theta2)
+    logits, h_in = forward_logits(a2, hidden, theta2, mask2)
+    return logits, (a1, a2, x_in, pre1, h_in, mask2, theta2)
+
+
 def step(
-    a1: NormalizedAdjacency,
-    a2: NormalizedAdjacency,
+    graph: Graph,
     x: np.ndarray,
     theta1: np.ndarray,
     theta2: np.ndarray,
     masks: tuple[np.ndarray | None, np.ndarray | None],
     loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    layer1: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and exact gradients of Θ1 and Θ2 for one forward pass.
+    """Loss and exact gradients of Θ1 and Θ2 for one `forward` pass.
 
-    `a1` and `a2` feed the two layers and `masks` are the dropout masks
-    of their inputs (None for no dropout). `loss_fn(logits)` returns
-    (loss, d loss / d logits); the step knows nothing else about the
-    objective. `layer1` is `forward_hidden(a1, x, theta1, masks[0])`
-    when the caller computed it already, and is then not recomputed.
-    Returns (loss, grad Θ1, grad Θ2).
+    `loss_fn(logits)` returns (loss, d loss / d logits); the step knows
+    nothing else about the objective. Returns (loss, grad Θ1, grad Θ2).
     """
-    mask1, mask2 = masks
-    if layer1 is None:
-        layer1 = forward_hidden(a1, x, theta1, mask1)
-    hidden, x_in, pre1 = layer1
-    logits, h_in = forward_logits(a2, hidden, theta2, mask2)
+    logits, saved = forward(graph, x, theta1, theta2, masks)
     loss, dlogits = loss_fn(logits)
-    return (loss, *backward_from_dlogits(dlogits, a1, a2, x_in, pre1, h_in, mask2, theta2))
+    return (loss, *backward_from_dlogits(dlogits, *saved))
+
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -199,9 +234,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(
@@ -225,7 +257,7 @@ def adam_step(
     shrinkage.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
@@ -235,7 +267,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= state.lr * update
         if i == 0 and state.weight_decay:
             p -= state.lr * state.weight_decay * p

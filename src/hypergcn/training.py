@@ -11,17 +11,17 @@ Method dispatch:
 * ``mlp-hlr``        identity adjacency plus an explicit quadratic
                      penalty over the feature-built mediator graph
 
-Every method trains the same two-layer network for a fixed number of
-epochs with the adaptive-moment optimizer; there is no early stopping.
-The pieces shared with the DkSH solver in `densek` live here once:
-`layer_adjacencies` gives the two layer adjacencies (a fixed one, or
-HyperGCN's per-layer re-expansion), `fit_step` takes one optimizer step
-(dropout masks, `nn.step` with the setting's loss function, Adam) and
-`predict_logits` runs the trained network without dropout.
+Each method is an `nn.Graph` from a layer's input and weights to its
+adjacency, and every method trains the same two-layer network for a
+fixed number of epochs with the adaptive-moment optimizer; there is no
+early stopping. `fit_step` (dropout masks, `nn.step` with the setting's
+loss function, Adam) is shared with the DkSH solver in `densek`;
+evaluation is `nn.forward` without dropout.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -108,34 +108,8 @@ def hlr_ce(
     return loss + lam * float((z * lz).sum()), dlogits
 
 
-# A fixed adjacency, or a function from a signal to a fresh adjacency
-Graph = NormalizedAdjacency | Callable[[np.ndarray], NormalizedAdjacency]
-
-
-def layer_adjacencies(
-    graph: Graph,
-    x: np.ndarray,
-    theta1: np.ndarray,
-    theta2: np.ndarray,
-    mask1: np.ndarray | None = None,
-) -> tuple[NormalizedAdjacency, NormalizedAdjacency, tuple | None]:
-    """The two layer adjacencies of one forward pass.
-
-    A fixed adjacency feeds both layers. A function re-expands per layer
-    (HyperGCN): layer 1 from the signal x Θ1, layer 2 from the layer-1
-    output times Θ2. Returns (a1, a2, layer1), where layer1 is the
-    `nn.forward_hidden` result the second expansion needed (None for a
-    fixed adjacency), for the forward pass to reuse.
-    """
-    if isinstance(graph, NormalizedAdjacency):
-        return graph, graph, None
-    a1 = graph(x @ theta1)
-    layer1 = nn.forward_hidden(a1, x, theta1, mask1)
-    return a1, graph(layer1[0] @ theta2), layer1
-
-
 def fit_step(
-    graph: Graph,
+    graph: nn.Graph,
     x: np.ndarray,
     theta1: np.ndarray,
     theta2: np.ndarray,
@@ -145,29 +119,17 @@ def fit_step(
     rng: np.random.Generator,
 ) -> float:
     """One optimizer step: draw the dropout masks from `rng` (layer 1's,
-    then layer 2's; none when `rate` is 0), take the layer adjacencies,
-    run `nn.step` with `loss_fn` and update Θ1 and Θ2 in place. Returns
-    the loss."""
+    then layer 2's; none when `rate` is 0), run `nn.step` with `loss_fn`
+    and update Θ1 and Θ2 in place. Returns the loss."""
     masks = (None, None)
     if rate > 0.0:
         masks = (
             nn.dropout_mask(x.shape, rate, rng),
             nn.dropout_mask((x.shape[0], theta1.shape[1]), rate, rng),
         )
-    a1, a2, layer1 = layer_adjacencies(graph, x, theta1, theta2, masks[0])
-    loss, g1, g2 = nn.step(a1, a2, x, theta1, theta2, masks, loss_fn, layer1)
+    loss, g1, g2 = nn.step(graph, x, theta1, theta2, masks, loss_fn)
     nn.adam_step([theta1, theta2], [g1, g2], state)
     return loss
-
-
-def predict_logits(
-    graph: Graph, x: np.ndarray, theta1: np.ndarray, theta2: np.ndarray
-) -> np.ndarray:
-    """Logits of the network without dropout, under the same schedule."""
-    a1, a2, layer1 = layer_adjacencies(graph, x, theta1, theta2)
-    if layer1 is None:
-        layer1 = nn.forward_hidden(a1, x, theta1)
-    return nn.forward_logits(a2, layer1[0], theta2)[0]
 
 
 def train_ssl(
@@ -205,15 +167,15 @@ def train_ssl(
     loss_fn = partial(nn.softmax_ce, labels=labels, mask=split.train_idx)
     if cfg.method in ("hypergcn", "one-hypergcn"):
         expander = expand_mediators if cfg.method == "hypergcn" else expand_one_edge
-
-        def graph(signal):
-            return normalize(built(expander(h, signal, streams.ties, cfg.self_loops)))
+        graph = nn.reexpanding_graph(
+            lambda signal: normalize(built(expander(h, signal, streams.ties, cfg.self_loops))))
     elif cfg.method == "hgnn":
-        graph = normalize(built(expand_clique(h, cfg.self_loops)))
+        graph = nn.constant_graph(normalize(built(expand_clique(h, cfg.self_loops))))
     elif cfg.method == "fast-hypergcn":
-        graph = normalize(built(expand_mediators(h, x, streams.ties, cfg.self_loops)))
+        graph = nn.constant_graph(
+            normalize(built(expand_mediators(h, x, streams.ties, cfg.self_loops))))
     else:
-        graph = NormalizedAdjacency.identity(n)
+        graph = nn.constant_graph(NormalizedAdjacency.identity(n))
         if cfg.method == "mlp-hlr":
             g = built(expand_mediators(h, x, streams.ties, cfg.self_loops))
             loss_fn = partial(hlr_ce, labels=labels, mask=split.train_idx,
@@ -226,7 +188,7 @@ def train_ssl(
                                cfg.dropout, streams.dropout))
     seconds_per_epoch = (time.perf_counter() - t0) / max(1, cfg.epochs)
 
-    error = evaluate(nn.softmax_rows(predict_logits(graph, x, theta1, theta2)), split)
+    error = evaluate(nn.softmax_rows(nn.forward(graph, x, theta1, theta2)[0]), split)
     return TrainReport(
         method=cfg.method,
         losses=losses,
@@ -256,6 +218,13 @@ class TrialsResult:
     reports: list[TrainReport] = field(default_factory=list)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_trial(args) -> TrainReport:
     h, x, labels, cfg, budget, trial_seed = args
     streams = nn.rng_streams(trial_seed)
@@ -276,9 +245,10 @@ def run_trials(
     splits; trial t derives all its randomness from seed cfg.seed + t.
 
     Returns the mean and sample standard deviation of the test errors.
-    Trials run in `workers` parallel processes when workers > 1; results
-    are always collected in trial order.
+    Trials run in parallel processes when workers > 1, at most one per
+    usable CPU; results are always collected in trial order.
     """
+    workers = min(workers, _usable_cpus())
     jobs = [(h, x, labels, cfg, budget, cfg.seed + t) for t in range(trials)]
     if workers > 1:
         import concurrent.futures as cf

@@ -1,18 +1,21 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergcn.dataio import (
     DataError,
     DatasetBundle,
-    balanced_split,
     balanced_split_labels,
     gen_noisy_ssl,
     load_bundle,
     save_bundle,
 )
 from hypergcn.hypergraph import Hypergraph
+from test_expansion import hypergraph_and_signal
 
 
 def write_dataset(tmp_path, hyperedges, features, labels, manifest=None):
@@ -107,6 +110,25 @@ class TestLoadBundle:
         np.testing.assert_array_equal(loaded.labels, bundle.labels)
         np.testing.assert_array_equal(loaded.features, bundle.features)
 
+    @settings(max_examples=60, deadline=None)
+    @given(hypergraph_and_signal(), st.integers(1, 3), st.integers(0, 2**31))
+    def test_roundtrip_is_exact(self, hs, q, seed):
+        # duplicate hyperedges, all-zero and rounded (signed zero)
+        # features: edges, feature bits and labels all come back
+        h, features = hs
+        q = min(q, h.n)
+        labels = np.random.default_rng(seed).permutation(np.arange(h.n) % q)
+        bundle = DatasetBundle(name="prop", hypergraph=h, features=features,
+                               labels=labels, num_classes=q)
+        with tempfile.TemporaryDirectory() as d:
+            save_bundle(bundle, d)
+            loaded = load_bundle(d)
+        assert loaded.hypergraph.edges == h.edges
+        assert loaded.features.shape == features.shape
+        assert loaded.features.tobytes() == features.tobytes()
+        assert loaded.labels.tolist() == labels.tolist()
+        assert loaded.num_classes == q
+
 
 class TestBalancedSplit:
     def test_exact_per_class_counts(self):
@@ -146,19 +168,6 @@ class TestBalancedSplit:
         for c in range(7):
             assert (labels[split.train_idx] == c).sum() == 20
         assert split.train_idx.size / labels.size == pytest.approx(0.052, abs=0.001)
-
-    def test_bundle_wrapper(self):
-        rng = np.random.default_rng(3)
-        labels = np.repeat([0, 1], 8)
-        bundle = DatasetBundle(
-            name="t",
-            hypergraph=Hypergraph.from_edges(16, [(0, 1)]),
-            features=np.zeros((16, 2)),
-            labels=labels,
-            num_classes=2,
-        )
-        split = balanced_split(bundle, 4, rng)
-        assert split.train_idx.size == 4
 
     def test_uniform_sampling_over_members(self):
         # every member of a class should be picked with equal frequency

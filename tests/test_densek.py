@@ -7,6 +7,7 @@ import pytest
 from hypergcn.densek import (
     DenseKInstance,
     DenseKModel,
+    METHODS,
     ProbabilityMaps,
     brute_force,
     decode_topk,
@@ -364,9 +365,10 @@ class TestTrainDensek:
     def test_diverging_run_raises(self):
         rng = np.random.default_rng(20)
         samples = [gen_sample(20, 15, 0.7, rng) for _ in range(2)]
-        cfg = TrainConfig(method="fast-hypergcn", epochs=2, lr=1e200, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            train_densek(samples, cfg, maps=2)
+        for method in METHODS:
+            cfg = TrainConfig(method=method, epochs=2, lr=1e200, seed=0)
+            with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+                train_densek(samples, cfg, maps=2)
 
     def test_vertex_features(self):
         h = Hypergraph.from_edges(3, [(0, 1), (0, 2)])

@@ -435,6 +435,29 @@ class TestDictOracle:
             assert g.w.sum() == pytest.approx(want.sum(), rel=1e-12)
 
 
+class TestNormalizeProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_signal(), st.sampled_from(["unit", "degree"]),
+           st.integers(0, 2**31))
+    def test_symmetric_with_spectrum_in_unit_interval(self, hs, self_loops, seed):
+        h, s = hs
+        for g in (expand_one_edge(h, s, np.random.default_rng(seed), self_loops),
+                  expand_mediators(h, s, np.random.default_rng(seed), self_loops),
+                  expand_clique(h, self_loops)):
+            if self_loops == "degree" and np.any(degrees(h) == 0):
+                # a vertex in no hyperedge keeps no degree to restore
+                with pytest.raises(ValueError, match="isolated vertex"):
+                    normalize(g)
+                continue
+            a = normalize(g).matrix.toarray()
+            # each mirrored entry is w·d_u^-1/2·d_v^-1/2 scaled in the
+            # other order: equal up to the rounding of the two products
+            np.testing.assert_array_equal(a != 0, a.T != 0)
+            assert np.all(np.abs(a - a.T) <= 2 * np.finfo(float).eps * np.abs(a))
+            eigs = np.linalg.eigvalsh(a)
+            assert -1.0 - 1e-12 <= eigs.min() and eigs.max() <= 1.0 + 1e-12
+
+
 class TestIdentityAdjacency:
     def test_identity(self):
         a = NormalizedAdjacency.identity(4)

@@ -9,12 +9,15 @@ from hypergcn.hypergraph import Hypergraph
 from hypergcn.nn import (
     AdamState,
     adam_step,
+    constant_graph,
     dropout_mask,
+    forward,
     forward_hidden,
     forward_logits,
     glorot_init,
     log_softmax_rows,
     relu,
+    reexpanding_graph,
     rng_streams,
     softmax_ce,
     softmax_rows,
@@ -33,13 +36,13 @@ def loss_ce(z, labels, mask):
 
 def forward_z(a, x, t1, t2):
     """Row-softmax output of the two-layer network without dropout."""
-    hidden, _, _ = forward_hidden(a, x, t1)
-    return softmax_rows(forward_logits(a, hidden, t2)[0])
+    return softmax_rows(forward(constant_graph(a), x, t1, t2)[0])
 
 
 def ce_step(a, x, t1, t2, labels, mask):
     """(loss, grad Θ1, grad Θ2) of the masked cross-entropy."""
-    return step(a, a, x, t1, t2, (None, None), partial(softmax_ce, labels=labels, mask=mask))
+    return step(constant_graph(a), x, t1, t2, (None, None),
+                partial(softmax_ce, labels=labels, mask=mask))
 
 
 def random_adjacency(rng, n):
@@ -212,6 +215,44 @@ class TestForward:
             z, softmax_rows(relu(x @ t1) @ t2), atol=1e-14
         )
 
+    def test_graph_gets_each_layer_input_before_dropout(self):
+        # layer 1's graph comes first, from X and Θ1; layer 2's from the
+        # undropped hidden layer and Θ2; dropout applies to the products
+        rng = np.random.default_rng(5)
+        a = random_adjacency(rng, 6)
+        x = rng.normal(size=(6, 3))
+        t1, t2 = glorot_init(3, 4, rng), glorot_init(4, 2, rng)
+        masks = (dropout_mask((6, 3), 0.5, rng), dropout_mask((6, 4), 0.5, rng))
+        calls = []
+
+        def graph(layer_input, weights):
+            calls.append((layer_input.copy(), weights))
+            return a
+
+        logits, _ = forward(graph, x, t1, t2, masks)
+        hidden, _, _ = forward_hidden(a, x, t1, masks[0])
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0][0], x)
+        assert calls[0][1] is t1
+        np.testing.assert_array_equal(calls[1][0], hidden)
+        assert calls[1][1] is t2
+        np.testing.assert_array_equal(logits, forward_logits(a, hidden, t2, masks[1])[0])
+
+    def test_reexpanding_graph_expands_the_product(self):
+        rng = np.random.default_rng(6)
+        x, t = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+        seen = []
+        a = NormalizedAdjacency.identity(4)
+        graph = reexpanding_graph(lambda signal: seen.append(signal) or a)
+        assert graph(x, t) is a
+        np.testing.assert_array_equal(seen[0], x @ t)
+
+    def test_reexpanding_graph_rejects_non_finite_signal(self):
+        graph = reexpanding_graph(lambda signal: pytest.fail("expanded a non-finite signal"))
+        x = np.array([[1.0, np.inf], [0.0, 1.0]])
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="signal"):
+            graph(x, np.eye(2))
+
 
 class TestLoss:
     def test_one_hot_rows_give_near_zero(self):
@@ -308,21 +349,6 @@ class TestBackward:
         la = loss_ce(z, labels, mask)
         lb = loss_ce(z, labels, doubled)
         assert la * len(mask) * 2 == pytest.approx(lb * len(doubled))
-
-    def test_given_layer1_is_reused(self):
-        # the re-expansion schedule hands step the layer-1 output it
-        # computed; step must give the same result as computing it itself
-        rng = np.random.default_rng(17)
-        a = random_adjacency(rng, 6)
-        x = rng.normal(size=(6, 3))
-        t1, t2 = glorot_init(3, 4, rng), glorot_init(4, 2, rng)
-        masks = (dropout_mask((6, 3), 0.5, rng), dropout_mask((6, 4), 0.5, rng))
-        loss_fn = partial(softmax_ce, labels=rng.integers(0, 2, size=6), mask=np.arange(3))
-        fresh = step(a, a, x, t1, t2, masks, loss_fn)
-        reused = step(a, a, x, t1, t2, masks, loss_fn, forward_hidden(a, x, t1, masks[0]))
-        assert fresh[0] == reused[0]
-        for g_fresh, g_reused in zip(fresh[1:], reused[1:]):
-            np.testing.assert_array_equal(g_fresh, g_reused)
 
     def test_softmax_vjp_matches_jacobian(self):
         rng = np.random.default_rng(18)

@@ -6,14 +6,13 @@ import pytest
 from hypergcn.dataio import LabeledSplit
 from hypergcn.expansion import expand_clique, expand_mediators, expand_one_edge
 from hypergcn.hypergraph import Hypergraph
-from hypergcn.nn import glorot_init, step
+from hypergcn.nn import constant_graph, forward, glorot_init, step
 from hypergcn.training import (
     METHODS,
     TrainConfig,
     evaluate,
     hlr_ce,
     pair_laplacian,
-    predict_logits,
     run_trials,
     train_ssl,
 )
@@ -95,10 +94,11 @@ class TestTrainSsl:
             # two layers per epoch plus the final inference expansion
             assert report.expansions == 2 * epochs + 2
 
-    @pytest.mark.parametrize("method", ("fast-hypergcn", "hgnn", "mlp", "mlp-hlr"))
+    @pytest.mark.parametrize("method", METHODS)
     def test_diverging_run_raises(self, method):
         # a huge step overflows the parameters; one epoch diverges in the
-        # final evaluation forward, three in training
+        # final evaluation forward, three in training (for HyperGCN, in
+        # the signal of a re-expansion)
         h, x, split = two_component_instance()
         for epochs in (1, 3):
             cfg = TrainConfig(method=method, epochs=epochs, lr=1e200, seed=0)
@@ -172,20 +172,20 @@ class TestHlr:
         mask = np.array([0, 3])
         from hypergcn.expansion import NormalizedAdjacency
 
-        a = NormalizedAdjacency.identity(n)
+        graph = constant_graph(NormalizedAdjacency.identity(n))
         t1 = glorot_init(3, 4, rng)
         t2 = glorot_init(4, 2, rng)
         loss_fn = partial(hlr_ce, labels=labels, mask=mask, lap=lap, lam=lam)
-        loss, g1, g2 = step(a, a, x, t1, t2, (None, None), loss_fn)
+        loss, g1, g2 = step(graph, x, t1, t2, (None, None), loss_fn)
         eps = 1e-6
         for theta, grad in ((t1, g1), (t2, g2)):
             fd = np.zeros_like(theta)
             for idx in np.ndindex(theta.shape):
                 orig = theta[idx]
                 theta[idx] = orig + eps
-                up = step(a, a, x, t1, t2, (None, None), loss_fn)[0]
+                up = step(graph, x, t1, t2, (None, None), loss_fn)[0]
                 theta[idx] = orig - eps
-                dn = step(a, a, x, t1, t2, (None, None), loss_fn)[0]
+                dn = step(graph, x, t1, t2, (None, None), loss_fn)[0]
                 theta[idx] = orig
                 fd[idx] = (up - dn) / (2 * eps)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
@@ -271,6 +271,24 @@ class TestRunTrials:
         parallel = run_trials(h, x, labels, cfg, trials=3, budget=4, workers=2)
         assert serial.errors == parallel.errors
 
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        # with one usable CPU, asking for four workers starts no process
+        import concurrent.futures
+
+        from hypergcn import training
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        h, x, labels = self._data()
+        cfg = TrainConfig(method="mlp", epochs=3, seed=2)
+        serial = run_trials(h, x, labels, cfg, trials=3, budget=4, workers=1)
+        capped = run_trials(h, x, labels, cfg, trials=3, budget=4, workers=4)
+        assert capped.errors == serial.errors
+        assert [r.losses for r in capped.reports] == [r.losses for r in serial.reports]
+
 
 class TestMlpEquivalence:
     def test_identity_adjacency_reproduces_mlp_forward(self):
@@ -281,5 +299,5 @@ class TestMlpEquivalence:
         x = rng.normal(size=(7, 3))
         t1 = glorot_init(3, 5, rng)
         t2 = glorot_init(5, 2, rng)
-        z = softmax_rows(predict_logits(NormalizedAdjacency.identity(7), x, t1, t2))
+        z = softmax_rows(forward(constant_graph(NormalizedAdjacency.identity(7)), x, t1, t2)[0])
         np.testing.assert_allclose(z, softmax_rows(relu(x @ t1) @ t2), atol=1e-14)
