@@ -8,7 +8,6 @@ from .expansion import (
     expand_clique,
     expand_mediators,
     expand_one_edge,
-    extreme_pair,
     normalize,
 )
 from .dataio import (
@@ -31,7 +30,6 @@ __all__ = [
     "expand_clique",
     "expand_mediators",
     "expand_one_edge",
-    "extreme_pair",
     "normalize",
     "DataError",
     "DatasetBundle",

@@ -33,7 +33,13 @@ from .hypergraph import Hypergraph, degrees
 
 SelfLoopRule = Literal["unit", "degree"]
 
-_DIFF_BUDGET = 2**22  # values per chunk of extreme_pairs' temporaries
+# extreme_pairs computes distances in tiles of at most _TILE values (two
+# gathers of signal rows, differenced in place, and their distances):
+# 1 MB, so a tile stays in a 4 MiB L2 cache instead of streaming from DRAM
+_TILE = 2**17
+# ... and picks among ties once per block of at most _BLOCK distances, so
+# the pick's fixed per-call cost is spread over many small tiles
+_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -99,59 +105,43 @@ def as_signal(s: np.ndarray, n: int) -> np.ndarray:
     return arr
 
 
-def extreme_pair(
-    h: Hypergraph,
-    edge_index: int,
-    signal: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Pair of hyperedge vertices maximizing Euclidean signal distance.
-
-    Ties are broken uniformly at random; exactly one draw is consumed
-    from `rng` per call so streams advance deterministically. Returns
-    (i, j) with i < j.
-    """
-    e = h.edges[edge_index]
-    s = as_signal(signal, h.n)
-    pts = s[list(e)]
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("abk,abk->ab", diff, diff)
-    iu, ju = np.triu_indices(len(e), k=1)
-    vals = d2[iu, ju]
-    tied = np.flatnonzero(vals == vals.max())
-    # one uniform draw selects among tied candidates; clip guards draw == 1.0
-    pick = tied[min(int(rng.random() * tied.size), tied.size - 1)]
-    return e[iu[pick]], e[ju[pick]]
-
-
 def extreme_pairs(
     h: Hypergraph, signal: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Extreme pair of every hyperedge, vectorized over same-size groups.
+    """Pair (i, j), i < j, of each hyperedge's vertices maximizing the
+    Euclidean signal distance, vectorized over same-size groups.
 
-    Consumes exactly one uniform draw per hyperedge in hyperedge order,
-    matching a sequence of `extreme_pair` calls draw for draw. Squared
-    distances are computed for the i < j pairs only, over slices of a
-    group and chunks of its pairs sized so that a chunk's temporaries
-    (two gathers, their difference and the distances) hold at most
-    `_DIFF_BUDGET` values. Memory does not grow with the group; one
-    hyperedge of size s adds only its s(s-1)/2 distances.
+    Ties (exactly equal distances) are broken uniformly at random with
+    one uniform draw per hyperedge, consumed in hyperedge order: of the k
+    tied pairs of a hyperedge, in lexicographic order, the
+    min(int(draw * k), k - 1)-th is picked.
+
+    Squared distances are computed for the i < j pairs only. A size group
+    is split into blocks of at most `_BLOCK` distances (or one hyperedge's
+    s(s-1)/2, if more); the tie pick runs once per block. A block's
+    distances are filled tile by tile, each tile a run of its hyperedges
+    and pairs holding at most `_TILE` values of temporaries. Memory thus
+    does not grow with the group; one hyperedge of size s adds its s(s-1)/2
+    pair indices, distances and tie counts.
     """
     s = as_signal(signal, h.n)
     out = np.zeros((h.m, 2), dtype=np.int64)
     draws = rng.random(h.m)
-    per_pair = 3 * s.shape[1] + 1
+    per_pair = 2 * s.shape[1] + 1
     for size, idxs, members in h.size_groups:
         iu, ju = np.triu_indices(size, k=1)
-        step = max(1, _DIFF_BUDGET // (iu.size * per_pair))  # hyperedges per slice
-        chunk = max(1, _DIFF_BUDGET // (step * per_pair))  # pairs per chunk
-        for lo in range(0, idxs.size, step):
-            ids, rows = idxs[lo : lo + step], members[lo : lo + step]
-            pts = s[rows]  # (g, size, d)
+        block = max(1, _BLOCK // iu.size)  # hyperedges per block
+        tile = max(1, _TILE // (iu.size * per_pair))  # hyperedges per tile
+        chunk = max(1, _TILE // (tile * per_pair))  # pairs per tile
+        for lo in range(0, idxs.size, block):
+            ids, rows = idxs[lo : lo + block], members[lo : lo + block]
             vals = np.empty((ids.size, iu.size))
-            for c in range(0, iu.size, chunk):
-                diff = pts[:, iu[c : c + chunk]] - pts[:, ju[c : c + chunk]]
-                vals[:, c : c + chunk] = np.einsum("gpk,gpk->gp", diff, diff)
+            for t in range(0, ids.size, tile):
+                r = rows[t : t + tile]
+                for c in range(0, iu.size, chunk):
+                    diff = np.take(s, r[:, iu[c : c + chunk]], axis=0)  # (g, p, d)
+                    diff -= np.take(s, r[:, ju[c : c + chunk]], axis=0)
+                    vals[t : t + tile, c : c + chunk] = np.einsum("gpk,gpk->gp", diff, diff)
             tied = vals == vals.max(axis=1, keepdims=True)
             count = tied.sum(axis=1)
             rank = np.minimum((draws[ids] * count).astype(np.int64), count - 1)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergcn import expansion
 from hypergcn.expansion import (
     NormalizedAdjacency,
     WeightedGraph,
+    as_signal,
     expand_clique,
     expand_mediators,
     expand_one_edge,
-    extreme_pair,
     extreme_pairs,
     normalize,
 )
@@ -30,6 +31,22 @@ def random_hypergraph(rng, n_max=20, m_max=10, size_range=(2, 6)):
         for _ in range(m)
     ]
     return Hypergraph.from_edges(n, edges)
+
+
+def extreme_pair(h, edge_index, signal, rng):
+    """Sequential oracle for `extreme_pairs`: the extreme pair of one
+    hyperedge from its full distance matrix, consuming one draw."""
+    e = h.edges[edge_index]
+    s = as_signal(signal, h.n)
+    pts = s[list(e)]
+    diff = pts[:, None, :] - pts[None, :, :]
+    d2 = np.einsum("abk,abk->ab", diff, diff)
+    iu, ju = np.triu_indices(len(e), k=1)
+    vals = d2[iu, ju]
+    tied = np.flatnonzero(vals == vals.max())
+    # one uniform draw selects among tied candidates; clip guards draw == 1.0
+    pick = tied[min(int(rng.random() * tied.size), tied.size - 1)]
+    return e[iu[pick]], e[ju[pick]]
 
 
 def pairs_close(a: dict, b: dict, tol=1e-12) -> bool:
@@ -111,6 +128,20 @@ class TestExtremePair:
         rng = np.random.default_rng(5)
         h = Hypergraph.from_edges(700, [rng.choice(700, size=600, replace=False)])
         s = rng.normal(size=(700, 64))
+        tracemalloc.start()
+        try:
+            extreme_pairs(h, s, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    def test_size_2000_hyperedge_working_set_bounded(self):
+        # one hyperedge of size 2000 over a 256-dim signal: 1,999,000
+        # pairs, whose difference tensor alone would take 3.8 GB
+        rng = np.random.default_rng(6)
+        h = Hypergraph.from_edges(2000, [range(2000)])
+        s = rng.normal(size=(2000, 256))
         tracemalloc.start()
         try:
             extreme_pairs(h, s, np.random.default_rng(0))
@@ -399,8 +430,8 @@ def dict_oracle(h, rule, ext, self_loops):
 
 @st.composite
 def hypergraph_and_signal(draw):
-    n = draw(st.integers(2, 30))
-    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 12), unique=True)
+    n = draw(st.integers(2, 60))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 50), unique=True)
     edges = draw(st.lists(edge, min_size=1, max_size=10))
     # duplicate hyperedges accumulate
     edges += draw(st.lists(st.sampled_from(edges), max_size=3))
@@ -410,6 +441,24 @@ def hypergraph_and_signal(draw):
     s = np.random.default_rng(draw(st.integers(0, 2**31))).normal(size=(n, d))
     s = {"normal": s, "rounded": np.round(s), "zero": np.zeros_like(s)}[kind]
     return Hypergraph.from_edges(n, edges, weights), s
+
+
+class TestTiling:
+    @pytest.mark.parametrize("tile, block", [(1, 1), (20, 9), (150, 70)])
+    @settings(max_examples=60, deadline=None)
+    @given(hs=hypergraph_and_signal(), seed=st.integers(0, 2**31))
+    def test_tiles_and_blocks_match_sequential_calls(self, tile, block, hs, seed):
+        # (1, 1) makes every tile one pair of one hyperedge and every block
+        # one hyperedge; the others leave partial tiles and blocks at the
+        # end of a hyperedge's pairs and of a size group
+        h, s = hs
+        scalar_rng = np.random.default_rng(seed)
+        want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansion, "_TILE", tile)
+            mp.setattr(expansion, "_BLOCK", block)
+            got = extreme_pairs(h, s, np.random.default_rng(seed))
+        assert [tuple(p) for p in got.tolist()] == want
 
 
 class TestDictOracle:
