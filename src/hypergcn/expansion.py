@@ -263,6 +263,7 @@ def normalize(g: WeightedGraph) -> NormalizedAdjacency:
             + (f" (and {bad.size - 1} more)" if bad.size > 1 else "")
         )
     dinv = 1.0 / np.sqrt(deg)
-    scaled = vals * dinv[rows] * dinv[cols]
+    # one product of the two scalings, so A[u, v] and A[v, u] round alike
+    scaled = vals * (dinv[rows] * dinv[cols])
     mat = sp.coo_array((scaled, (rows, cols)), shape=(g.n, g.n)).tocsr()
     return NormalizedAdjacency(n=g.n, matrix=mat)
