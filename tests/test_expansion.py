@@ -49,6 +49,16 @@ def extreme_pair(h, edge_index, signal, rng):
     return e[iu[pick]], e[ju[pick]]
 
 
+def traced_peak(h, signal) -> int:
+    """Peak traced memory, in bytes, of one `extreme_pairs` call."""
+    tracemalloc.start()
+    try:
+        extreme_pairs(h, signal, np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def pairs_close(a: dict, b: dict, tol=1e-12) -> bool:
     if set(a) != set(b):
         return False
@@ -114,13 +124,7 @@ class TestExtremePair:
             1000, [rng.choice(1000, size=20, replace=False) for _ in range(400)]
         )
         s = rng.normal(size=(1000, 256))
-        tracemalloc.start()
-        try:
-            extreme_pairs(h, s, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100 * 2**20
+        assert traced_peak(h, s) < 100 * 2**20
 
     def test_large_hyperedge_working_set_bounded(self):
         # one hyperedge of size 600 over a 64-dim signal: its full
@@ -128,13 +132,7 @@ class TestExtremePair:
         rng = np.random.default_rng(5)
         h = Hypergraph.from_edges(700, [rng.choice(700, size=600, replace=False)])
         s = rng.normal(size=(700, 64))
-        tracemalloc.start()
-        try:
-            extreme_pairs(h, s, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100 * 2**20
+        assert traced_peak(h, s) < 100 * 2**20
 
     def test_size_2000_hyperedge_working_set_bounded(self):
         # one hyperedge of size 2000 over a 256-dim signal: 1,999,000
@@ -142,13 +140,7 @@ class TestExtremePair:
         rng = np.random.default_rng(6)
         h = Hypergraph.from_edges(2000, [range(2000)])
         s = rng.normal(size=(2000, 256))
-        tracemalloc.start()
-        try:
-            extreme_pairs(h, s, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100 * 2**20
+        assert traced_peak(h, s) < 100 * 2**20
 
     def test_argmax_against_enumeration(self):
         rng = np.random.default_rng(99)
