@@ -1,7 +1,7 @@
 """Hypergraph learning toolkit: spectral expansions, a two-layer graph
 convolutional trainer, and densest-k-subhypergraph solvers."""
 
-from .hypergraph import Hypergraph, degrees, size_counts, validate
+from .hypergraph import Hypergraph, degrees, size_counts
 from .expansion import (
     NormalizedAdjacency,
     WeightedGraph,
@@ -24,7 +24,6 @@ __all__ = [
     "Hypergraph",
     "degrees",
     "size_counts",
-    "validate",
     "NormalizedAdjacency",
     "WeightedGraph",
     "expand_clique",

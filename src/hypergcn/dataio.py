@@ -156,9 +156,9 @@ def save_bundle(bundle: DatasetBundle, directory: str | Path) -> None:
     """Write a bundle in the directory layout read by `load_bundle`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    ptr, ids = bundle.hypergraph.indptr.tolist(), bundle.hypergraph.indices.tolist()
     with open(directory / "hyperedges.txt", "w") as fh:
-        for e in bundle.hypergraph.edges:
-            fh.write(" ".join(str(v) for v in e) + "\n")
+        fh.writelines(" ".join(map(str, ids[a:b])) + "\n" for a, b in zip(ptr, ptr[1:]))
     np.savetxt(directory / "features.csv", bundle.features, fmt="%.17g", delimiter=",")
     with open(directory / "labels.txt", "w") as fh:
         for y in bundle.labels:

@@ -41,13 +41,14 @@ class DenseKInstance:
 
 def density(h: Hypergraph, w: Iterable[int]) -> int:
     """Number of hyperedges fully contained in the vertex set `w`."""
-    ws = set(int(v) for v in w)
-    return sum(1 for e in h.edges if all(v in ws for v in e))
+    inside = np.isin(h.indices, np.fromiter(w, dtype=np.int64))
+    # every hyperedge has at least two ids, so no reduceat segment is empty
+    return int(np.logical_and.reduceat(inside, h.indptr[:-1]).sum())
 
 
 def max_degree(inst: DenseKInstance) -> list[int]:
     """The k hypernodes of largest degree, ties resolved by lowest id."""
-    d = np.bincount(inst.hypergraph.incidence, minlength=inst.hypergraph.n)
+    d = np.bincount(inst.hypergraph.indices, minlength=inst.hypergraph.n)
     order = np.lexsort((np.arange(inst.hypergraph.n), -d))
     return sorted(int(v) for v in order[: inst.k])
 
@@ -57,21 +58,19 @@ def remove_min_degree(inst: DenseKInstance) -> list[int]:
     id) together with every residual hyperedge containing it."""
     h = inst.hypergraph
     alive = np.ones(h.n, dtype=bool)
-    edge_alive = [True] * h.m
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for idx, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(idx)
-    deg = np.bincount(h.incidence, minlength=h.n)
+    edge_alive = np.ones(h.m, dtype=bool)
+    deg = np.bincount(h.indices, minlength=h.n)
+    # hyperedges of vertex v, ascending: incident[start[v]:start[v + 1]]
+    incident = np.repeat(np.arange(h.m), h.edge_sizes())[np.argsort(h.indices, kind="stable")]
+    start = np.concatenate([[0], np.cumsum(deg)]).tolist()
 
     for _ in range(h.n - inst.k):
         cands = np.flatnonzero(alive)
         victim = int(cands[np.argmin(deg[cands])])  # argmin keeps lowest id on ties
-        for idx in incident[victim]:
-            if edge_alive[idx]:
-                edge_alive[idx] = False
-                for u in h.edges[idx]:
-                    deg[u] -= 1
+        dead = incident[start[victim] : start[victim + 1]]
+        for idx in dead[edge_alive[dead]].tolist():
+            deg[h.indices[h.indptr[idx] : h.indptr[idx + 1]]] -= 1
+        edge_alive[dead] = False
         alive[victim] = False
     return [int(v) for v in np.flatnonzero(alive)]
 
@@ -83,7 +82,8 @@ def brute_force(inst: DenseKInstance) -> tuple[list[int], int]:
     h, k = inst.hypergraph, inst.k
     if comb(h.n, k) > 10**6:
         raise ValueError(f"instance too large: C({h.n},{k}) > 1e6")
-    edge_masks = [sum(1 << v for v in e) for e in h.edges]
+    ptr, ids = h.indptr.tolist(), h.indices.tolist()
+    edge_masks = [sum(1 << v for v in ids[a:b]) for a, b in zip(ptr, ptr[1:])]
     best: tuple[int, ...] | None = None
     best_density = -1
     for combo in itertools.combinations(range(h.n), k):
@@ -171,7 +171,7 @@ def vertex_features(
     standard normal columns, useful when degrees carry no signal.
     """
     if kind == "degree":
-        d = np.bincount(h.incidence, minlength=h.n).astype(np.float64)
+        d = np.bincount(h.indices, minlength=h.n).astype(np.float64)
         top = d.max() if d.size and d.max() > 0 else 1.0
         return np.column_stack([d / top, np.ones(h.n)])
     if kind == "gaussian":

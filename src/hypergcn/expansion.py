@@ -23,8 +23,7 @@ result is a fixed function of the hypergraph, the signal and the draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import Callable, Literal, Mapping
+from typing import Callable, Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,12 +56,6 @@ class WeightedGraph:
     @property
     def pair_count(self) -> int:
         return len(self.w)
-
-    @property
-    def pairs(self) -> Mapping[tuple[int, int], float]:
-        """Read-only {(u, v): weight} view in pair order."""
-        keys = zip(self.u.tolist(), self.v.tolist())
-        return MappingProxyType(dict(zip(keys, self.w.tolist())))
 
     def coo(self, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """COO triplets of the symmetric pair matrix with `diag` on its

@@ -1,19 +1,18 @@
 """Canonical hypergraph container with degree and size bookkeeping.
 
-Vertices are dense 0-based integers. Hyperedges are stored as sorted
-tuples of distinct vertex ids; duplicate hyperedges are allowed and their
-contributions accumulate in every expansion. Instances are immutable
-after construction and safe to share across threads.
-
-Two array views of the hyperedges are derived on first use and cached on
-the instance: the flat incidence (every hyperedge's ids in hyperedge
-order) and the same-size groups that the expansions vectorize over. Both
-are pure functions of `edges`, so caching them never changes a result.
+Vertices are dense 0-based integers. The m hyperedges are CSR arrays:
+hyperedge e is `indices[indptr[e]:indptr[e + 1]]` with weight `weights[e]`;
+duplicate hyperedges accumulate in every expansion. The constructor
+(which unpickling runs too) copies the arrays, marks them read-only and
+checks every invariant once (n >= 0; one finite positive weight per
+hyperedge; two or more sorted, distinct ids in [0, n) per hyperedge),
+naming each offending hyperedge in one ValueError. So an instance is
+valid, immutable and safe to share across threads. The same-size groups
+that the expansions vectorize over are cached on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -23,87 +22,96 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Undirected hypergraph H = (V, E) with per-hyperedge positive weights."""
+    """Undirected hypergraph H = (V, E) with positive hyperedge weights, as CSR."""
 
     n: int
-    edges: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("weights", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        problems = self._violations()
+        if problems:
+            raise ValueError("; ".join(problems))
+
+    def _violations(self) -> list[str]:
+        ptr, ids, w = self.indptr, self.indices, self.weights
+        if not (ptr.ndim == ids.ndim == w.ndim == 1 and ptr.size and ptr[0] == 0
+                and ptr[-1] == ids.size and np.all(np.diff(ptr) >= 0)):
+            return ["indptr must rise from 0 to len(indices); all arrays 1-D"]
+        problems: list[str] = []
+        if self.n < 0:
+            problems.append(f"vertex count {self.n} is negative")
+        if w.size != self.m:
+            problems.append(f"{w.size} weights for {self.m} hyperedges"
+                            + (f" (hyperedge {w.size} has none)" if w.size < self.m else ""))
+        sizes = self.edge_sizes()
+        row = np.repeat(np.arange(self.m), sizes)
+        unordered = np.isin(np.arange(self.m), row[1:][(np.diff(row) == 0) & (np.diff(ids) <= 0)])
+        outside = np.isin(np.arange(self.m), row[(ids < 0) | (ids >= self.n)])
+        for idx in np.flatnonzero((sizes < 2) | unordered | outside).tolist():
+            if sizes[idx] < 2:
+                problems.append(f"hyperedge {idx}: size {sizes[idx]} < 2")
+            if unordered[idx]:
+                problems.append(f"hyperedge {idx}: ids not sorted and distinct")
+            for v in ids[ptr[idx] : ptr[idx + 1]].tolist():
+                if not 0 <= v < self.n:
+                    problems.append(f"hyperedge {idx}: vertex {v} out of range [0, {self.n})")
+        for idx in np.flatnonzero(~(np.isfinite(w[: self.m]) & (w[: self.m] > 0))).tolist():
+            problems.append(f"hyperedge {idx}: weight {w[idx]} not finite and > 0")
+        return problems
+
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[Iterable[int]],
-        weights: Sequence[float] | None = None,
-    ) -> "Hypergraph":
-        """Build a hypergraph, canonicalizing each hyperedge to a sorted
-        tuple of distinct ids. Weights default to 1.0 per hyperedge."""
-        canon = tuple(tuple(sorted({int(v) for v in e})) for e in edges)
-        if weights is None:
-            w = np.ones(len(canon), dtype=np.float64)
-        else:
-            w = np.asarray(weights, dtype=np.float64).copy()
-        return cls(n=int(n), edges=canon, weights=w)
+    def from_edges(cls, n: int, edges: Iterable[Iterable[int]],
+                   weights: Sequence[float] | None = None) -> "Hypergraph":
+        """Build a hypergraph from vertex-id lists, sorting each hyperedge's
+        ids and dropping repeats. Weights default to 1.0 per hyperedge."""
+        rows = [np.asarray(e if isinstance(e, np.ndarray) else list(e), dtype=np.int64)
+                for e in edges]
+        sizes = np.array([r.size for r in rows], dtype=np.int64)
+        ids = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        row = np.repeat(np.arange(len(rows)), sizes)
+        ids = ids[np.lexsort((ids, row))]  # sorts within rows; row is already sorted
+        keep = np.ones(ids.size, dtype=bool)
+        keep[1:] = (ids[1:] != ids[:-1]) | (row[1:] != row[:-1])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=len(rows)))])
+        w = np.ones(len(rows)) if weights is None else weights
+        return cls(n=int(n), indptr=indptr, indices=ids[keep], weights=w)
+
+    def __reduce__(self):
+        return Hypergraph, (self.n, self.indptr, self.indices, self.weights)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.indptr.size - 1
 
     def edge_sizes(self) -> np.ndarray:
-        return np.array([len(e) for e in self.edges], dtype=np.int64)
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Vertex ids of every hyperedge, concatenated in hyperedge order."""
-        return np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64)
+        return np.diff(self.indptr)
 
     @cached_property
     def size_groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-        """(size, edge ids, member matrix) per distinct hyperedge size; row r
-        of the (g, size) member matrix is hyperedge `edge ids[r]`."""
+        """(size, edge ids, member matrix) per distinct hyperedge size, in
+        increasing size; row r of the (g, size) member matrix is hyperedge
+        `edge ids[r]`, and edge ids increase."""
         sizes = self.edge_sizes()
         groups = []
-        for size in np.unique(sizes):
+        for size in np.unique(sizes).tolist():
             idxs = np.flatnonzero(sizes == size)
-            members = np.array([self.edges[i] for i in idxs], dtype=np.int64)
-            groups.append((int(size), idxs, members.reshape(idxs.size, size)))
+            members = self.indices[self.indptr[idxs, None] + np.arange(size)]
+            idxs.setflags(write=False)
+            members.setflags(write=False)
+            groups.append((size, idxs, members))
         return tuple(groups)
-
-
-def validate(h: Hypergraph) -> list[str]:
-    """Check every structural invariant of `h`.
-
-    Returns an empty list when the hypergraph is valid, otherwise one
-    message per violation, each naming the offending hyperedge index.
-    Downstream expansions are guaranteed to succeed on a valid hypergraph.
-    """
-    problems: list[str] = []
-    if h.n < 0:
-        problems.append(f"vertex count {h.n} is negative")
-    if len(h.weights) != len(h.edges):
-        problems.append(
-            f"{len(h.weights)} weights for {len(h.edges)} hyperedges"
-        )
-    for idx, e in enumerate(h.edges):
-        if len(e) < 2:
-            problems.append(f"hyperedge {idx}: size {len(e)} < 2")
-        if tuple(sorted(set(e))) != e:
-            problems.append(f"hyperedge {idx}: ids not sorted and distinct")
-        for v in e:
-            if not 0 <= v < h.n:
-                problems.append(
-                    f"hyperedge {idx}: vertex {v} out of range [0, {h.n})"
-                )
-    for idx, w in enumerate(h.weights[: len(h.edges)]):
-        if not np.isfinite(w) or w <= 0:
-            problems.append(f"hyperedge {idx}: weight {w} not finite and > 0")
-    return problems
 
 
 def degrees(h: Hypergraph) -> np.ndarray:
     """Vertex degrees d_v = sum of w(e) over hyperedges containing v."""
     weights = np.repeat(h.weights, h.edge_sizes())
-    return np.bincount(h.incidence, weights=weights, minlength=h.n)
+    return np.bincount(h.indices, weights=weights, minlength=h.n)
 
 
 def size_counts(h: Hypergraph) -> tuple[int, int, int]:

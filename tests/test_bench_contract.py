@@ -1,5 +1,5 @@
-"""The traced benchmark looks up hypergcn functions by name; a refactor
-that renames or hides one would break it silently."""
+"""The traced benchmark looks up hypergcn functions and attributes by
+name; a refactor that renames or hides one would break it silently."""
 
 import ast
 import importlib
@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -66,3 +67,19 @@ def test_selftest_checks_wrapper_sites():
 def test_selftest_wrapper_site_exists(module, attr):
     assert inspect.isfunction(getattr(importlib.import_module(module), attr, None)), \
         f"bench/selftest.py wraps {module}.{attr}, which is not a function"
+
+
+def test_attributes_read_by_bench():
+    # workloads.py reads n, m and edge_sizes(); tracing.py reads the
+    # pair count of an expansion and the matrix of an adjacency
+    from hypergcn import Hypergraph, expand_clique, normalize
+
+    h = Hypergraph.from_edges(4, [(0, 1, 2), (2, 3)])
+    assert (h.n, h.m) == (4, 2)
+    sizes = h.edge_sizes()
+    assert isinstance(sizes, np.ndarray) and sizes.dtype.kind == "i"
+    assert sizes.tolist() == [3, 2]
+    g = expand_clique(h)
+    assert g.pair_count == 4
+    matrix = normalize(g).matrix
+    assert matrix.format == "csr" and matrix.nnz == 4 + 2 * g.pair_count

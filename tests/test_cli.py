@@ -110,6 +110,14 @@ class TestContracts:
         assert payload["valid"] is True
         assert payload["violations"] == []
 
+    def test_validate_malformed_file_is_data_error(self, capsys, dataset_dir):
+        with open(f"{dataset_dir}/hyperedges.txt", "a") as fh:
+            fh.write("0 99\n")
+        code, out, err = run_cli(capsys, ["validate", "--data", dataset_dir])
+        assert code == 2
+        assert len(parse_jsonl(out)) == 1  # the config echo only
+        assert "hyperedges.txt line 15: vertex 99 out of range [0, 24)" in err
+
     def test_densek_payload(self, capsys, dataset_dir):
         code, out, _ = run_cli(
             capsys,

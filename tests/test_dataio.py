@@ -15,7 +15,7 @@ from hypergcn.dataio import (
     save_bundle,
 )
 from hypergcn.hypergraph import Hypergraph
-from test_expansion import hypergraph_and_signal
+from test_expansion import edges, hypergraph_and_signal
 
 
 def write_dataset(tmp_path, hyperedges, features, labels, manifest=None):
@@ -36,7 +36,7 @@ class TestLoadBundle:
         )
         bundle = load_bundle(tmp_path)
         assert bundle.hypergraph.n == 3
-        assert bundle.hypergraph.edges == ((0, 1), (1, 2))
+        assert edges(bundle.hypergraph) == ((0, 1), (1, 2))
         assert bundle.num_classes == 2
         np.testing.assert_array_equal(bundle.labels, [0, 1, 0])
 
@@ -49,7 +49,7 @@ class TestLoadBundle:
         )
         with pytest.warns(UserWarning, match="fewer than 2"):
             bundle = load_bundle(tmp_path)
-        assert bundle.hypergraph.edges == ((0, 1), (1, 2))
+        assert edges(bundle.hypergraph) == ((0, 1), (1, 2))
 
     def test_label_out_of_range_names_line(self, tmp_path):
         write_dataset(
@@ -92,12 +92,12 @@ class TestLoadBundle:
     def test_roundtrip_identity(self, tmp_path):
         rng = np.random.default_rng(42)
         n = 12
-        edges = [rng.choice(n, size=int(rng.integers(2, 5)), replace=False) for _ in range(7)]
+        rows = [rng.choice(n, size=int(rng.integers(2, 5)), replace=False) for _ in range(7)]
         labels = rng.integers(0, 3, size=n)
         labels[:3] = [0, 1, 2]
         bundle = DatasetBundle(
             name="roundtrip",
-            hypergraph=Hypergraph.from_edges(n, edges),
+            hypergraph=Hypergraph.from_edges(n, rows),
             features=rng.normal(size=(n, 4)),
             labels=labels,
             num_classes=3,
@@ -105,7 +105,7 @@ class TestLoadBundle:
         save_bundle(bundle, tmp_path / "out")
         loaded = load_bundle(tmp_path / "out")
         assert loaded.name == bundle.name
-        assert loaded.hypergraph.edges == bundle.hypergraph.edges
+        assert edges(loaded.hypergraph) == edges(bundle.hypergraph)
         assert loaded.num_classes == bundle.num_classes
         np.testing.assert_array_equal(loaded.labels, bundle.labels)
         np.testing.assert_array_equal(loaded.features, bundle.features)
@@ -123,7 +123,7 @@ class TestLoadBundle:
         with tempfile.TemporaryDirectory() as d:
             save_bundle(bundle, d)
             loaded = load_bundle(d)
-        assert loaded.hypergraph.edges == h.edges
+        assert edges(loaded.hypergraph) == edges(h)
         assert loaded.features.shape == features.shape
         assert loaded.features.tobytes() == features.tobytes()
         assert loaded.labels.tolist() == labels.tolist()
@@ -189,7 +189,7 @@ class TestGenNoisySsl:
         h = bundle.hypergraph
         assert h.n == 1000
         assert h.m == 500
-        sizes = sorted(len(e) for e in h.edges)
+        sizes = sorted(len(e) for e in edges(h))
         assert sizes[:100] == [5] * 100
         assert sizes[100:] == [20] * 400
         assert bundle.features.shape == (1000, 256)
@@ -197,7 +197,7 @@ class TestGenNoisySsl:
 
     def test_pure_edges_single_class(self):
         bundle = gen_noisy_ssl(eta=0.75, rng=np.random.default_rng(1))
-        for e in bundle.hypergraph.edges:
+        for e in edges(bundle.hypergraph):
             if len(e) == 5:
                 assert len(set(bundle.labels[list(e)])) == 1
 
@@ -206,7 +206,7 @@ class TestGenNoisySsl:
     )
     def test_noisy_edge_class_ratio(self, eta, minority):
         bundle = gen_noisy_ssl(eta=eta, rng=np.random.default_rng(2))
-        for e in bundle.hypergraph.edges:
+        for e in edges(bundle.hypergraph):
             if len(e) == 20:
                 ones = int(bundle.labels[list(e)].sum())
                 assert {ones, 20 - ones} == {minority, 20 - minority}

@@ -23,6 +23,7 @@ from hypergcn.densek import (
 )
 from hypergcn.hypergraph import Hypergraph
 from hypergcn.training import TrainConfig
+from test_expansion import edges
 
 
 def random_instance(rng, n_max=14):
@@ -40,7 +41,7 @@ def random_instance(rng, n_max=14):
 def peeling_reference(h, k):
     """Independent step-by-step simulation of minimum-degree peeling,
     recomputing degrees from scratch each round."""
-    remaining_edges = [set(e) for e in h.edges]
+    remaining_edges = [set(e) for e in edges(h)]
     pool = set(range(h.n))
     for _ in range(h.n - k):
         deg = {v: 0 for v in pool}
@@ -67,6 +68,20 @@ class TestDensity:
         h = Hypergraph.from_edges(3, [(0, 1), (1, 2), (0, 1, 2)])
         assert density(h, {0, 1}) == 1
 
+    def test_duplicate_ids_count_once(self):
+        h = Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)])
+        assert density(h, [0, 1, 1, 0]) == 1
+
+    def test_ids_outside_range_match_nothing(self):
+        # -1 must not wrap around to vertex n - 1
+        h = Hypergraph.from_edges(4, [(0, 1), (2, 3)])
+        assert density(h, [2, -1]) == 0
+        assert density(h, [0, 1, 2, 4, -4]) == 1
+        assert density(h, [-2, -1, 7]) == 0
+
+    def test_no_hyperedges(self):
+        assert density(Hypergraph.from_edges(4, []), range(4)) == 0
+
     def test_monotone(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
@@ -91,7 +106,7 @@ class TestMaxDegree:
         for _ in range(20):
             inst = random_instance(rng, n_max=10)
             h = inst.hypergraph
-            counts = {v: sum(1 for e in h.edges if v in e) for v in range(h.n)}
+            counts = {v: sum(1 for e in edges(h) if v in e) for v in range(h.n)}
             expected = sorted(range(h.n), key=lambda v: (-counts[v], v))[: inst.k]
             assert max_degree(inst) == sorted(expected)
 
@@ -114,6 +129,7 @@ class TestRemoveMinDegree:
     def test_edge_free_tie_rule(self):
         h = Hypergraph.from_edges(4, [])
         assert remove_min_degree(DenseKInstance(h, 1)) == [3]  # 0,1,2 peeled first
+        assert remove_min_degree(DenseKInstance(h, 4)) == [0, 1, 2, 3]
 
     def test_returns_exactly_k(self):
         rng = np.random.default_rng(2)
@@ -150,13 +166,13 @@ class TestBruteForce:
         rng = np.random.default_rng(5)
         for _ in range(10):
             n, k = 10, 5
-            edges = [
+            rows = [
                 rng.choice(n, size=int(rng.integers(2, 5)), replace=False)
                 for _ in range(8)
             ]
-            h = Hypergraph.from_edges(n, edges)
+            h = Hypergraph.from_edges(n, rows)
             chosen, got = brute_force(DenseKInstance(h, k))
-            edge_sets = [frozenset(e) for e in h.edges]
+            edge_sets = [frozenset(e) for e in edges(h)]
             best = -1
             argmaxes = []
             for bits in range(1 << n):
@@ -170,6 +186,11 @@ class TestBruteForce:
                     argmaxes.append(w)
             assert got == best
             assert chosen == min(sorted(w) for w in argmaxes)
+
+    def test_no_hyperedges(self):
+        # an edgeless instance has no empty hyperedge to be contained in
+        h = Hypergraph.from_edges(4, [])
+        assert brute_force(DenseKInstance(h, 2)) == ([0, 1], 0)
 
     def test_too_large_rejected(self):
         h = Hypergraph.from_edges(40, [(0, 1)])
@@ -192,13 +213,13 @@ class TestGenSample:
         rng = np.random.default_rng(7)
         h, _ = gen_sample(100, 75, 0.5, rng)
         assert h.m == 50
-        assert all(2 <= len(e) <= 10 for e in h.edges)
+        assert all(2 <= len(e) <= 10 for e in edges(h))
 
     def test_edges_inside_or_outside_planted_set(self):
         rng = np.random.default_rng(8)
         h, target = gen_sample(80, 60, 0.6, rng)
         planted = set(np.flatnonzero(target).tolist())
-        for e in h.edges:
+        for e in edges(h):
             inside = all(v in planted for v in e)
             outside = all(v not in planted for v in e)
             assert inside or outside
@@ -213,7 +234,7 @@ class TestGenSample:
             h, target = gen_sample(200, 150, p, rng)
             planted = np.flatnonzero(target)
             inside += sum(
-                1 for e in h.edges if all(v in set(planted.tolist()) for v in e)
+                1 for e in edges(h) if all(v in set(planted.tolist()) for v in e)
             )
             total += h.m
         se = np.sqrt(p * (1 - p) / total)

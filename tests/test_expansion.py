@@ -22,6 +22,17 @@ from hypergcn.hypergraph import Hypergraph, degrees
 NO_IDS = np.empty(0, dtype=np.int64)
 
 
+def edges(h):
+    """Each hyperedge's vertex ids as a tuple, in hyperedge order."""
+    ptr, ids = h.indptr.tolist(), h.indices.tolist()
+    return tuple(tuple(ids[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
+def pair_dict(g):
+    """{(u, v): weight} of a WeightedGraph, in pair order."""
+    return dict(zip(zip(g.u.tolist(), g.v.tolist()), g.w.tolist()))
+
+
 def random_hypergraph(rng, n_max=20, m_max=10, size_range=(2, 6)):
     n = int(rng.integers(3, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
@@ -36,7 +47,7 @@ def random_hypergraph(rng, n_max=20, m_max=10, size_range=(2, 6)):
 def extreme_pair(h, edge_index, signal, rng):
     """Sequential oracle for `extreme_pairs`: the extreme pair of one
     hyperedge from its full distance matrix, consuming one draw."""
-    e = h.edges[edge_index]
+    e = edges(h)[edge_index]
     s = as_signal(signal, h.n)
     pts = s[list(e)]
     diff = pts[:, None, :] - pts[None, :, :]
@@ -84,7 +95,7 @@ class TestExtremePair:
             for idx in range(h.m):
                 i, j = extreme_pair(h, idx, s, rng)
                 assert i < j
-                assert i in h.edges[idx] and j in h.edges[idx]
+                assert i in edges(h)[idx] and j in edges(h)[idx]
 
     def test_tie_breaking_uniform(self):
         # all-equal signal: every pair of the triangle ties; the chosen
@@ -147,7 +158,7 @@ class TestExtremePair:
         for _ in range(30):
             h = random_hypergraph(rng)
             s = rng.normal(size=(h.n, 2))
-            for idx, e in enumerate(h.edges):
+            for idx, e in enumerate(edges(h)):
                 i, j = extreme_pair(h, idx, s, rng)
                 got = np.linalg.norm(s[i] - s[j])
                 best = max(
@@ -161,32 +172,32 @@ class TestOneEdgeExpansion:
     def test_size_two(self):
         h = Hypergraph.from_edges(2, [(0, 1)])
         g = expand_one_edge(h, np.zeros((2, 1)), np.random.default_rng(0))
-        assert g.pairs == {(0, 1): 0.5}
+        assert pair_dict(g) == {(0, 1): 0.5}
         np.testing.assert_array_equal(g.loops, [1.0, 1.0])
 
     def test_picks_extreme_pair(self):
         h = Hypergraph.from_edges(3, [(0, 1, 2)])
         s = np.array([[0.0], [1.0], [5.0]])
         g = expand_one_edge(h, s, np.random.default_rng(0))
-        assert g.pairs == {(0, 2): pytest.approx(1 / 3)}
+        assert pair_dict(g) == {(0, 2): pytest.approx(1 / 3)}
         np.testing.assert_array_equal(g.loops, [1.0, 1.0, 1.0])
 
     def test_duplicate_edges_accumulate(self):
         h = Hypergraph.from_edges(2, [(0, 1), (0, 1)])
         g = expand_one_edge(h, np.zeros((2, 1)), np.random.default_rng(0))
-        assert g.pairs == {(0, 1): pytest.approx(1.0)}
+        assert pair_dict(g) == {(0, 1): pytest.approx(1.0)}
 
     def test_one_pair_per_hyperedge(self):
         rng = np.random.default_rng(5)
         h = random_hypergraph(rng)
         g = expand_one_edge(h, rng.normal(size=(h.n, 2)), rng)
-        assert len(g.pairs) <= h.m  # coincident extreme pairs may merge
+        assert len(pair_dict(g)) <= h.m  # coincident extreme pairs may merge
 
     def test_hyperedge_weight_scales_pair(self):
         h = Hypergraph.from_edges(3, [(0, 1, 2)], weights=[4.0])
         s = np.array([[0.0], [1.0], [5.0]])
         g = expand_one_edge(h, s, np.random.default_rng(0))
-        assert g.pairs[(0, 2)] == pytest.approx(4.0 / 3)
+        assert pair_dict(g)[(0, 2)] == pytest.approx(4.0 / 3)
 
 
 class TestMediatorExpansion:
@@ -195,15 +206,15 @@ class TestMediatorExpansion:
         s = np.array([[0.0], [1.0], [2.0], [9.0]])  # extreme pair (0, 3)
         g = expand_mediators(h, s, np.random.default_rng(0))
         expected = {(0, 3), (0, 1), (0, 2), (1, 3), (2, 3)}
-        assert set(g.pairs) == expected
-        for v in g.pairs.values():
+        assert set(pair_dict(g)) == expected
+        for v in pair_dict(g).values():
             assert v == pytest.approx(1 / 5)
         np.testing.assert_array_equal(g.loops, np.ones(4))
 
     def test_size_two_edge_weight_one(self):
         h = Hypergraph.from_edges(2, [(0, 1)])
         g = expand_mediators(h, np.zeros((2, 1)), np.random.default_rng(0))
-        assert g.pairs == {(0, 1): pytest.approx(1.0)}
+        assert pair_dict(g) == {(0, 1): pytest.approx(1.0)}
 
     def test_size_three_covers_triangle(self):
         # with one mediator the emitted pairs are always the full triangle
@@ -211,8 +222,8 @@ class TestMediatorExpansion:
         for seed in range(10):
             s = np.random.default_rng(seed).normal(size=(3, 2))
             g = expand_mediators(h, s, np.random.default_rng(seed))
-            assert set(g.pairs) == {(0, 1), (0, 2), (1, 2)}
-            for v in g.pairs.values():
+            assert set(pair_dict(g)) == {(0, 1), (0, 2), (1, 2)}
+            for v in pair_dict(g).values():
                 assert v == pytest.approx(1 / 3)
 
     def test_pair_count_and_mass(self):
@@ -222,28 +233,28 @@ class TestMediatorExpansion:
             w = float(rng.uniform(0.2, 5.0))
             h = Hypergraph.from_edges(size, [tuple(range(size))], weights=[w])
             g = expand_mediators(h, rng.normal(size=(size, 2)), rng)
-            assert len(g.pairs) == max(1, 2 * size - 3)
-            assert sum(g.pairs.values()) == pytest.approx(w, abs=1e-12)
+            assert len(pair_dict(g)) == max(1, 2 * size - 3)
+            assert sum(pair_dict(g).values()) == pytest.approx(w, abs=1e-12)
 
 
 class TestCliqueExpansion:
     def test_triangle(self):
         h = Hypergraph.from_edges(3, [(0, 1, 2)])
         g = expand_clique(h)
-        assert set(g.pairs) == {(0, 1), (0, 2), (1, 2)}
-        for v in g.pairs.values():
+        assert set(pair_dict(g)) == {(0, 1), (0, 2), (1, 2)}
+        for v in pair_dict(g).values():
             assert v == pytest.approx(1 / 3)
 
     def test_size_two(self):
         h = Hypergraph.from_edges(2, [(0, 1)])
         g = expand_clique(h)
-        assert g.pairs == {(0, 1): pytest.approx(1.0)}
+        assert pair_dict(g) == {(0, 1): pytest.approx(1.0)}
 
     def test_size_five(self):
         h = Hypergraph.from_edges(5, [(0, 1, 2, 3, 4)])
         g = expand_clique(h)
-        assert len(g.pairs) == 10
-        for v in g.pairs.values():
+        assert len(pair_dict(g)) == 10
+        for v in pair_dict(g).values():
             assert v == pytest.approx(1 / 10)
 
     def test_per_edge_mass_is_weight(self):
@@ -252,7 +263,7 @@ class TestCliqueExpansion:
             w = float(rng.uniform(0.2, 4.0))
             h = Hypergraph.from_edges(size, [tuple(range(size))], weights=[w])
             g = expand_clique(h)
-            assert sum(g.pairs.values()) == pytest.approx(w, abs=1e-12)
+            assert sum(pair_dict(g).values()) == pytest.approx(w, abs=1e-12)
 
 
 class TestMediatorCliqueEquivalence:
@@ -263,7 +274,7 @@ class TestMediatorCliqueEquivalence:
             s = rng.normal(size=(h.n, int(rng.integers(1, 4))))
             gm = expand_mediators(h, s, rng)
             gc = expand_clique(h)
-            assert pairs_close(gm.pairs, gc.pairs)
+            assert pairs_close(pair_dict(gm), pair_dict(gc))
             np.testing.assert_array_equal(gm.loops, gc.loops)
 
     def test_size_four_breaks_equivalence(self):
@@ -271,7 +282,7 @@ class TestMediatorCliqueEquivalence:
         s = np.arange(4.0)[:, None]
         gm = expand_mediators(h, s, np.random.default_rng(0))
         gc = expand_clique(h)
-        assert set(gm.pairs) != set(gc.pairs)
+        assert set(pair_dict(gm)) != set(pair_dict(gc))
 
 
 class TestSelfLoopRules:
@@ -343,7 +354,7 @@ class TestNormalize:
         # reconstruct degrees: D^{1/2} Abar D^{1/2} row sums must equal D
         dense = a.matrix.toarray()
         pre = np.zeros((g.n, g.n))
-        for (u, v), w in g.pairs.items():
+        for (u, v), w in pair_dict(g).items():
             pre[u, v] = pre[v, u] = w
         pre += np.diag(g.loops)
         deg = pre.sum(axis=1)
@@ -361,30 +372,30 @@ class TestPermutationEquivariance:
                 s = rng.normal(size=(h.n, 3))
                 perm = rng.permutation(h.n)
                 h_perm = Hypergraph.from_edges(
-                    h.n, [[perm[v] for v in e] for e in h.edges], h.weights
+                    h.n, [[perm[v] for v in e] for e in edges(h)], h.weights
                 )
                 s_perm = np.empty_like(s)
                 s_perm[perm] = s
                 g = expand_sig(h, s, np.random.default_rng(0))
                 g_perm = expand_sig(h_perm, s_perm, np.random.default_rng(0))
                 relabeled = {
-                    tuple(sorted((perm[u], perm[v]))): w for (u, v), w in g.pairs.items()
+                    tuple(sorted((perm[u], perm[v]))): w for (u, v), w in pair_dict(g).items()
                 }
-                assert pairs_close(relabeled, g_perm.pairs)
+                assert pairs_close(relabeled, pair_dict(g_perm))
 
     def test_clique_equivariance(self):
         rng = np.random.default_rng(51)
         h = random_hypergraph(rng, n_max=10)
         perm = rng.permutation(h.n)
         h_perm = Hypergraph.from_edges(
-            h.n, [[perm[v] for v in e] for e in h.edges], h.weights
+            h.n, [[perm[v] for v in e] for e in edges(h)], h.weights
         )
         g = expand_clique(h)
         g_perm = expand_clique(h_perm)
         relabeled = {
-            tuple(sorted((perm[u], perm[v]))): w for (u, v), w in g.pairs.items()
+            tuple(sorted((perm[u], perm[v]))): w for (u, v), w in pair_dict(g).items()
         }
-        assert pairs_close(relabeled, g_perm.pairs)
+        assert pairs_close(relabeled, pair_dict(g_perm))
 
 
 def dict_oracle(h, rule, ext, self_loops):
@@ -392,7 +403,7 @@ def dict_oracle(h, rule, ext, self_loops):
     hyperedge; `ext` holds the extreme pairs. Also returns per-hyperedge
     emitted mass."""
     pairs, mass = {}, []
-    for idx, (e, w) in enumerate(zip(h.edges, h.weights)):
+    for idx, (e, w) in enumerate(zip(edges(h), h.weights)):
         if rule == "clique":
             emitted = [(a, b, 2.0 * w / (len(e) * (len(e) - 1)))
                        for a, b in itertools.combinations(e, 2)]
@@ -411,7 +422,7 @@ def dict_oracle(h, rule, ext, self_loops):
     loops = np.ones(h.n)
     if self_loops == "degree":
         deg, incident = np.zeros(h.n), np.zeros(h.n)
-        for e, w in zip(h.edges, h.weights):
+        for e, w in zip(edges(h), h.weights):
             deg[list(e)] += w
         for (u, v), wt in pairs.items():
             incident[u] += wt
@@ -467,7 +478,7 @@ class TestDictOracle:
             ("clique", expand_clique(h, self_loops)),
         ):
             pairs, loops, mass = dict_oracle(h, rule, ext, self_loops)
-            assert list(g.pairs.items()) == list(pairs.items())
+            assert list(pair_dict(g).items()) == list(pairs.items())
             np.testing.assert_array_equal(g.loops, loops)
             # one-edge keeps a single pair of weight w(e)/|e|; the other
             # rules spread exactly w(e) over their pairs

@@ -1,42 +1,132 @@
+import pickle
+import re
+
 import numpy as np
 import pytest
 
-from hypergcn.hypergraph import Hypergraph, degrees, size_counts, validate
+from hypergcn.hypergraph import Hypergraph, degrees, size_counts
+from test_expansion import edges
+
+
+# (n, edges, weights, the message naming the offending hyperedge)
+BAD_INPUTS = {
+    "id-out-of-range": (4, [(0, 1), (2, 5)], None, "hyperedge 1: vertex 5 out of range [0, 4)"),
+    "negative-id": (4, [(0, 1), (-1, 2)], None, "hyperedge 1: vertex -1 out of range [0, 4)"),
+    "size-1": (4, [(0, 1), (3,)], None, "hyperedge 1: size 1 < 2"),
+    "negative-weight": (4, [(0, 1), (2, 3)], [1.0, -1.0],
+                        "hyperedge 1: weight -1.0 not finite and > 0"),
+    "one-weight-two-edges": (4, [(0, 1), (2, 3)], [1.0],
+                             "1 weights for 2 hyperedges (hyperedge 1 has none)"),
+}
+
+
+def violations(n, edges, weights=None):
+    """The messages of the ValueError that building the hypergraph raises."""
+    with pytest.raises(ValueError) as info:
+        Hypergraph.from_edges(n, edges, weights)
+    return str(info.value).split("; ")
 
 
 class TestValidate:
     def test_valid_hypergraph(self):
         h = Hypergraph.from_edges(3, [(0, 1, 2)])
-        assert validate(h) == []
+        assert (h.n, h.m) == (3, 1)
 
     def test_vertex_out_of_range(self):
-        h = Hypergraph.from_edges(3, [(0, 3)])
-        problems = validate(h)
+        problems = violations(3, [(0, 3)])
         assert len(problems) == 1
         assert "vertex 3 out of range" in problems[0]
         assert "hyperedge 0" in problems[0]
 
     def test_singleton_hyperedge(self):
-        h = Hypergraph.from_edges(2, [(1,)])
-        problems = validate(h)
+        problems = violations(2, [(1,)])
         assert any("size 1 < 2" in p for p in problems)
 
     def test_reports_every_violation(self):
-        h = Hypergraph.from_edges(2, [(0,), (0, 5)], weights=[1.0, -2.0])
-        problems = validate(h)
+        problems = violations(2, [(0,), (0, 5)], weights=[1.0, -2.0])
         assert len(problems) == 3  # size, range, weight
 
     def test_nonpositive_and_nonfinite_weights(self):
-        h = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[0.0, np.inf])
-        assert len(validate(h)) == 2
+        assert len(violations(3, [(0, 1), (1, 2)], weights=[0.0, np.inf])) == 2
 
     def test_duplicate_hyperedges_allowed(self):
         h = Hypergraph.from_edges(2, [(0, 1), (0, 1)])
-        assert validate(h) == []
+        assert edges(h) == ((0, 1), (0, 1))
 
     def test_from_edges_dedupes_within_edge(self):
         h = Hypergraph.from_edges(3, [(2, 0, 2, 1)])
-        assert h.edges == ((0, 1, 2),)
+        assert edges(h) == ((0, 1, 2),)
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_names_hyperedge(self, case):
+        n, es, weights, message = BAD_INPUTS[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hypergraph.from_edges(n, es, weights)
+
+    def test_messages_in_hyperedge_order(self):
+        problems = violations(3, [(0, 1), (1, 1), (0, 2, 7, 9), ()], weights=[1, 1, -1, 1])
+        assert problems == [
+            "hyperedge 1: size 1 < 2",
+            "hyperedge 2: vertex 7 out of range [0, 3)",
+            "hyperedge 2: vertex 9 out of range [0, 3)",
+            "hyperedge 3: size 0 < 2",
+            "hyperedge 2: weight -1.0 not finite and > 0",
+        ]
+
+    def test_constructor_checks_row_order(self):
+        # from_edges sorts rows; the CSR constructor takes them as given
+        with pytest.raises(ValueError, match=r"^hyperedge 1: ids not sorted and distinct$"):
+            Hypergraph(4, [0, 2, 4], [0, 1, 3, 2], [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^hyperedge 0: ids not sorted and distinct$"):
+            Hypergraph(4, [0, 3], [0, 2, 2], [1.0])
+
+    def test_counts_and_layout(self):
+        with pytest.raises(ValueError, match="vertex count -1 is negative"):
+            Hypergraph(-1, [0], [], [])
+        with pytest.raises(ValueError, match="3 weights for 1 hyperedges"):
+            Hypergraph(3, [0, 2], [0, 1], [1.0, 1.0, 1.0])
+        for indptr in ([], [1, 2], [0, 3], [0, 2, 1, 2]):
+            with pytest.raises(ValueError, match="indptr"):
+                Hypergraph(3, indptr, [0, 1], np.ones(max(len(indptr) - 1, 0)))
+
+    def test_arrays_are_read_only_copies(self):
+        indices = np.array([0, 1, 1, 2])
+        weights = np.array([1.0, 2.0])
+        h = Hypergraph(3, [0, 2, 4], indices, weights)
+        indices[0], weights[0] = 5, -1.0  # the caller's arrays stay theirs
+        assert edges(h) == ((0, 1), (1, 2)) and h.weights[0] == 1.0
+        for arr in (h.indptr, h.indices, h.weights, *h.size_groups[0][1:]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert (h.indptr.dtype, h.indices.dtype, h.weights.dtype) == (
+            np.int64, np.int64, np.float64)
+
+    def test_pickle_rebuilds_through_constructor(self):
+        # run_trials sends the hypergraph to worker processes
+        h = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[2.0, 3.0])
+        h.size_groups
+        copy = pickle.loads(pickle.dumps(h))
+        assert edges(copy) == edges(h) and copy.weights.tolist() == [2.0, 3.0]
+        assert not copy.indices.flags.writeable
+        assert not copy.size_groups[0][2].flags.writeable
+
+    def test_from_edges_matches_tuple_canonicalization(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            rows = [rng.integers(0, n, size=int(rng.integers(2, 8))) for _ in range(12)]
+            rows = [r for r in rows if np.unique(r).size >= 2]
+            h = Hypergraph.from_edges(n, rows)
+            assert edges(h) == tuple(tuple(sorted(set(r.tolist()))) for r in rows)
+            sizes = h.edge_sizes()
+            for size, idxs, members in h.size_groups:
+                np.testing.assert_array_equal(idxs, np.flatnonzero(sizes == size))
+                assert members.tolist() == [list(edges(h)[i]) for i in idxs]
+
+    def test_no_hyperedges(self):
+        h = Hypergraph.from_edges(4, [])
+        assert (h.m, h.size_groups, h.indptr.tolist()) == (0, (), [0])
+        assert h.edge_sizes().dtype == np.int64
 
 
 class TestDegrees:
@@ -58,13 +148,13 @@ class TestDegrees:
         for _ in range(20):
             n = int(rng.integers(3, 20))
             m = int(rng.integers(1, 15))
-            edges = [
+            rows = [
                 rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
                 for _ in range(m)
             ]
             w = rng.uniform(0.1, 3.0, size=m)
-            h = Hypergraph.from_edges(n, edges, w)
-            expected = sum(len(e) * we for e, we in zip(h.edges, h.weights))
+            h = Hypergraph.from_edges(n, rows, w)
+            expected = sum(len(e) * we for e, we in zip(edges(h), h.weights))
             assert degrees(h).sum() == pytest.approx(expected)
 
     def test_linear_in_weights(self):

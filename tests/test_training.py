@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypergcn.training import (
     run_trials,
     train_ssl,
 )
+from test_expansion import pair_dict
+from test_hypergraph import BAD_INPUTS
 
 GCN_METHODS = ("hypergcn", "one-hypergcn", "fast-hypergcn", "hgnn")
 
@@ -114,6 +117,19 @@ class TestTrainSsl:
         assert r1.test_error == r2.test_error
 
 
+class TestBadInput:
+    # hgnn trained silently on a size-1 hyperedge before the constructor
+    # checked sizes; hypergcn divided by zero
+    @pytest.mark.parametrize("method", ["hypergcn", "hgnn"])
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_rejected_naming_hyperedge(self, case, method):
+        n, es, weights, message = BAD_INPUTS[case]
+        _, x, split = two_component_instance()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_ssl(Hypergraph.from_edges(n, es, weights), x, split,
+                      TrainConfig(method=method, epochs=2))
+
+
 class TestProposition1Traces:
     def test_hgnn_and_hypergcn_identical_on_max_size_three(self):
         # hyperedge sizes capped at 3: mediator and clique graphs agree,
@@ -143,9 +159,9 @@ class TestProposition1Traces:
         s = rng.normal(size=(8, 2))
         gm = expand_mediators(h, s, np.random.default_rng(0))
         gc = expand_clique(h)
-        assert gm.pairs == gc.pairs
+        assert pair_dict(gm) == pair_dict(gc)
         g1 = expand_one_edge(h, s, np.random.default_rng(0))
-        assert all(w == pytest.approx(0.5) for w in g1.pairs.values())
+        assert all(w == pytest.approx(0.5) for w in pair_dict(g1).values())
 
 
 class TestHlr:
@@ -156,7 +172,7 @@ class TestHlr:
         lap = pair_laplacian(g)
         z = rng.normal(size=(6, 3))
         direct = sum(
-            w * float(np.sum((z[u] - z[v]) ** 2)) for (u, v), w in g.pairs.items()
+            w * float(np.sum((z[u] - z[v]) ** 2)) for (u, v), w in pair_dict(g).items()
         )
         quad = float((z * (lap @ z)).sum())
         assert quad == pytest.approx(direct, rel=1e-12)
