@@ -193,10 +193,6 @@ class DenseKModel:
     self_loops: str = "unit"
     loss_trace: list[float] | None = None
 
-    @property
-    def maps(self) -> int:
-        return self.theta2.shape[1]
-
 
 def _sample_inputs(
     h: Hypergraph,

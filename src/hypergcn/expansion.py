@@ -12,12 +12,14 @@ sets self-loops (unit by default, or degree-restoring) and the result is
 symmetrically normalized for use in graph convolutions.
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
-w[t]. Pairs are listed in order of first emission, where hyperedges emit
-in index order and each rule emits its pairs in a fixed order within a
-hyperedge; a pair's weight is the sum of its emitted weights added in
-that same order. Every per-vertex sum (incident weight, degree) runs over
-the interleaved (u, v), (v, u) view of the pairs in pair order, so every
-result is a fixed function of the hypergraph, the signal and the draws.
+w[t], and pairs are listed in key order (u*n + v ascending), which is the
+row order of the CSR matrices built from them. A pair's weight is the sum
+of its emitted weights in emission order: hyperedges emit in index order,
+and each rule emits its pairs in a fixed order within a hyperedge. A
+vertex's incident pair weight is summed along its CSR row (lower
+neighbours ascending, then upper neighbours ascending) and its degree adds
+the loop last, so both depend on the graph alone, and every result is a
+fixed function of the hypergraph, the signal and the draws.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ _BLOCK = 2**20
 @dataclass(frozen=True)
 class WeightedGraph:
     """Accumulated symmetric weighted graph over n vertices: distinct
-    pairs u[t] < v[t] of weight w[t] in first-emission order, plus
+    pairs u[t] < v[t] of weight w[t], strictly increasing in u*n + v, plus
     per-vertex self-loop weights `loops`."""
 
     n: int
@@ -59,17 +61,19 @@ class WeightedGraph:
 
     def coo(self, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """COO triplets of the symmetric pair matrix with `diag` on its
-        diagonal: (u0, v0), (v0, u0), (u1, v1), ... in pair order, then
-        the n diagonal entries."""
+        diagonal: the mirrored (v, u) entries, the n diagonal entries, then
+        the (u, v) entries, each in pair order. Grouped stably by row, as
+        the CSR conversion and `np.bincount` do, every row lists its columns
+        ascending, so the CSR needs no index sort."""
         ids = np.arange(self.n)
-        rows = np.concatenate([np.column_stack([self.u, self.v]).ravel(), ids])
-        cols = np.concatenate([np.column_stack([self.v, self.u]).ravel(), ids])
-        return rows, cols, np.concatenate([np.repeat(self.w, 2), diag])
+        rows = np.concatenate([self.v, ids, self.u])
+        cols = np.concatenate([self.u, ids, self.v])
+        return rows, cols, np.concatenate([self.w, diag, self.w])
 
     def incident_pair_weight(self) -> np.ndarray:
-        """Per-vertex sum of incident pair weights (loops excluded)."""
-        rows = np.column_stack([self.u, self.v]).ravel()
-        return np.bincount(rows, weights=np.repeat(self.w, 2), minlength=self.n)
+        """Per-vertex sum of incident pair weights (loops excluded), by CSR row."""
+        rows, _, vals = self.coo(np.zeros(self.n))
+        return np.bincount(rows, weights=vals, minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,8 @@ def _accumulate(h: Hypergraph, emit: Callable, rule: SelfLoopRule) -> WeightedGr
     `emit(size, edge ids, member matrix)` returns (a, b, weight) arrays of
     shape (g, c) for one size group: the c pairs each hyperedge emits, in
     emission order. Emissions are put in hyperedge order by a stable sort
-    on edge id; each distinct pair is then listed at its first emission
-    and its weights summed in emission order, as sequential accumulation
+    on edge id; the distinct pairs are then listed in key order and each
+    pair's weights summed in emission order, as sequential accumulation
     would.
     """
     if rule not in ("unit", "degree"):
@@ -163,20 +167,11 @@ def _accumulate(h: Hypergraph, emit: Callable, rule: SelfLoopRule) -> WeightedGr
         parts.append((np.repeat(idxs, ga.shape[1]), ga.ravel(), gb.ravel(), gw.ravel()))
     eid, a, b, wt = (np.concatenate(col) for col in zip(*parts))
     order = np.argsort(eid, kind="stable")
-    lo, hi, wt = np.minimum(a, b)[order], np.maximum(a, b)[order], wt[order]
-    _, first, inverse = np.unique(
-        lo * h.n + hi, return_index=True, return_inverse=True
-    )
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    first.sort()
-    g = WeightedGraph(
-        n=h.n,
-        u=lo[first],
-        v=hi[first],
-        w=np.bincount(rank[inverse], weights=wt, minlength=first.size),
-        loops=np.ones(h.n, dtype=np.float64),
-    )
+    key = np.minimum(a, b) * h.n + np.maximum(a, b)
+    keys, inverse = np.unique(key[order], return_inverse=True)
+    u, v = np.divmod(keys, h.n)
+    w = np.bincount(inverse, weights=wt[order], minlength=keys.size)
+    g = WeightedGraph(n=h.n, u=u, v=v, w=w, loops=np.ones(h.n))
     if rule == "degree":
         # restore each vertex degree to d_v; residual is non-negative for
         # all three rules because a hyperedge contributes at most w(e)
@@ -248,7 +243,8 @@ def normalize(g: WeightedGraph) -> NormalizedAdjacency:
     self-loops. No extra identity is added; the expansion already set the
     self-loops. Raises on any vertex with zero total degree."""
     rows, cols, vals = g.coo(g.loops)
-    deg = np.bincount(rows, weights=vals, minlength=g.n)
+    # loop last, so a degree-restoring loop gives back d_v to one rounding
+    deg = g.incident_pair_weight() + g.loops
     bad = np.flatnonzero(deg <= 0.0)
     if bad.size:
         raise ValueError(

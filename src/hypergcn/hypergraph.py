@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Undirected hypergraph H = (V, E) with positive hyperedge weights, as CSR."""
 
@@ -30,15 +30,18 @@ class Hypergraph:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        raw = np.asarray(self.indices)
         for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("weights", np.float64)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+            with np.errstate(invalid="ignore"):  # a non-finite id is reported below
+                arr = np.asarray(getattr(self, name)).astype(dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        problems = self._violations()
+        problems = self._violations(raw)
         if problems:
             raise ValueError("; ".join(problems))
 
-    def _violations(self) -> list[str]:
+    def _violations(self, raw: np.ndarray) -> list[str]:
+        """Every broken invariant; `raw` holds the ids before the int64 cast."""
         ptr, ids, w = self.indptr, self.indices, self.weights
         if not (ptr.ndim == ids.ndim == w.ndim == 1 and ptr.size and ptr[0] == 0
                 and ptr[-1] == ids.size and np.all(np.diff(ptr) >= 0)):
@@ -52,14 +55,18 @@ class Hypergraph:
         sizes = self.edge_sizes()
         row = np.repeat(np.arange(self.m), sizes)
         unordered = np.isin(np.arange(self.m), row[1:][(np.diff(row) == 0) & (np.diff(ids) <= 0)])
-        outside = np.isin(np.arange(self.m), row[(ids < 0) | (ids >= self.n)])
+        whole = raw == ids
+        outside = np.isin(np.arange(self.m), row[(ids < 0) | (ids >= self.n) | ~whole])
         for idx in np.flatnonzero((sizes < 2) | unordered | outside).tolist():
             if sizes[idx] < 2:
                 problems.append(f"hyperedge {idx}: size {sizes[idx]} < 2")
             if unordered[idx]:
                 problems.append(f"hyperedge {idx}: ids not sorted and distinct")
-            for v in ids[ptr[idx] : ptr[idx + 1]].tolist():
-                if not 0 <= v < self.n:
+            span = slice(ptr[idx], ptr[idx + 1])
+            for v, r, ok in zip(ids[span].tolist(), raw[span].tolist(), whole[span]):
+                if not ok:
+                    problems.append(f"hyperedge {idx}: vertex {r} not an integer")
+                elif not 0 <= v < self.n:
                     problems.append(f"hyperedge {idx}: vertex {v} out of range [0, {self.n})")
         for idx in np.flatnonzero(~(np.isfinite(w[: self.m]) & (w[: self.m] > 0))).tolist():
             problems.append(f"hyperedge {idx}: weight {w[idx]} not finite and > 0")
@@ -70,8 +77,8 @@ class Hypergraph:
                    weights: Sequence[float] | None = None) -> "Hypergraph":
         """Build a hypergraph from vertex-id lists, sorting each hyperedge's
         ids and dropping repeats. Weights default to 1.0 per hyperedge."""
-        rows = [np.asarray(e if isinstance(e, np.ndarray) else list(e), dtype=np.int64)
-                for e in edges]
+        # ids keep their dtype, so the constructor rejects fractional ones
+        rows = [np.asarray(e if isinstance(e, np.ndarray) else list(e)) for e in edges]
         sizes = np.array([r.size for r in rows], dtype=np.int64)
         ids = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
         row = np.repeat(np.arange(len(rows)), sizes)
@@ -84,6 +91,13 @@ class Hypergraph:
 
     def __reduce__(self):
         return Hypergraph, (self.n, self.indptr, self.indices, self.weights)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hypergraph):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("indptr", "indices", "weights"))
 
     @property
     def m(self) -> int:

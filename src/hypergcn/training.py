@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -64,23 +64,16 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     method: str
-    losses: list[float]
     test_error: float
+    losses: list[float]
     seconds_per_epoch: float
     edge_counts: dict[str, int]
     adjacency_pairs: int
     expansions: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "test_error": self.test_error,
-            "losses": self.losses,
-            "seconds_per_epoch": self.seconds_per_epoch,
-            "edge_counts": self.edge_counts,
-            "adjacency_pairs": self.adjacency_pairs,
-            "expansions": self.expansions,
-        }
+        """The report's fields as a JSON-ready dict, in field order."""
+        return asdict(self)
 
 
 def pair_laplacian(g: WeightedGraph) -> sp.csr_array:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -424,7 +425,7 @@ def dict_oracle(h, rule, ext, self_loops):
         deg, incident = np.zeros(h.n), np.zeros(h.n)
         for e, w in zip(edges(h), h.weights):
             deg[list(e)] += w
-        for (u, v), wt in pairs.items():
+        for (u, v), wt in sorted(pairs.items()):
             incident[u] += wt
             incident[v] += wt
         loops = np.maximum(deg - incident, 0.0)
@@ -478,7 +479,7 @@ class TestDictOracle:
             ("clique", expand_clique(h, self_loops)),
         ):
             pairs, loops, mass = dict_oracle(h, rule, ext, self_loops)
-            assert list(pair_dict(g).items()) == list(pairs.items())
+            assert list(pair_dict(g).items()) == sorted(pairs.items())
             np.testing.assert_array_equal(g.loops, loops)
             # one-edge keeps a single pair of weight w(e)/|e|; the other
             # rules spread exactly w(e) over their pairs
@@ -506,6 +507,51 @@ class TestNormalizeProperties:
             np.testing.assert_array_equal(a, a.T)
             eigs = np.linalg.eigvalsh(a)
             assert -1.0 - 1e-12 <= eigs.min() and eigs.max() <= 1.0 + 1e-12
+
+
+def normalized_csr_oracle(g):
+    """CSR (indptr, indices, data) of normalize(g), built pair by pair: row
+    r lists its lower neighbours ascending, the loop, then its upper
+    neighbours ascending; r's degree sums its pair weights in that order,
+    then adds the loop."""
+    lower, upper = [[] for _ in range(g.n)], [[] for _ in range(g.n)]
+    for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
+        upper[u].append((v, w))
+        lower[v].append((u, w))
+    rows, dinv = [], []
+    for r, loop in enumerate(g.loops.tolist()):
+        below, above = sorted(lower[r]), sorted(upper[r])
+        deg = 0.0
+        for _, w in below + above:
+            deg += w
+        dinv.append(1.0 / math.sqrt(deg + loop))
+        rows.append(below + [(r, loop)] + above)
+    indptr, indices, data = [0], [], []
+    for r, row in enumerate(rows):
+        for c, w in row:
+            indices.append(c)
+            data.append(w * (dinv[r] * dinv[c]))
+        indptr.append(len(indices))
+    return indptr, indices, data
+
+
+class TestNormalizeRowOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_signal(), st.sampled_from(["unit", "degree"]),
+           st.integers(0, 2**31))
+    def test_matches_pair_by_pair_csr(self, hs, self_loops, seed):
+        h, s = hs
+        if self_loops == "degree" and np.any(degrees(h) == 0):
+            return  # normalize rejects the isolated vertex (see above)
+        for g in (expand_one_edge(h, s, np.random.default_rng(seed), self_loops),
+                  expand_mediators(h, s, np.random.default_rng(seed), self_loops),
+                  expand_clique(h, self_loops)):
+            m = normalize(g).matrix
+            indptr, indices, data = normalized_csr_oracle(g)
+            assert m.has_sorted_indices
+            np.testing.assert_array_equal(m.indptr, indptr)
+            np.testing.assert_array_equal(m.indices, indices)
+            np.testing.assert_array_equal(m.data, data)
 
 
 class TestIdentityAdjacency:

@@ -123,6 +123,21 @@ class TestValidate:
                 np.testing.assert_array_equal(idxs, np.flatnonzero(sizes == size))
                 assert members.tolist() == [list(edges(h)[i]) for i in idxs]
 
+    def test_fractional_ids_rejected(self):
+        # a cast to int64 would truncate them to the hyperedge (0, 2)
+        assert violations(4, [(0, 1), (0.5, 2.7)]) == [
+            "hyperedge 1: vertex 0.5 not an integer",
+            "hyperedge 1: vertex 2.7 not an integer",
+        ]
+        with pytest.raises(ValueError, match=r"^hyperedge 0: vertex 0.9 not an integer; "
+                                             r"hyperedge 0: vertex 3.2 not an integer$"):
+            Hypergraph(4, [0, 2], [0.9, 3.2], [1.0])
+        assert violations(4, [(1, np.nan), (0, 1)]) == ["hyperedge 0: vertex nan not an integer"]
+
+    def test_whole_float_ids_accepted(self):
+        assert edges(Hypergraph(4, [0, 2], [0.0, 3.0], [1.0])) == ((0, 3),)
+        assert edges(Hypergraph.from_edges(4, [(2.0, 1.0)])) == ((1, 2),)
+
     def test_no_hyperedges(self):
         h = Hypergraph.from_edges(4, [])
         assert (h.m, h.size_groups, h.indptr.tolist()) == (0, (), [0])
@@ -198,3 +213,19 @@ class TestSizeCounts:
                 assert n_med == n_clq
             if any(s > 3 for s in sizes):
                 assert n_med < n_clq
+
+
+class TestEquality:
+    def test_separately_built_equal(self):
+        a = Hypergraph.from_edges(3, [(0, 1), (1, 2)])
+        b = Hypergraph.from_edges(3, [(1, 0), (2, 1)])
+        assert a == b and not a != b
+
+    def test_pickled_copy_equal(self):
+        h = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[2.0, 3.0])
+        assert pickle.loads(pickle.dumps(h)) == h
+
+    def test_different_weights_unequal(self):
+        a = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 2.0])
+        b = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 3.0])
+        assert a != b and not a == b

@@ -108,6 +108,15 @@ class TestTrainSsl:
             with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
                 train_ssl(h, x, split, cfg)
 
+    def test_report_dict_key_order(self):
+        # the CLI prints this dict as a JSON line
+        h, x, split = two_component_instance()
+        report = train_ssl(h, x, split, TrainConfig(method="mlp", epochs=2))
+        assert list(report.to_dict()) == [
+            "method", "test_error", "losses", "seconds_per_epoch", "edge_counts",
+            "adjacency_pairs", "expansions"]
+        assert report.to_dict()["losses"] == report.losses
+
     def test_deterministic_given_seed(self):
         h, x, split = two_component_instance()
         cfg = TrainConfig(method="hypergcn", epochs=10, seed=42)
