@@ -1,7 +1,6 @@
 """Per-method training time per epoch at n=1000 and at n=20k.
 
     python3 scripts/epoch_times.py [--src DIR] [--sizes 1000 20000] [--methods M ...]
-                                   [--repeats 3]
 
 Times `train_ssl` for every method (or those given with `--methods`) on
 two fixed instances: the default noisy benchmark,
@@ -10,8 +9,8 @@ feature dims, budget 100, 50 epochs), and the 20k instance
 `gen_noisy_ssl(0.5, default_rng(7), n=20000, pure=2000, noisy=8000,
 feat_dim=64)` (10k hyperedges of sizes 5 and 20, budget 2000, 10
 epochs). The time is `TrainReport.seconds_per_epoch`, the training loop
-alone; each method runs `--repeats` times on trial seed 0 and the median
-is reported. The first run in a process also pays one-time warm-up.
+alone; each method runs `REPEATS` (3) times on trial seed 0 and the
+median is reported. The first run in a process also pays one-time warm-up.
 BLAS runs one thread. `--src` picks the source tree to import, so that
 two trees can be timed by one script.
 
@@ -34,6 +33,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3
 # n -> (gen_noisy_ssl keyword arguments, label budget, epochs)
 INSTANCES = {
     1000: ({}, 100, 50),
@@ -48,7 +48,6 @@ def main() -> int:
                    choices=sorted(INSTANCES))
     p.add_argument("--methods", nargs="+", default=None,
                    help="methods to time (default: all of training.METHODS)")
-    p.add_argument("--repeats", type=int, default=3)
     args = p.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
@@ -64,7 +63,7 @@ def main() -> int:
             cfg = training.TrainConfig(method=method, epochs=epochs, seed=0)
             runs = [1e3 * training.train_ssl(bundle.hypergraph, bundle.features, split,
                                              cfg).seconds_per_epoch
-                    for _ in range(args.repeats)]
+                    for _ in range(REPEATS)]
             print(json.dumps({"n": n, "method": method, "epochs": epochs,
                               "ms_per_epoch": round(statistics.median(runs), 3),
                               "runs_ms": [round(r, 3) for r in runs]}), flush=True)
