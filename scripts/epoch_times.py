@@ -1,4 +1,4 @@
-"""Per-method training time per epoch at n=1000 and at n=20k.
+"""Per-method training time and page faults per epoch at n=1000 and at n=20k.
 
     python3 scripts/epoch_times.py [--src DIR] [--sizes 1000 20000] [--methods M ...]
 
@@ -11,10 +11,24 @@ feat_dim=64)` (10k hyperedges of sizes 5 and 20, budget 2000, 10
 epochs). The time is `TrainReport.seconds_per_epoch`, the training loop
 alone; each method runs `REPEATS` (3) times on trial seed 0 and the
 median is reported. The first run in a process also pays one-time warm-up.
+Each line also gives every run's minor page faults per epoch
+(`ru_minflt`), counted from the end of the first optimizer step to the
+end of the last, so a run's one-time expansion and first touch of its
+buffers are left out. The first run of the first method is the only one
+in a process that no earlier run has warmed.
+
+Then it times the DkSH solver's optimizer step (`densek.fit_step`, µs per
+call; for hypergcn it includes the per-layer re-expansion) for
+fast-hypergcn and hypergcn (those of them in `--methods`) on 100 samples
+of the `densek-planted` shape: n uniform in 100..300, k = 3n/4, p = 0.75,
+8 maps, 20 epochs for fast-hypergcn and 2 for hypergcn, median of
+`REPEATS` runs.
+
 BLAS runs one thread. `--src` picks the source tree to import, so that
 two trees can be timed by one script.
 
-Prints one JSON line per (n, method), then one with the environment.
+Prints one JSON line per (n, method) and per DkSH method, then one with
+the environment.
 """
 
 from __future__ import annotations
@@ -24,8 +38,10 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
+import time
 from pathlib import Path
 
 # Pinned before numpy is imported.
@@ -39,6 +55,32 @@ INSTANCES = {
     1000: ({}, 100, 50),
     20000: ({"n": 20000, "pure": 2000, "noisy": 8000, "feat_dim": 64}, 2000, 10),
 }
+DENSEK_EPOCHS = {"fast-hypergcn": 20, "hypergcn": 2}
+
+
+class StepProbe:
+    """Wraps a module's `fit_step`: minor faults and wall time after each call."""
+
+    def __init__(self, module) -> None:
+        self.faults: list[int] = []
+        self.seconds = 0.0
+        inner = module.fit_step
+
+        def fit_step(*args):
+            t0 = time.perf_counter()
+            loss = inner(*args)
+            self.seconds += time.perf_counter() - t0
+            self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return loss
+
+        module.fit_step = fit_step
+
+    def reset(self) -> None:
+        self.faults.clear()
+        self.seconds = 0.0
+
+    def faults_per_step(self) -> float:
+        return (self.faults[-1] - self.faults[0]) / max(1, len(self.faults) - 1)
 
 
 def main() -> int:
@@ -53,20 +95,42 @@ def main() -> int:
     import numpy as np
     import scipy
 
-    from hypergcn import dataio, nn, training
+    from hypergcn import dataio, densek, nn, training
 
+    ssl_probe = StepProbe(training)
     for n in args.sizes:
         kwargs, budget, epochs = INSTANCES[n]
         bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), **kwargs)
         split = dataio.balanced_split_labels(bundle.labels, budget, nn.rng_streams(0).split)
         for method in args.methods or training.METHODS:
             cfg = training.TrainConfig(method=method, epochs=epochs, seed=0)
-            runs = [1e3 * training.train_ssl(bundle.hypergraph, bundle.features, split,
-                                             cfg).seconds_per_epoch
-                    for _ in range(REPEATS)]
+            runs, faults = [], []
+            for _ in range(REPEATS):
+                ssl_probe.reset()
+                runs.append(1e3 * training.train_ssl(bundle.hypergraph, bundle.features,
+                                                     split, cfg).seconds_per_epoch)
+                faults.append(ssl_probe.faults_per_step())
             print(json.dumps({"n": n, "method": method, "epochs": epochs,
                               "ms_per_epoch": round(statistics.median(runs), 3),
-                              "runs_ms": [round(r, 3) for r in runs]}), flush=True)
+                              "runs_ms": [round(r, 3) for r in runs],
+                              "faults_per_epoch": [round(f, 1) for f in faults]}), flush=True)
+
+    rng = np.random.default_rng(7)
+    samples = [densek.gen_sample(int(s), 3 * int(s) // 4, 0.75, rng)
+               for s in rng.integers(100, 301, size=100)]
+    densek_probe = StepProbe(densek)
+    for method in DENSEK_EPOCHS:
+        if args.methods and method not in args.methods:
+            continue
+        cfg = training.TrainConfig(method=method, epochs=DENSEK_EPOCHS[method], seed=0)
+        runs = []
+        for _ in range(REPEATS):
+            densek_probe.reset()
+            densek.train_densek(samples, cfg, maps=8)
+            runs.append(1e6 * densek_probe.seconds / len(densek_probe.faults))
+        print(json.dumps({"densek": method, "samples": len(samples), "epochs": cfg.epochs,
+                          "us_per_step": round(statistics.median(runs), 1),
+                          "runs_us": [round(r, 1) for r in runs]}), flush=True)
 
     digest = hashlib.sha256()
     for path in sorted((args.src / "hypergcn").glob("*.py")):

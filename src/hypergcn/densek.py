@@ -147,18 +147,20 @@ class ProbabilityMaps:
 
 def hindsight_bce(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-map binary cross-entropy (mean over vertices, computed stably
-    from logits) and the index of the best map."""
-    t = np.asarray(target, dtype=np.float64)[:, None]
+    from logits) and the index of the best map. `target` is the 0/1
+    labelling as a vector or an n x 1 column."""
+    t = np.reshape(target, (-1, 1))
     per_map = (np.logaddexp(0.0, logits) - t * logits).mean(axis=0)
     return per_map, int(np.argmin(per_map))
 
 
 def hindsight_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss function for `nn.step`: the smallest per-map binary
-    cross-entropy; only that best map receives gradient."""
+    cross-entropy; only that best map receives gradient. `target` is the
+    0/1 labelling as an n x 1 float64 column."""
     per_map, best = hindsight_bce(logits, target)
-    dlogits = np.zeros_like(logits)
-    dlogits[:, best] = (expit(logits)[:, best] - target) / logits.shape[0]
+    dlogits, col = np.zeros_like(logits), slice(best, best + 1)
+    dlogits[:, col] = (expit(logits[:, col]) - target) / logits.shape[0]
     return float(per_map[best]), dlogits
 
 
@@ -247,25 +249,26 @@ def train_densek(
             h, cfg.method, feature_kind, feature_dim, streams.init, streams.ties,
             cfg.self_loops,
         )
-        target = np.asarray(target, dtype=np.float64)
-        prepared.append((x, graph, partial(hindsight_loss, target=target)))
+        column = np.asarray(target, dtype=np.float64).reshape(-1, 1)
+        prepared.append((x, graph, partial(hindsight_loss, target=column)))
 
     p = prepared[0][0].shape[1]
-    theta1 = nn.glorot_init(p, cfg.hidden, streams.init)
-    theta2 = nn.glorot_init(cfg.hidden, maps, streams.init)
-    state = nn.AdamState.for_params([theta1, theta2], cfg.lr, cfg.weight_decay)
+    theta = nn.Params.of(nn.glorot_init(p, cfg.hidden, streams.init),
+                         nn.glorot_init(cfg.hidden, maps, streams.init))
+    state = nn.AdamState.for_params(theta, cfg.lr, cfg.weight_decay)
+    buf = np.empty((max(x.shape[0] for x, _, _ in prepared), p))
 
     loss_trace: list[float] = []
     for _ in range(cfg.epochs):
         epoch_loss = 0.0
         for x, graph, loss_fn in prepared:
-            epoch_loss += fit_step(graph, x, theta1, theta2, state, loss_fn,
-                                   cfg.dropout, streams.dropout)
+            epoch_loss += fit_step(graph, x, theta, state, loss_fn, cfg.dropout,
+                                   streams.dropout, buf)
         loss_trace.append(epoch_loss / len(prepared))
 
     return DenseKModel(
-        theta1=theta1,
-        theta2=theta2,
+        theta1=theta.theta1,
+        theta2=theta.theta2,
         method=cfg.method,
         feature_kind=feature_kind,
         feature_dim=feature_dim,

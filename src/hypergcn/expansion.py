@@ -72,8 +72,8 @@ class WeightedGraph:
 
     def incident_pair_weight(self) -> np.ndarray:
         """Per-vertex sum of incident pair weights (loops excluded), by CSR row."""
-        rows, _, vals = self.coo(np.zeros(self.n))
-        return np.bincount(rows, weights=vals, minlength=self.n)
+        return np.bincount(np.concatenate([self.v, self.u]),
+                           weights=np.concatenate([self.w, self.w]), minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class NormalizedAdjacency:
 
 
 def as_signal(s: np.ndarray, n: int) -> np.ndarray:
-    """Coerce a per-vertex signal to a finite n x d float64 matrix."""
-    arr = np.asarray(s, dtype=np.float64)
+    """Coerce a per-vertex signal to a finite C-contiguous n x d float64 matrix."""
+    arr = np.ascontiguousarray(s, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] != n:

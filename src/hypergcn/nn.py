@@ -9,8 +9,10 @@ convolves over `graph(layer input, Θτ)`, a `Graph`. `forward` is the one
 forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
 `training.hlr_ce`, `densek.hindsight_loss`) for the loss and its gradient
 on the logits, and pulls that back to Θ1 and Θ2 analytically; there is
-no autodiff. The adaptive-moment optimizer applies decoupled weight
-decay to Θ1 only.
+no autodiff. Θ1 and Θ2 are views of one flat vector (`Params`), which the
+adaptive-moment optimizer updates in one set of passes, with decoupled
+weight decay on Θ1 only. The module keeps no state: a buffer that steps
+reuse (`out`) is the caller's and lives for one training run.
 """
 
 from __future__ import annotations
@@ -65,13 +67,14 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def dropout_mask(
-    shape: tuple[int, ...], rate: float, rng: np.random.Generator
+    shape: tuple[int, ...], rate: float, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Inverted-dropout mask: kept units are scaled by 1/(1-rate)."""
+    """Inverted-dropout mask: kept units are scaled by 1/(1-rate). The
+    uniform draw, then the mask, go into `out` if given."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    draw = rng.random(shape, out=out)
+    return np.multiply(draw >= rate, 1.0 / (1.0 - rate), out=draw)
 
 
 # A layer's adjacency as a function of (layer input, layer weights):
@@ -91,7 +94,7 @@ def reexpanding_graph(expand: Callable[[np.ndarray], NormalizedAdjacency]) -> Gr
 
     def graph(layer_input: np.ndarray, weights: np.ndarray) -> NormalizedAdjacency:
         signal = layer_input @ weights
-        if not np.all(np.isfinite(signal)):
+        if not np.isfinite(signal).all():
             raise FloatingPointError("non-finite layer signal")
         return expand(signal)
 
@@ -110,9 +113,11 @@ def forward_hidden(
     x: np.ndarray,
     theta1: np.ndarray,
     mask1: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First convolution layer. Returns (hidden, x_in, pre1)."""
-    x_in = x if mask1 is None else x * mask1
+    """First convolution layer. Returns (hidden, x_in, pre1); x_in goes
+    into `out` if given, which may be `mask1` itself."""
+    x_in = x if mask1 is None else np.multiply(x, mask1, out=out)
     pre1 = spmm(a1, x_in @ theta1)
     return relu(pre1), x_in, pre1
 
@@ -131,7 +136,7 @@ def forward_logits(
     """
     h_in = hidden if mask2 is None else hidden * mask2
     logits = spmm(a2, h_in @ theta2)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits in forward pass")
     return logits, h_in
 
@@ -191,13 +196,15 @@ def forward(
     theta1: np.ndarray,
     theta2: np.ndarray,
     masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple]:
     """Logits and the saved arguments of `backward_from_dlogits`. `graph`
     is called for layer 1, then layer 2, with the layer's input before
-    dropout; `masks` are the two inputs' dropout masks (None for none)."""
+    dropout; `masks` are the two inputs' dropout masks (None for none);
+    `out` goes to `forward_hidden`."""
     mask1, mask2 = masks
     a1 = graph(x, theta1)
-    hidden, x_in, pre1 = forward_hidden(a1, x, theta1, mask1)
+    hidden, x_in, pre1 = forward_hidden(a1, x, theta1, mask1, out)
     a2 = graph(hidden, theta2)
     logits, h_in = forward_logits(a2, hidden, theta2, mask2)
     return logits, (a1, a2, x_in, pre1, h_in, mask2, theta2)
@@ -210,15 +217,30 @@ def step(
     theta2: np.ndarray,
     masks: tuple[np.ndarray | None, np.ndarray | None],
     loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss and exact gradients of Θ1 and Θ2 for one `forward` pass.
 
     `loss_fn(logits)` returns (loss, d loss / d logits); the step knows
     nothing else about the objective. Returns (loss, grad Θ1, grad Θ2).
     """
-    logits, saved = forward(graph, x, theta1, theta2, masks)
+    logits, saved = forward(graph, x, theta1, theta2, masks, out)
     loss, dlogits = loss_fn(logits)
     return (loss, *backward_from_dlogits(dlogits, *saved))
+
+
+class Params(NamedTuple):
+    """Θ1 and Θ2 as reshaped views of `flat`: Θ1's entries, then Θ2's."""
+
+    flat: np.ndarray
+    theta1: np.ndarray
+    theta2: np.ndarray
+
+    @classmethod
+    def of(cls, theta1: np.ndarray, theta2: np.ndarray) -> "Params":
+        """Θ1 and Θ2 copied into one new float64 vector."""
+        flat, k = np.concatenate((theta1, theta2), axis=None, dtype=np.float64), theta1.size
+        return cls(flat, flat[:k].reshape(theta1.shape), flat[k:].reshape(theta2.shape))
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -226,49 +248,35 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adaptive-moment optimizer state. Decoupled weight decay applies to
-    the first parameter (Θ1) only."""
+    """Adaptive-moment optimizer state: the moments of `Params.flat`."""
 
     lr: float
     weight_decay: float
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_params(
-        cls, params: list[np.ndarray], lr: float, weight_decay: float
-    ) -> "AdamState":
-        return cls(
-            lr=lr,
-            weight_decay=weight_decay,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(cls, params: Params, lr: float, weight_decay: float) -> "AdamState":
+        return cls(lr, weight_decay, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One in-place adaptive-moment update.
-
-    Decoupled L2 shrinkage is applied to the first parameter only; with
-    zero gradients and zero moments the parameters change only by that
-    shrinkage.
-    """
+def adam_step(params: Params, grad: np.ndarray, state: AdamState) -> None:
+    """One in-place adaptive-moment update of `params.flat` from its flat
+    gradient, then decoupled L2 shrinkage of Θ1 only; with zero gradients
+    and zero moments the parameters change only by that shrinkage."""
+    p, g, m, v, p1 = params.flat, grad, state.m, state.v, params.theta1
+    if p.shape != g.shape:
+        raise ValueError(f"parameter shape {p.shape} != grad shape {g.shape}")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        if p.shape != g.shape:
-            raise ValueError(f"parameter shape {p.shape} != grad shape {g.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p -= state.lr * update
-        if i == 0 and state.weight_decay:
-            p -= state.lr * state.weight_decay * p
-    return params, state
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    p -= state.lr * update
+    if state.weight_decay:
+        p1 -= state.lr * state.weight_decay * p1

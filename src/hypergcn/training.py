@@ -104,24 +104,26 @@ def hlr_ce(
 def fit_step(
     graph: nn.Graph,
     x: np.ndarray,
-    theta1: np.ndarray,
-    theta2: np.ndarray,
+    theta: nn.Params,
     state: nn.AdamState,
     loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
     rate: float,
     rng: np.random.Generator,
+    buf: np.ndarray,
 ) -> float:
     """One optimizer step: draw the dropout masks from `rng` (layer 1's,
     then layer 2's; none when `rate` is 0), run `nn.step` with `loss_fn`
-    and update Θ1 and Θ2 in place. Returns the loss."""
-    masks = (None, None)
+    and update `theta`'s one flat vector in place. Returns the loss. Layer
+    1's draw, mask and dropped input take turns in the first rows of `buf`,
+    which the caller creates for one training run; nothing outlives it."""
+    masks, x_in = (None, None), buf[: x.shape[0]]
     if rate > 0.0:
         masks = (
-            nn.dropout_mask(x.shape, rate, rng),
-            nn.dropout_mask((x.shape[0], theta1.shape[1]), rate, rng),
+            nn.dropout_mask(x.shape, rate, rng, out=x_in),
+            nn.dropout_mask((x.shape[0], theta.theta1.shape[1]), rate, rng),
         )
-    loss, g1, g2 = nn.step(graph, x, theta1, theta2, masks, loss_fn)
-    nn.adam_step([theta1, theta2], [g1, g2], state)
+    loss, g1, g2 = nn.step(graph, x, theta.theta1, theta.theta2, masks, loss_fn, out=x_in)
+    nn.adam_step(theta, np.concatenate((g1, g2), axis=None), state)
     return loss
 
 
@@ -142,9 +144,10 @@ def train_ssl(
     q = int(labels.max()) + 1
 
     streams = nn.rng_streams(cfg.seed)
-    theta1 = nn.glorot_init(p, cfg.hidden, streams.init)
-    theta2 = nn.glorot_init(cfg.hidden, q, streams.init)
-    state = nn.AdamState.for_params([theta1, theta2], cfg.lr, cfg.weight_decay)
+    theta = nn.Params.of(nn.glorot_init(p, cfg.hidden, streams.init),
+                         nn.glorot_init(cfg.hidden, q, streams.init))
+    state = nn.AdamState.for_params(theta, cfg.lr, cfg.weight_decay)
+    buf = np.empty((n, p))
 
     counts = size_counts(h)
     edge_counts = {"N": counts[0], "N_m": counts[1], "N_c": counts[2]}
@@ -177,11 +180,11 @@ def train_ssl(
     losses: list[float] = []
     t0 = time.perf_counter()
     for _ in range(cfg.epochs):
-        losses.append(fit_step(graph, x, theta1, theta2, state, loss_fn,
-                               cfg.dropout, streams.dropout))
+        losses.append(fit_step(graph, x, theta, state, loss_fn, cfg.dropout,
+                               streams.dropout, buf))
     seconds_per_epoch = (time.perf_counter() - t0) / max(1, cfg.epochs)
 
-    error = evaluate(nn.softmax_rows(nn.forward(graph, x, theta1, theta2)[0]), split)
+    error = evaluate(nn.softmax_rows(nn.forward(graph, x, theta.theta1, theta.theta2)[0]), split)
     return TrainReport(
         method=cfg.method,
         losses=losses,

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from hypergcn.densek import (
     DenseKInstance,
@@ -14,6 +15,7 @@ from hypergcn.densek import (
     density,
     gen_sample,
     hindsight_bce,
+    hindsight_loss,
     max_degree,
     predict_maps,
     remove_min_degree,
@@ -271,6 +273,23 @@ class TestHindsight:
         per_map, best = hindsight_bce(logits, target)
         assert per_map[best] == per_map.min()
         assert np.all(per_map[best] <= per_map)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (40, 8), (300, 3)])
+    def test_loss_matches_full_matrix_expit(self, shape):
+        # the gradient applies expit to the best map's column alone; the
+        # reference applies it to every map, then keeps that column
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            logits = rng.normal(scale=4.0, size=shape)
+            target = rng.integers(0, 2, size=shape[0]).astype(np.float64)
+            per_map, best = hindsight_bce(logits, target)
+            want = np.zeros_like(logits)
+            want[:, best] = (expit(logits)[:, best] - target) / shape[0]
+            loss, got = hindsight_loss(logits, target[:, None])
+            assert loss == float(per_map[best])
+            assert got.tobytes() == want.tobytes()
+            col_per_map, col_best = hindsight_bce(logits, target[:, None])
+            assert col_per_map.tobytes() == per_map.tobytes() and col_best == best
 
 
 class TestProbabilityMaps:

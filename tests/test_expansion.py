@@ -168,6 +168,22 @@ class TestExtremePair:
                 )
                 assert got == pytest.approx(best, abs=0)
 
+    def test_column_slice_picks_as_its_copy(self):
+        # a strided view is copied to C order; the picks do not change
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            h = random_hypergraph(rng, n_max=40, m_max=30, size_range=(2, 12))
+            wide = rng.normal(size=(h.n, 9)).round(1)  # rounding makes ties
+            view = wide[:, 2:7:2]
+            assert not view.flags.c_contiguous
+            coerced = as_signal(view, h.n)
+            assert coerced.flags.c_contiguous
+            np.testing.assert_array_equal(coerced, view)
+            seed = int(rng.integers(2**31))
+            got = extreme_pairs(h, view, np.random.default_rng(seed))
+            want = extreme_pairs(h, view.copy(), np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
+
 
 class TestOneEdgeExpansion:
     def test_size_two(self):
@@ -308,6 +324,18 @@ class TestSelfLoopRules:
         h = Hypergraph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="self-loop rule"):
             expand_clique(h, self_loops="bogus")
+
+    def test_incident_pair_weight_sums_the_symmetric_coo_rows(self):
+        # reference: row sums of the full symmetric COO with a zero
+        # diagonal, which orders each row's terms as the CSR row does
+        rng = np.random.default_rng(18)
+        for _ in range(30):
+            h = random_hypergraph(rng, n_max=30, m_max=25, size_range=(2, 9))
+            s = rng.normal(size=(h.n, 2))
+            for g in (expand_mediators(h, s, rng), expand_clique(h)):
+                rows, _, vals = g.coo(np.zeros(g.n))
+                want = np.bincount(rows, weights=vals, minlength=g.n)
+                assert g.incident_pair_weight().tobytes() == want.tobytes()
 
 
 class TestNormalize:

@@ -7,7 +7,11 @@ import pytest
 from hypergcn.expansion import NormalizedAdjacency, expand_mediators, normalize
 from hypergcn.hypergraph import Hypergraph
 from hypergcn.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
+    Params,
     adam_step,
     constant_graph,
     dropout_mask,
@@ -138,6 +142,35 @@ class TestDropout:
         mean = acc / reps
         se = np.abs(x) * np.sqrt(rate / (1.0 - rate)) / np.sqrt(reps)
         assert np.all(np.abs(mean - x) <= 3.0 * se + 1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (50, 16), (33,)])
+    def test_matches_divided_mask_and_stream(self, shape):
+        # the mask is the thresholded draw cast to float and divided by the
+        # keep rate, bit for bit, with or without a buffer (a prefix of
+        # larger rows), and the generator's stream moves on alike
+        for rate in np.linspace(0.1, 0.9, 9):
+            want_rng = np.random.default_rng(7)
+            keep = want_rng.random(shape) >= rate
+            want = keep.astype(float) / (1 - rate)
+            buf = np.empty((shape[0] + 5,) + shape[1:])
+            for out in (None, buf[: shape[0]]):
+                rng = np.random.default_rng(7)
+                got = dropout_mask(shape, rate, rng, out=out)
+                assert got.dtype == np.float64 and got.shape == shape
+                assert got.tobytes() == want.tobytes()
+                assert out is None or np.shares_memory(got, buf)
+                assert rng.random() == np.random.default_rng(7).random(
+                    int(np.prod(shape)) + 1)[-1]
+
+    def test_dropped_input_into_its_own_mask(self):
+        # training writes layer 1's dropped input over its mask
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(9, 4))
+        mask = dropout_mask(x.shape, 0.5, rng)
+        want = x * mask
+        _, x_in, _ = forward_hidden(NormalizedAdjacency.identity(9), x, np.eye(4), mask, mask)
+        assert x_in is mask
+        assert x_in.tobytes() == want.tobytes()
 
 
 class TestSpmm:
@@ -361,39 +394,80 @@ class TestBackward:
             np.testing.assert_allclose(got[i], jac @ dz[i], atol=1e-12)
 
 
+def per_parameter_adam(params, grads, m, v, t, lr, weight_decay):
+    """The optimizer as a loop over the parameters, Θ1 first and only Θ1
+    decayed: the reference for the flat update."""
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for i, (p, g, mi, vi) in enumerate(zip(params, grads, m, v)):
+        mi *= ADAM_BETA1
+        mi += (1.0 - ADAM_BETA1) * g
+        vi *= ADAM_BETA2
+        vi += (1.0 - ADAM_BETA2) * np.square(g)
+        update = (mi / bc1) / (np.sqrt(vi / bc2) + ADAM_EPS)
+        p -= lr * update
+        if i == 0 and weight_decay:
+            p -= lr * weight_decay * p
+
+
 class TestAdam:
     def test_zero_gradient_only_shrinks_decayed_params(self):
-        p1 = np.full((2, 2), 2.0)
-        p2 = np.full((2, 2), 2.0)
-        state = AdamState.for_params([p1, p2], lr=0.1, weight_decay=0.01)
-        adam_step([p1, p2], [np.zeros((2, 2)), np.zeros((2, 2))], state)
-        np.testing.assert_allclose(p1, 2.0 * (1.0 - 0.1 * 0.01))
-        np.testing.assert_allclose(p2, 2.0)
+        params = Params.of(np.full((2, 2), 2.0), np.full((2, 2), 2.0))
+        state = AdamState.for_params(params, lr=0.1, weight_decay=0.01)
+        adam_step(params, np.zeros(8), state)
+        np.testing.assert_allclose(params.theta1, 2.0 * (1.0 - 0.1 * 0.01))
+        np.testing.assert_allclose(params.theta2, 2.0)
 
     def test_first_step_closed_form(self):
         rng = np.random.default_rng(20)
-        p = [rng.normal(size=(3, 4))]
-        g = [rng.normal(size=(3, 4))]
-        expected = p[0] - 0.01 * g[0] / (np.abs(g[0]) + 1e-8)
-        state = AdamState.for_params(p, lr=0.01, weight_decay=0.0)
-        adam_step(p, g, state)
-        np.testing.assert_allclose(p[0], expected, atol=1e-15)
+        params = Params.of(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
+        g = rng.normal(size=params.flat.size)
+        expected = params.flat - 0.01 * g / (np.abs(g) + 1e-8)
+        state = AdamState.for_params(params, lr=0.01, weight_decay=0.0)
+        adam_step(params, g, state)
+        np.testing.assert_allclose(params.flat, expected, atol=1e-15)
 
     def test_constant_gradient_step_approaches_lr(self):
-        p = [np.zeros((1, 1))]
-        g = [np.full((1, 1), 0.37)]
-        state = AdamState.for_params(p, lr=0.01, weight_decay=0.0)
-        prev = p[0].copy()
+        params = Params.of(np.zeros((1, 1)), np.zeros((1, 1)))
+        g = np.full(2, 0.37)
+        state = AdamState.for_params(params, lr=0.01, weight_decay=0.0)
+        prev = params.flat.copy()
         for _ in range(2000):
-            prev = p[0].copy()
-            adam_step(p, g, state)
-        assert abs(prev - p[0])[0, 0] == pytest.approx(0.01, rel=1e-4)
+            prev = params.flat.copy()
+            adam_step(params, g, state)
+        np.testing.assert_allclose(abs(prev - params.flat), 0.01, rtol=1e-4)
 
     def test_shape_mismatch_rejected(self):
-        p = [np.zeros((2, 2))]
-        state = AdamState.for_params(p, lr=0.01, weight_decay=0.0)
+        params = Params.of(np.zeros((2, 2)), np.zeros((2, 2)))
+        state = AdamState.for_params(params, lr=0.01, weight_decay=0.0)
         with pytest.raises(ValueError):
-            adam_step(p, [np.zeros((3, 2))], state)
+            adam_step(params, np.zeros(6), state)
+
+    def test_params_are_views_of_one_flat_vector(self):
+        rng = np.random.default_rng(21)
+        t1, t2 = rng.normal(size=(5, 3)), rng.normal(size=(3, 2))
+        params = Params.of(t1, t2)
+        assert params.flat.tobytes() == t1.tobytes() + t2.tobytes()
+        assert np.shares_memory(params.theta1, params.flat)
+        assert np.shares_memory(params.theta2, params.flat)
+        np.testing.assert_array_equal(params.theta1, t1)
+        np.testing.assert_array_equal(params.theta2, t2)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4, 0.3])
+    def test_matches_per_parameter_loop(self, weight_decay):
+        rng = np.random.default_rng(22)
+        ref = [rng.normal(size=(6, 4)), rng.normal(size=(4, 3))]
+        m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+        params = Params.of(*ref)
+        state = AdamState.for_params(params, lr=0.01, weight_decay=weight_decay)
+        for t in range(1, 11):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) for p in ref]
+            per_parameter_adam(ref, grads, m, v, t, 0.01, weight_decay)
+            adam_step(params, np.concatenate(grads, axis=None), state)
+            assert params.theta1.tobytes() == ref[0].tobytes()
+            assert params.theta2.tobytes() == ref[1].tobytes()
+            assert state.m.tobytes() == b"".join(x.tobytes() for x in m)
+            assert state.v.tobytes() == b"".join(x.tobytes() for x in v)
 
 
 class TestRngStreams:

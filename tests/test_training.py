@@ -1,17 +1,37 @@
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypergcn
 from hypergcn.dataio import LabeledSplit
-from hypergcn.expansion import expand_clique, expand_mediators, expand_one_edge
+from hypergcn.expansion import (
+    NormalizedAdjacency,
+    expand_clique,
+    expand_mediators,
+    expand_one_edge,
+)
 from hypergcn.hypergraph import Hypergraph
-from hypergcn.nn import constant_graph, forward, glorot_init, step
+from hypergcn.nn import (
+    AdamState,
+    Params,
+    constant_graph,
+    forward,
+    glorot_init,
+    softmax_ce,
+    step,
+)
 from hypergcn.training import (
     METHODS,
     TrainConfig,
     evaluate,
+    fit_step,
     hlr_ce,
     pair_laplacian,
     run_trials,
@@ -326,3 +346,68 @@ class TestMlpEquivalence:
         t2 = glorot_init(5, 2, rng)
         z = softmax_rows(forward(constant_graph(NormalizedAdjacency.identity(7)), x, t1, t2)[0])
         np.testing.assert_allclose(z, softmax_rows(relu(x @ t1) @ t2), atol=1e-14)
+
+
+# Run in a fresh interpreter: trains one method at n=1000 once for one
+# epoch, then again for 20 epochs with a fault count after every step, and
+# prints the second run's minor page faults per epoch over its epochs 6-20.
+# That leaves out the run's one-time expansion and first touch of its
+# buffers.
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from hypergcn import dataio, nn, training
+
+bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7))
+split = dataio.balanced_split_labels(bundle.labels, 100, nn.rng_streams(0).split)
+counts, fit_step = [], training.fit_step
+
+def counted(*args):
+    loss = fit_step(*args)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return loss
+
+training.fit_step = counted
+for epochs in (1, 20):
+    counts.clear()
+    training.train_ssl(bundle.hypergraph, bundle.features, split,
+                       training.TrainConfig(method=sys.argv[1], epochs=epochs))
+print((counts[19] - counts[4]) / 15)
+"""
+
+
+class TestAllocationStable:
+    @pytest.mark.parametrize("method", ("fast-hypergcn", "hgnn", "mlp", "mlp-hlr"))
+    def test_steady_state_faults_per_epoch(self, method):
+        # A step that maps and frees arrays larger than the allocator's
+        # trim threshold faults them back in every epoch: about 1,200 to
+        # 1,500 times at n=1000, 0 when it reuses the run's buffers. Not
+        # covered: the per-epoch expansion of hypergcn and one-hypergcn,
+        # and a process's first run, whose threshold can still be too low
+        # for the step's hidden-layer temporaries.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(hypergcn.__file__).resolve().parent.parent)}
+        out = subprocess.run([sys.executable, "-c", FAULT_PROBE, method], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        assert float(out.stdout) <= 50
+
+    def test_step_allocates_no_input_sized_array(self):
+        # layer 1's draw, mask and dropped input live in the run's buffer;
+        # a step still allocates arrays of the hidden layer's size and the
+        # draw's threshold, one byte per input entry
+        rng = np.random.default_rng(9)
+        n, p = 200, 2000
+        x = rng.normal(size=(n, p))
+        theta = Params.of(glorot_init(p, 4, rng), glorot_init(4, 2, rng))
+        state = AdamState.for_params(theta, lr=0.01, weight_decay=5e-4)
+        loss_fn = partial(softmax_ce, labels=rng.integers(0, 2, n), mask=np.arange(10))
+        graph = constant_graph(NormalizedAdjacency.identity(n))
+        buf = np.empty((n, p))
+        fit_step(graph, x, theta, state, loss_fn, 0.5, rng, buf)
+        tracemalloc.start()
+        try:
+            fit_step(graph, x, theta, state, loss_fn, 0.5, rng, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4
