@@ -17,6 +17,13 @@ end of the last, so a run's one-time expansion and first touch of its
 buffers are left out. The first run of the first method is the only one
 in a process that no earlier run has warmed.
 
+After the methods of each n it times the expansion phases on that
+instance's features, one line per rule (one-edge, mediators, clique):
+the rule's expansion with the extreme-pair result held fixed (computed
+once, then returned by a stub, so only pair emission and accumulation
+are timed) and `normalize` of its graph, medians of `PHASE_REPEATS` (11)
+runs in ms.
+
 Then it times the DkSH solver's optimizer step (`densek.fit_step`, µs per
 call; for hypergcn it includes the per-layer re-expansion) for
 fast-hypergcn and hypergcn (those of them in `--methods`) on 100 samples
@@ -27,8 +34,8 @@ of the `densek-planted` shape: n uniform in 100..300, k = 3n/4, p = 0.75,
 BLAS runs one thread. `--src` picks the source tree to import, so that
 two trees can be timed by one script.
 
-Prints one JSON line per (n, method) and per DkSH method, then one with
-the environment.
+Prints one JSON line per (n, method), per (n, rule) and per DkSH
+method, then one with the environment.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
+PHASE_REPEATS = 11
 # n -> (gen_noisy_ssl keyword arguments, label budget, epochs)
 INSTANCES = {
     1000: ({}, 100, 50),
@@ -83,6 +91,31 @@ class StepProbe:
         return (self.faults[-1] - self.faults[0]) / max(1, len(self.faults) - 1)
 
 
+def phase_times(expansion, h, x, rng) -> dict[str, tuple[list[float], list[float]]]:
+    """Per rule, the ms of each expansion run with the extreme-pair result
+    (drawn once from `rng`) held fixed, and of each `normalize` of its graph."""
+    ext = expansion.extreme_pairs(h, x, rng)
+    search, expansion.extreme_pairs = expansion.extreme_pairs, lambda *_: ext
+    rules = {"one-edge": lambda: expansion.expand_one_edge(h, x, None),
+             "mediators": lambda: expansion.expand_mediators(h, x, None),
+             "clique": lambda: expansion.expand_clique(h)}
+    out = {}
+    try:
+        for rule, expand in rules.items():
+            expand_ms, normalize_ms = [], []
+            for _ in range(PHASE_REPEATS):
+                t0 = time.perf_counter()
+                g = expand()
+                t1 = time.perf_counter()
+                expansion.normalize(g)
+                expand_ms.append(1e3 * (t1 - t0))
+                normalize_ms.append(1e3 * (time.perf_counter() - t1))
+            out[rule] = expand_ms, normalize_ms
+    finally:
+        expansion.extreme_pairs = search
+    return out
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src")
@@ -95,7 +128,7 @@ def main() -> int:
     import numpy as np
     import scipy
 
-    from hypergcn import dataio, densek, nn, training
+    from hypergcn import dataio, densek, expansion, nn, training
 
     ssl_probe = StepProbe(training)
     for n in args.sizes:
@@ -114,6 +147,13 @@ def main() -> int:
                               "ms_per_epoch": round(statistics.median(runs), 3),
                               "runs_ms": [round(r, 3) for r in runs],
                               "faults_per_epoch": [round(f, 1) for f in faults]}), flush=True)
+        for rule, (expand_ms, normalize_ms) in phase_times(
+                expansion, bundle.hypergraph, bundle.features,
+                np.random.default_rng(0)).items():
+            print(json.dumps({"n": n, "rule": rule, "repeats": PHASE_REPEATS,
+                              "expand_ms": round(statistics.median(expand_ms), 3),
+                              "normalize_ms": round(statistics.median(normalize_ms), 3)}),
+                  flush=True)
 
     rng = np.random.default_rng(7)
     samples = [densek.gen_sample(int(s), 3 * int(s) // 4, 0.75, rng)

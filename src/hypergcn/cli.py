@@ -51,19 +51,31 @@ def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
+# least value of each count flag, for the subcommands that have it
+_COUNT_FLOORS = {"trials": 1, "maps": 1, "hidden": 1, "budget": 1, "epochs": 0}
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    for name, floor in _COUNT_FLOORS.items():
+        value = getattr(args, name, floor)
+        if value < floor:
+            raise _UsageError(f"--{name} {value} is below {floor}")
+
+
 def _config_from(args: argparse.Namespace) -> TrainConfig:
-    if not 0.0 <= args.dropout < 1.0:
-        raise _UsageError(f"--dropout {args.dropout} outside [0, 1)")
-    return TrainConfig(
-        method=getattr(args, "method", "hypergcn"),
-        hidden=args.hidden,
-        dropout=args.dropout,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs,
-        hlr_lambda=args.hlr_lambda,
-        seed=args.seed,
-    )
+    try:
+        return TrainConfig(
+            method=getattr(args, "method", "hypergcn"),
+            hidden=args.hidden,
+            dropout=args.dropout,
+            lr=args.lr,
+            weight_decay=args.weight_decay,
+            epochs=args.epochs,
+            hlr_lambda=args.hlr_lambda,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _echo_config(command: str, args: argparse.Namespace) -> None:
@@ -286,6 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_counts(args)
         _echo_config(args.subcommand, args)
         return args.func(args)
     except _UsageError as exc:

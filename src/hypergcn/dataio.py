@@ -116,6 +116,23 @@ def _parse_labels(path: Path, n: int, q: int | None) -> tuple[np.ndarray, int]:
     return labels, q
 
 
+def _parse_manifest(path: Path) -> dict:
+    """The manifest's keys; none if there is no manifest file."""
+    if not path.exists():
+        return {}
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise DataError(f"{path.name}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path.name}: expected an object, got {type(manifest).__name__}")
+    for key in ("n", "p", "q"):
+        value = manifest.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DataError(f"{path.name}: {key}={value!r} is not an integer")
+    return manifest
+
+
 def load_bundle(directory: str | Path) -> DatasetBundle:
     """Load and validate a dataset directory.
 
@@ -123,25 +140,18 @@ def load_bundle(directory: str | Path) -> DatasetBundle:
     Raises DataError naming the file and line of the first problem found.
     """
     directory = Path(directory)
-    manifest = None
-    manifest_path = directory / "manifest.json"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-
+    manifest = _parse_manifest(directory / "manifest.json")
     features = _parse_features(directory / "features.csv")
     n = features.shape[0]
-    labels, q = _parse_labels(
-        directory / "labels.txt", n, manifest.get("q") if manifest else None
-    )
+    labels, q = _parse_labels(directory / "labels.txt", n, manifest.get("q"))
     edges = _parse_hyperedges(directory / "hyperedges.txt", n)
-    name = (manifest or {}).get("name", directory.name)
+    name = manifest.get("name", directory.name)
 
-    if manifest is not None:
-        for key, actual in (("n", n), ("p", features.shape[1]), ("q", q)):
-            if key in manifest and manifest[key] != actual:
-                raise DataError(
-                    f"manifest.json: {key}={manifest[key]} but files give {actual}"
-                )
+    for key, actual in (("n", n), ("p", features.shape[1]), ("q", q)):
+        if key in manifest and manifest[key] != actual:
+            raise DataError(
+                f"manifest.json: {key}={manifest[key]} but files give {actual}"
+            )
 
     return DatasetBundle(
         name=str(name),

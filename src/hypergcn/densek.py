@@ -238,6 +238,8 @@ def train_densek(
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
+    if maps < 1:
+        raise ValueError(f"maps {maps} < 1")
     for h, target in train_set:
         if np.asarray(target).shape != (h.n,):
             raise ValueError("target labelling must assign 0/1 per vertex")

@@ -13,19 +13,21 @@ symmetrically normalized for use in graph convolutions.
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
-row order of the CSR matrices built from them. A pair's weight is the sum
-of its emitted weights in emission order: hyperedges emit in index order,
-and each rule emits its pairs in a fixed order within a hyperedge. A
-vertex's incident pair weight is summed along its CSR row (lower
-neighbours ascending, then upper neighbours ascending) and its degree adds
-the loop last, so both depend on the graph alone, and every result is a
-fixed function of the hypergraph, the signal and the draws.
+row order of the CSR matrices built from them. Each rule lists its
+emissions as flat arrays built from the hypergraph's CSR arrays, with
+hyperedges in index order; a hyperedge never emits the same pair twice,
+so the order of its own emissions is immaterial, and a pair's weight is
+the sum of its hyperedges' weights in hyperedge order. A vertex's
+incident pair weight is summed along its CSR row (lower neighbours
+ascending, then upper neighbours ascending) and its degree adds the loop
+last, so both depend on the graph alone, and every result is a fixed
+function of the hypergraph, the signal and the draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,29 +150,17 @@ def extreme_pairs(
     return out
 
 
-def _accumulate(h: Hypergraph, emit: Callable, rule: SelfLoopRule) -> WeightedGraph:
-    """Sum the emitted pairs of every hyperedge into a WeightedGraph.
-
-    `emit(size, edge ids, member matrix)` returns (a, b, weight) arrays of
-    shape (g, c) for one size group: the c pairs each hyperedge emits, in
-    emission order. Emissions are put in hyperedge order by a stable sort
-    on edge id; the distinct pairs are then listed in key order and each
+def _accumulate(h: Hypergraph, a: np.ndarray, b: np.ndarray, wt: np.ndarray,
+                rule: SelfLoopRule) -> WeightedGraph:
+    """Sum emitted pairs (a[t], b[t]) of weight wt[t], listed in hyperedge
+    order, into a WeightedGraph: the distinct pairs in key order, each
     pair's weights summed in emission order, as sequential accumulation
-    would.
-    """
+    would."""
     if rule not in ("unit", "degree"):
         raise ValueError(f"unknown self-loop rule {rule!r}")
-    parts = [(np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),)]
-    for size, idxs, members in h.size_groups:
-        ga, gb, gw = emit(size, idxs, members)
-        gw = np.broadcast_to(gw, ga.shape)
-        parts.append((np.repeat(idxs, ga.shape[1]), ga.ravel(), gb.ravel(), gw.ravel()))
-    eid, a, b, wt = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(eid, kind="stable")
-    key = np.minimum(a, b) * h.n + np.maximum(a, b)
-    keys, inverse = np.unique(key[order], return_inverse=True)
+    keys, inverse = np.unique(np.minimum(a, b) * h.n + np.maximum(a, b), return_inverse=True)
     u, v = np.divmod(keys, h.n)
-    w = np.bincount(inverse, weights=wt[order], minlength=keys.size)
+    w = np.bincount(inverse, weights=wt, minlength=keys.size)
     g = WeightedGraph(n=h.n, u=u, v=v, w=w, loops=np.ones(h.n))
     if rule == "degree":
         # restore each vertex degree to d_v; residual is non-negative for
@@ -188,11 +178,7 @@ def expand_one_edge(
 ) -> WeightedGraph:
     """Represent each hyperedge by its single extreme pair, weight w(e)/|e|."""
     ext = extreme_pairs(h, signal, rng)
-
-    def emit(size, idxs, members):
-        return ext[idxs, :1], ext[idxs, 1:], h.weights[idxs, None] / size
-
-    return _accumulate(h, emit, self_loops)
+    return _accumulate(h, ext[:, 0], ext[:, 1], h.weights / h.edge_sizes(), self_loops)
 
 
 def expand_mediators(
@@ -204,38 +190,37 @@ def expand_mediators(
     """Connect each hyperedge's extreme pair and route every remaining
     vertex through both extremes, each pair weighted w(e)/(2|e|-3).
 
-    Emits max(1, 2|e|-3) pairs per hyperedge; the per-hyperedge weight
-    mass always sums to w(e). Within a hyperedge the extreme pair comes
-    first, then (i, k), (j, k) for each remaining vertex k in id order.
+    Emits max(1, 2|e|-3) distinct pairs per hyperedge; the per-hyperedge
+    weight mass always sums to w(e). Member k of hyperedge e with extreme
+    pair (i, j) emits (i, k) unless k = i, and (j, k) unless k is i or j,
+    so the extreme pair comes once, from k = j.
     """
     ext = extreme_pairs(h, signal, rng)
-
-    def emit(size, idxs, members):
-        i, j = ext[idxs, :1], ext[idxs, 1:]
-        others = members[(members != i) & (members != j)].reshape(idxs.size, size - 2)
-        a = np.empty((idxs.size, 2 * size - 3), dtype=np.int64)
-        b = np.empty_like(a)
-        a[:, :1], b[:, :1] = i, j
-        a[:, 1::2], b[:, 1::2] = i, others
-        a[:, 2::2], b[:, 2::2] = j, others
-        return a, b, h.weights[idxs, None] / (2 * size - 3)
-
-    return _accumulate(h, emit, self_loops)
+    sizes = h.edge_sizes()
+    # each member's extreme pair (np.take: a [] row gather is much slower)
+    ij = np.take(ext, np.repeat(np.arange(h.m), sizes), axis=0)
+    # slot 2t is member t's (i, k), slot 2t + 1 its (j, k); both need k != i
+    keep = h.indices[:, None] != ij
+    keep[:, 1] &= keep[:, 0]
+    slot = np.flatnonzero(keep)
+    per = 2 * sizes - 3
+    return _accumulate(h, ij.ravel()[slot], h.indices[slot >> 1],
+                       np.repeat(h.weights / per, per), self_loops)
 
 
 def expand_clique(
     h: Hypergraph, self_loops: SelfLoopRule = "unit"
 ) -> WeightedGraph:
     """Replace each hyperedge by a clique, every pair weighted
-    2 w(e)/(|e| (|e|-1)). Signal-independent; pairs are emitted in
-    lexicographic order within a hyperedge."""
-
-    def emit(size, idxs, members):
-        iu, ju = np.triu_indices(size, k=1)
-        wt = 2.0 * h.weights[idxs, None] / (size * (size - 1))
-        return members[:, iu], members[:, ju], wt
-
-    return _accumulate(h, emit, self_loops)
+    2 w(e)/(|e| (|e|-1)). Signal-independent."""
+    sizes = h.edge_sizes()
+    # member q (a flat position) pairs with the later[q] members after it
+    later = np.repeat(h.indptr[1:], sizes) - np.arange(h.indices.size) - 1
+    first = np.repeat(np.arange(h.indices.size), later)
+    second = first + 1 + np.arange(first.size) - (np.cumsum(later) - later)[first]
+    wt = 2.0 * h.weights / (sizes * (sizes - 1))
+    return _accumulate(h, h.indices[first], h.indices[second],
+                       np.repeat(wt, sizes * (sizes - 1) // 2), self_loops)
 
 
 def normalize(g: WeightedGraph) -> NormalizedAdjacency:

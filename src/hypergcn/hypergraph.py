@@ -8,7 +8,8 @@ checks every invariant once (n >= 0; one finite positive weight per
 hyperedge; two or more sorted, distinct ids in [0, n) per hyperedge),
 naming each offending hyperedge in one ValueError. So an instance is
 valid, immutable and safe to share across threads. The same-size groups
-that the expansions vectorize over are cached on first use.
+that the extreme-pair search vectorizes over are cached on first use;
+the expansions read the CSR arrays directly.
 """
 
 from __future__ import annotations
@@ -109,8 +110,9 @@ class Hypergraph:
     @cached_property
     def size_groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         """(size, edge ids, member matrix) per distinct hyperedge size, in
-        increasing size; row r of the (g, size) member matrix is hyperedge
-        `edge ids[r]`, and edge ids increase."""
+        increasing size, for the extreme-pair search; row r of the
+        (g, size) member matrix is hyperedge `edge ids[r]`, and edge ids
+        increase."""
         sizes = self.edge_sizes()
         groups = []
         for size in np.unique(sizes).tolist():

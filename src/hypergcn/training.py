@@ -60,6 +60,10 @@ class TrainConfig:
     seed: int = 0
     self_loops: SelfLoopRule = "unit"
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout {self.dropout} outside [0, 1)")
+
 
 @dataclass
 class TrainReport:
@@ -244,6 +248,8 @@ def run_trials(
     Trials run in parallel processes when workers > 1, at most one per
     usable CPU; results are always collected in trial order.
     """
+    if trials < 1:
+        raise ValueError(f"trials {trials} < 1")
     workers = min(workers, _usable_cpus())
     jobs = [(h, x, labels, cfg, budget, cfg.seed + t) for t in range(trials)]
     if workers > 1:

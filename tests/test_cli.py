@@ -73,6 +73,22 @@ class TestBadInput:
             ["gen-densek", "--vertices", "60", "--k-frac", "1.5", "--out", "OUT"],
             ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
              "--epochs", "2", "--dropout", "1.0"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--epochs", "2", "--dropout", "-0.5"],
+            # counts below 1 (epochs below 0) used to print a NaN mean,
+            # end in a traceback or train a constant model
+            ["trials", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--epochs", "2", "--trials", "0"],
+            ["trials", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--epochs", "2", "--trials", "-2"],
+            ["densek", "--data", "DATA", "--method", "fast-hypergcn", "--trials", "0"],
+            ["densek", "--data", "DATA", "--method", "fast-hypergcn", "--trials", "-1"],
+            ["densek", "--data", "DATA", "--method", "fast-hypergcn", "--maps", "0"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "0"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--hidden", "0"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--epochs", "-1"],
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, capsys, dataset_dir, tmp_path, argv):
@@ -81,6 +97,13 @@ class TestBadInput:
         code, _, err = run_cli(capsys, argv)
         assert code == 1
         assert "usage error:" in err
+
+    def test_malformed_manifest_is_data_error(self, capsys, dataset_dir):
+        with open(f"{dataset_dir}/manifest.json", "w") as fh:
+            fh.write("[]")
+        code, _, err = run_cli(capsys, ["counts", "--data", dataset_dir])
+        assert code == 2
+        assert "data error: manifest.json: expected an object, got list" in err
 
     def test_bad_thread_count_is_usage_error(self, capsys, dataset_dir, monkeypatch):
         monkeypatch.setenv("HYPERGCN_THREADS", "abc")

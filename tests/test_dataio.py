@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 
 import numpy as np
@@ -87,6 +88,24 @@ class TestLoadBundle:
             tmp_path, "0 1\n", "1,0\n0,1\n", "0\n1\n", manifest={"n": 5}
         )
         with pytest.raises(DataError, match="manifest"):
+            load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not valid JSON"),  # used to raise JSONDecodeError
+        ("[1, 2]", "expected an object, got list"),  # AttributeError
+        ('{"q": "x"}', "q='x' is not an integer"),  # TypeError
+        ('{"n": true}', "n=True is not an integer"),
+    ])
+    def test_malformed_manifest_is_data_error(self, tmp_path, text, message):
+        write_dataset(tmp_path, "0 1\n", "1,0\n0,1\n", "0\n1\n")
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(DataError, match=re.escape(f"manifest.json: {message}")):
+            load_bundle(tmp_path)
+
+    def test_manifest_not_utf8_is_data_error(self, tmp_path):
+        write_dataset(tmp_path, "0 1\n", "1,0\n0,1\n", "0\n1\n")
+        (tmp_path / "manifest.json").write_bytes(b"\xff{}")
+        with pytest.raises(DataError, match="manifest.json: not valid JSON"):
             load_bundle(tmp_path)
 
     def test_roundtrip_identity(self, tmp_path):

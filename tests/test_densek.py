@@ -345,6 +345,11 @@ class TestTrainDensek:
         with pytest.raises(ValueError, match="empty training set"):
             train_densek([], TrainConfig(epochs=1), maps=2)
 
+    def test_no_maps_rejected(self):
+        samples = [gen_sample(20, 8, 0.75, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match="maps"):
+            train_densek(samples, TrainConfig(epochs=1), maps=0)
+
     def test_loss_decreases_on_toy_set(self):
         # trend check: across seeds, the epoch losses trend downward for
         # a clear majority of epochs and end below where they started

@@ -61,11 +61,11 @@ def extreme_pair(h, edge_index, signal, rng):
     return e[iu[pick]], e[ju[pick]]
 
 
-def traced_peak(h, signal) -> int:
-    """Peak traced memory, in bytes, of one `extreme_pairs` call."""
+def traced_peak(h, signal, search=extreme_pairs) -> int:
+    """Peak traced memory, in bytes, of one `search(h, signal, rng)` call."""
     tracemalloc.start()
     try:
-        extreme_pairs(h, signal, np.random.default_rng(0))
+        search(h, signal, np.random.default_rng(0))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -153,6 +153,7 @@ class TestExtremePair:
         h = Hypergraph.from_edges(2000, [range(2000)])
         s = rng.normal(size=(2000, 256))
         assert traced_peak(h, s) < 100 * 2**20
+        assert traced_peak(h, s, expand_mediators) < 100 * 2**20
 
     def test_argmax_against_enumeration(self):
         rng = np.random.default_rng(99)
@@ -281,6 +282,12 @@ class TestCliqueExpansion:
             h = Hypergraph.from_edges(size, [tuple(range(size))], weights=[w])
             g = expand_clique(h)
             assert sum(pair_dict(g).values()) == pytest.approx(w, abs=1e-12)
+
+    def test_pairs_sum_in_hyperedge_order(self):
+        # (0, 1) gets 0.1/3, 0.2/3, then 0.3; summed in size-group order
+        # (the size-2 hyperedge first) it would be 0.39999999999999997
+        h = Hypergraph.from_edges(3, [(0, 1, 2), (0, 1, 2), (0, 1)], [0.1, 0.2, 0.3])
+        assert pair_dict(expand_clique(h))[(0, 1)] == 0.4
 
 
 class TestMediatorCliqueEquivalence:

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -159,6 +160,16 @@ class TestBadInput:
                       TrainConfig(method=method, epochs=2))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("rate", [-0.5, 1.0, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, rate):
+        # a negative rate used to train silently with no dropout
+        with pytest.raises(ValueError, match="dropout"):
+            TrainConfig(dropout=rate)
+        with pytest.raises(ValueError, match="dropout"):
+            replace(TrainConfig(), dropout=rate)
+
+
 class TestProposition1Traces:
     def test_hgnn_and_hypergcn_identical_on_max_size_three(self):
         # hyperedge sizes capped at 3: mediator and clique graphs agree,
@@ -285,6 +296,13 @@ class TestRunTrials:
         labels = np.array([0, 1] * (n // 2))
         x = np.eye(2)[labels] + 0.01 * rng.normal(size=(n, 2))
         return h, x, labels
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_rejected(self, trials):
+        # used to return a NaN mean error
+        h, x, labels = self._data()
+        with pytest.raises(ValueError, match="trials"):
+            run_trials(h, x, labels, TrainConfig(method="mlp", epochs=1), trials=trials, budget=4)
 
     def test_single_trial_has_zero_stdev(self):
         h, x, labels = self._data()
