@@ -26,6 +26,7 @@ function of the hypergraph, the signal and the draws.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -104,6 +105,15 @@ def as_signal(s: np.ndarray, n: int) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _triu_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(size, k=1)`, read-only because every call for
+    one size shares them; the cache keeps size·(size-1) int64s per size."""
+    iu, ju = np.triu_indices(size, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def extreme_pairs(
     h: Hypergraph, signal: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -128,7 +138,7 @@ def extreme_pairs(
     draws = rng.random(h.m)
     per_pair = 2 * s.shape[1] + 1
     for size, idxs, members in h.size_groups:
-        iu, ju = np.triu_indices(size, k=1)
+        iu, ju = _triu_pairs(size)
         block = max(1, _BLOCK // iu.size)  # hyperedges per block
         tile = max(1, _TILE // (iu.size * per_pair))  # hyperedges per tile
         chunk = max(1, _TILE // (tile * per_pair))  # pairs per tile
@@ -165,8 +175,11 @@ def _accumulate(h: Hypergraph, a: np.ndarray, b: np.ndarray, wt: np.ndarray,
     if rule == "degree":
         # restore each vertex degree to d_v; residual is non-negative for
         # all three rules because a hyperedge contributes at most w(e)
-        # to any one of its vertices
-        g = replace(g, loops=np.maximum(degrees(h) - g.incident_pair_weight(), 0.0))
+        # to any one of its vertices. A vertex in no hyperedge (d_v = 0)
+        # keeps a unit loop, so its row is the identity, as under "unit"
+        d = degrees(h)
+        residual = np.maximum(d - g.incident_pair_weight(), 0.0)
+        g = replace(g, loops=np.where(d > 0.0, residual, 1.0))
     return g
 
 

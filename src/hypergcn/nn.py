@@ -5,7 +5,9 @@ Dense matrices are float64 numpy arrays. The network computes the logits
     A2 · ReLU( A1 · X · Θ1 ) · Θ2
 
 with optional inverted dropout on the input of each layer. Layer τ
-convolves over `graph(layer input, Θτ)`, a `Graph`. `forward` is the one
+convolves over `graph(layer input, Θτ)`, a `Graph`. Layer 1 runs its
+sparse product on the narrower side: (A1 · X) · Θ1 when X has fewer
+columns than the hidden layer, else A1 · (X · Θ1). `forward` is the one
 forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
 `training.hlr_ce`, `densek.hindsight_loss`) for the loss and its gradient
 on the logits, and pulls that back to Θ1 and Θ2 analytically; there is
@@ -115,10 +117,17 @@ def forward_hidden(
     mask1: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First convolution layer. Returns (hidden, x_in, pre1); x_in goes
-    into `out` if given, which may be `mask1` itself."""
+    """First convolution layer A1 · x_in · Θ1 on the input after dropout,
+    x_in, which goes into `out` if given (`out` may be `mask1` itself).
+    Returns (hidden, x_in, pre1). When x is narrower than the hidden layer,
+    the layer aggregates first, (A1 · x_in) · Θ1, and the x_in it returns
+    is A1 · x_in; else it computes A1 · (x_in · Θ1)."""
     x_in = x if mask1 is None else np.multiply(x, mask1, out=out)
-    pre1 = spmm(a1, x_in @ theta1)
+    if x.shape[1] < theta1.shape[1]:
+        x_in = spmm(a1, x_in)
+        pre1 = x_in @ theta1
+    else:
+        pre1 = spmm(a1, x_in @ theta1)
     return relu(pre1), x_in, pre1
 
 
@@ -179,13 +188,16 @@ def backward_from_dlogits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of Θ1 and Θ2 given d(loss)/d(logits), from the forward
     pass's layer inputs after dropout (`x_in`, `h_in`), layer-1
-    pre-activation `pre1` and layer-2 dropout mask."""
+    pre-activation `pre1` and layer-2 dropout mask. If `x_in` is narrower
+    than the hidden layer it is A1 · x_in (see `forward_hidden`) and Θ1's
+    gradient is x_inᵀ · dpre1; else it is x_inᵀ · (A1 · dpre1), the same
+    product as A1 is symmetric."""
     g2 = spmm(a2, dlogits)  # adjacency is symmetric
     grad_theta2 = h_in.T @ g2
     dh_in = g2 @ theta2.T
     dhidden = dh_in if mask2 is None else dh_in * mask2
     dpre1 = dhidden * (pre1 > 0.0)
-    g1 = spmm(a1, dpre1)
+    g1 = dpre1 if x_in.shape[1] < pre1.shape[1] else spmm(a1, dpre1)
     grad_theta1 = x_in.T @ g1
     return grad_theta1, grad_theta2
 

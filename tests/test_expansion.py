@@ -463,7 +463,7 @@ def dict_oracle(h, rule, ext, self_loops):
         for (u, v), wt in sorted(pairs.items()):
             incident[u] += wt
             incident[v] += wt
-        loops = np.maximum(deg - incident, 0.0)
+        loops = np.where(deg > 0.0, np.maximum(deg - incident, 0.0), 1.0)
     return pairs, loops, mass
 
 
@@ -532,12 +532,13 @@ class TestNormalizeProperties:
         for g in (expand_one_edge(h, s, np.random.default_rng(seed), self_loops),
                   expand_mediators(h, s, np.random.default_rng(seed), self_loops),
                   expand_clique(h, self_loops)):
-            if self_loops == "degree" and np.any(degrees(h) == 0):
-                # a vertex in no hyperedge keeps no degree to restore
-                with pytest.raises(ValueError, match="isolated vertex"):
-                    normalize(g)
-                continue
             a = normalize(g).matrix.toarray()
+            if self_loops == "degree":
+                # a vertex in no hyperedge has no degree to restore: it keeps
+                # a unit loop, so its row is the identity's, as under "unit"
+                isolated = degrees(h) == 0
+                np.testing.assert_array_equal(g.loops[isolated], 1.0)
+                np.testing.assert_array_equal(a[isolated], np.eye(h.n)[isolated])
             # the gradient uses A for Aᵀ, so mirrored entries must be equal
             np.testing.assert_array_equal(a, a.T)
             eigs = np.linalg.eigvalsh(a)
@@ -576,8 +577,6 @@ class TestNormalizeRowOrder:
            st.integers(0, 2**31))
     def test_matches_pair_by_pair_csr(self, hs, self_loops, seed):
         h, s = hs
-        if self_loops == "degree" and np.any(degrees(h) == 0):
-            return  # normalize rejects the isolated vertex (see above)
         for g in (expand_one_edge(h, s, np.random.default_rng(seed), self_loops),
                   expand_mediators(h, s, np.random.default_rng(seed), self_loops),
                   expand_clique(h, self_loops)):

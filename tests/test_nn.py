@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from hypergcn import nn
 from hypergcn.expansion import NormalizedAdjacency, expand_mediators, normalize
 from hypergcn.hypergraph import Hypergraph
 from hypergcn.nn import (
@@ -29,6 +30,13 @@ from hypergcn.nn import (
     spmm,
     step,
 )
+
+
+# layer 1 aggregates first for p < HIDDEN input columns, else it takes
+# the weight product first; tests of the layer run both orders
+HIDDEN = 4
+LAYER1_ORDERS = [pytest.param(3, id="aggregate-first"), pytest.param(4, id="weights-first"),
+                 pytest.param(6, id="weights-first-wide")]
 
 
 def loss_ce(z, labels, mask):
@@ -225,14 +233,15 @@ class TestForward:
         )
         np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_matches_scalar_reference(self):
+    @pytest.mark.parametrize("p", LAYER1_ORDERS)
+    def test_matches_scalar_reference(self, p):
         rng = np.random.default_rng(77)
         for _ in range(10):
             n = int(rng.integers(3, 8))
             a = random_adjacency(rng, n)
-            x = rng.normal(size=(n, 3))
-            t1 = glorot_init(3, 4, rng)
-            t2 = glorot_init(4, 3, rng)
+            x = rng.normal(size=(n, p))
+            t1 = glorot_init(p, HIDDEN, rng)
+            t2 = glorot_init(HIDDEN, 3, rng)
             z = forward_z(a, x, t1, t2)
             ref = scalar_forward(a.matrix.toarray().tolist(), x.tolist(), t1.tolist(), t2.tolist())
             np.testing.assert_allclose(z, ref, atol=1e-10)
@@ -333,15 +342,16 @@ class TestBackward:
         _, g1, _ = ce_step(a, x, t1, t2, labels, np.array([0, 1]))
         np.testing.assert_array_equal(g1, np.zeros_like(t1))
 
-    def test_matches_central_finite_differences(self):
+    @pytest.mark.parametrize("p", LAYER1_ORDERS)
+    def test_matches_central_finite_differences(self, p):
         rng = np.random.default_rng(15)
         step = 1e-5
         for trial in range(10):
             n = int(rng.integers(4, 9))
             a = random_adjacency(rng, n)
-            x = rng.normal(size=(n, 3))
-            t1 = glorot_init(3, 4, rng)
-            t2 = glorot_init(4, 3, rng)
+            x = rng.normal(size=(n, p))
+            t1 = glorot_init(p, HIDDEN, rng)
+            t2 = glorot_init(HIDDEN, 3, rng)
             labels = rng.integers(0, 3, size=n)
             mask = np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
             _, _, pre1 = forward_hidden(a, x, t1)
@@ -362,6 +372,37 @@ class TestBackward:
                     [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)]
                 )
                 assert rel.max() < 1e-6, f"trial {trial} theta{which + 1}"
+
+    @pytest.mark.parametrize("p, calls", [(3, 3), (4, 4), (6, 4)])
+    def test_spmm_calls_per_step(self, monkeypatch, p, calls):
+        # aggregating first drops layer 1's backward spmm
+        rng = np.random.default_rng(19)
+        a = random_adjacency(rng, 6)
+        x = rng.normal(size=(6, p))
+        t1, t2 = glorot_init(p, HIDDEN, rng), glorot_init(HIDDEN, 2, rng)
+        widths = []
+        monkeypatch.setattr(nn, "spmm", lambda a, x: widths.append(x.shape[1]) or spmm(a, x))
+        ce_step(a, x, t1, t2, rng.integers(0, 2, size=6), np.array([0, 3]))
+        assert len(widths) == calls
+        assert widths[0] == min(p, HIDDEN)
+
+    def test_layer1_orders_agree(self):
+        # the same step with layer 1 forced into each order: x padded with
+        # zero columns (and Θ1 with zero rows) is as wide as the hidden layer
+        rng = np.random.default_rng(20)
+        n, p, hidden = 40, 5, 16
+        a = random_adjacency(rng, n)
+        x = rng.normal(size=(n, p))
+        t1, t2 = glorot_init(p, hidden, rng), glorot_init(hidden, 3, rng)
+        labels, mask = rng.integers(0, 3, size=n), np.arange(0, n, 3)
+        wide = np.hstack([x, np.zeros((n, hidden - p))])
+        t1_wide = np.vstack([t1, np.zeros((hidden - p, hidden))])
+        loss, g1, g2 = ce_step(a, x, t1, t2, labels, mask)
+        loss_w, g1_w, g2_w = ce_step(a, wide, t1_wide, t2, labels, mask)
+        assert loss == pytest.approx(loss_w, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(g1, g1_w[:p], rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(g1_w[p:], 0.0)
+        np.testing.assert_allclose(g2, g2_w, rtol=1e-12, atol=0.0)
 
     def test_gradient_scales_with_duplicated_labelled_nodes(self):
         # averaging over the mask: repeating every labelled node leaves
