@@ -3,14 +3,15 @@
     python3 scripts/equivalence.py [--src DIR] [--sizes 1000 20000]
                                    [--save FILE.npz] [--against OTHER.npz]
 
-Computes each part below in the source tree `--src` and prints one JSON
+Computes each part below in the source tree `--src` (so one copy of this
+script measures a change and its parent alike) and prints one JSON
 line per part with the sha256 of its arrays (dtype, shape and bytes of
 each, in order), then one line with the digest over all parts:
 
-* `<n>/<loops>/<rule>`: `WeightedGraph` u, v, w and loops of the one-edge,
-  mediators and clique expansions under unit and degree self-loops, on
-  the instance's features with tie rng `default_rng(3)`;
-  `<n>/<loops>/<rule>/csr`: the normalized CSR indptr, indices and data;
+* `<n>/unit/<rule>`: `WeightedGraph` u, v and w of the one-edge,
+  mediators and clique expansions (unit self-loops), on the instance's
+  features with tie rng `default_rng(3)`; `<n>/unit/<rule>/csr`: the
+  normalized CSR indptr, indices and data;
 * `ssl/<n>/<method>` and `ssl/<n>/p8/<method>`: `train_ssl` losses and test
   error of all six methods, trial seed 0, on the instance's features and
   on the same instance drawn with 8 feature dims (narrower than the
@@ -79,16 +80,13 @@ def parts(sizes: list[int]):
         kwargs, budget, epochs = INSTANCES[n]
         bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), **kwargs)
         h, x = bundle.hypergraph, bundle.features
-        rules = {"one-edge": lambda loops: expansion.expand_one_edge(
-                     h, x, np.random.default_rng(3), loops),
-                 "mediators": lambda loops: expansion.expand_mediators(
-                     h, x, np.random.default_rng(3), loops),
-                 "clique": lambda loops: expansion.expand_clique(h, loops)}
-        for loops in ("unit", "degree"):
-            for rule, expand in rules.items():
-                g = expand(loops)
-                yield f"{n}/{loops}/{rule}", [g.u, g.v, g.w, g.loops]
-                yield f"{n}/{loops}/{rule}/csr", attempt(lambda: csr(expansion.normalize(g)))
+        rules = {"one-edge": lambda: expansion.expand_one_edge(h, x, np.random.default_rng(3)),
+                 "mediators": lambda: expansion.expand_mediators(h, x, np.random.default_rng(3)),
+                 "clique": lambda: expansion.expand_clique(h)}
+        for rule, expand in rules.items():
+            g = expand()
+            yield f"{n}/unit/{rule}", [g.u, g.v, g.w]
+            yield f"{n}/unit/{rule}/csr", attempt(lambda: csr(expansion.normalize(g)))
         narrow = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7),
                                       **{**kwargs, "feat_dim": NARROW_DIMS})
         for method in training.METHODS:

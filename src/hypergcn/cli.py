@@ -187,7 +187,10 @@ def cmd_densek(args) -> int:
     elif method == "remove-min-degree":
         chosen = dk.remove_min_degree(inst)
     elif method == "brute-force":
-        chosen, _ = dk.brute_force(inst)
+        try:
+            chosen, _ = dk.brute_force(inst)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
     elif method in dk.METHODS:
         # train on freshly generated planted instances, then decode
         rng = np.random.default_rng(args.seed)
@@ -211,7 +214,10 @@ def cmd_densek(args) -> int:
 
 def cmd_gen_noisy(args) -> int:
     rng = np.random.default_rng(args.seed)
-    bundle = gen_noisy_ssl(eta=args.eta, rng=rng)
+    try:
+        bundle = gen_noisy_ssl(eta=args.eta, rng=rng)
+    except DataError as exc:
+        raise _UsageError(str(exc)) from None
     save_bundle(bundle, args.out)
     _emit({"written": args.out, "n": bundle.hypergraph.n, "m": bundle.hypergraph.m,
            "eta": args.eta})
@@ -304,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _log(f"usage error: {exc}")
         parser.print_usage(sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        _log(f"usage error: training diverged ({exc})")
         return 1
     except (DataError, OSError) as exc:
         _log(f"data error: {exc}")

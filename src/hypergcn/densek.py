@@ -164,23 +164,12 @@ def hindsight_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.nd
     return float(per_map[best]), dlogits
 
 
-def vertex_features(
-    h: Hypergraph, kind: str = "degree", rng: np.random.Generator | None = None, dim: int = 8
-) -> np.ndarray:
-    """Structure-driven input features for the learned solver.
-
-    ``degree``: [degree / max degree, 1] per vertex. ``gaussian``: i.i.d.
-    standard normal columns, useful when degrees carry no signal.
-    """
-    if kind == "degree":
-        d = np.bincount(h.indices, minlength=h.n).astype(np.float64)
-        top = d.max() if d.size and d.max() > 0 else 1.0
-        return np.column_stack([d / top, np.ones(h.n)])
-    if kind == "gaussian":
-        if rng is None:
-            raise ValueError("gaussian features need an rng")
-        return rng.standard_normal((h.n, dim))
-    raise ValueError(f"unknown feature kind {kind!r}")
+def vertex_features(h: Hypergraph) -> np.ndarray:
+    """Input features of the learned solver, from structure alone:
+    [degree / max degree, 1] per vertex. They draw no random numbers."""
+    d = np.bincount(h.indices, minlength=h.n).astype(np.float64)
+    top = d.max() if d.size and d.max() > 0 else 1.0
+    return np.column_stack([d / top, np.ones(h.n)])
 
 
 @dataclass
@@ -190,30 +179,21 @@ class DenseKModel:
     theta1: np.ndarray
     theta2: np.ndarray
     method: str
-    feature_kind: str
-    feature_dim: int
-    self_loops: str = "unit"
     loss_trace: list[float] | None = None
 
 
 def _sample_inputs(
-    h: Hypergraph,
-    method: str,
-    feature_kind: str,
-    feature_dim: int,
-    feat_rng: np.random.Generator,
-    tie_rng: np.random.Generator,
-    self_loops,
+    h: Hypergraph, method: str, tie_rng: np.random.Generator
 ) -> tuple[np.ndarray, nn.Graph]:
     """Input features of one hypergraph and its graph: the features'
     mediator adjacency for fast-hypergcn, the mediator re-expansion of
     each layer's signal for hypergcn."""
     if method not in METHODS:
         raise ValueError(f"unknown densek method {method!r}; expected one of {METHODS}")
-    x = vertex_features(h, feature_kind, feat_rng, feature_dim)
+    x = vertex_features(h)
 
     def expand(signal: np.ndarray):
-        return normalize(expand_mediators(h, signal, tie_rng, self_loops))
+        return normalize(expand_mediators(h, signal, tie_rng))
 
     if method == "fast-hypergcn":
         return x, nn.constant_graph(expand(x))
@@ -224,8 +204,6 @@ def train_densek(
     train_set: Sequence[tuple[Hypergraph, np.ndarray]],
     cfg: TrainConfig,
     maps: int,
-    feature_kind: str = "degree",
-    feature_dim: int = 8,
 ) -> DenseKModel:
     """Fit the probability-map model under the hindsight objective.
 
@@ -247,10 +225,7 @@ def train_densek(
     streams = nn.rng_streams(cfg.seed)
     prepared = []
     for h, target in train_set:
-        x, graph = _sample_inputs(
-            h, cfg.method, feature_kind, feature_dim, streams.init, streams.ties,
-            cfg.self_loops,
-        )
+        x, graph = _sample_inputs(h, cfg.method, streams.ties)
         column = np.asarray(target, dtype=np.float64).reshape(-1, 1)
         prepared.append((x, graph, partial(hindsight_loss, target=column)))
 
@@ -268,24 +243,14 @@ def train_densek(
                                    streams.dropout, buf)
         loss_trace.append(epoch_loss / len(prepared))
 
-    return DenseKModel(
-        theta1=theta.theta1,
-        theta2=theta.theta2,
-        method=cfg.method,
-        feature_kind=feature_kind,
-        feature_dim=feature_dim,
-        self_loops=cfg.self_loops,
-        loss_trace=loss_trace,
-    )
+    return DenseKModel(theta1=theta.theta1, theta2=theta.theta2, method=cfg.method,
+                       loss_trace=loss_trace)
 
 
 def predict_maps(model: DenseKModel, h: Hypergraph, seed: int = 0) -> ProbabilityMaps:
     """Emit the model's probability maps for a hypergraph (no dropout)."""
     streams = nn.rng_streams(seed)
-    x, graph = _sample_inputs(
-        h, model.method, model.feature_kind, model.feature_dim, streams.init,
-        streams.ties, model.self_loops,
-    )
+    x, graph = _sample_inputs(h, model.method, streams.ties)
     logits, _ = nn.forward(graph, x, model.theta1, model.theta2)
     return ProbabilityMaps(values=expit(logits))
 

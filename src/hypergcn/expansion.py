@@ -7,9 +7,9 @@ Three expansion rules turn each hyperedge into pairwise edges:
   vertex of the hyperedge, each pair weighted w(e)/(2|e|-3)
 * clique: every pair inside the hyperedge, weighted 2 w(e)/(|e| (|e|-1))
 
-Pair weights from distinct hyperedges accumulate. Every expansion then
-sets self-loops (unit by default, or degree-restoring) and the result is
-symmetrically normalized for use in graph convolutions.
+Pair weights from distinct hyperedges accumulate. Normalization adds a
+unit self-loop to every vertex, as the GCN renormalized adjacency does,
+and scales the result symmetrically for use in graph convolutions.
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
@@ -19,23 +19,20 @@ hyperedges in index order; a hyperedge never emits the same pair twice,
 so the order of its own emissions is immaterial, and a pair's weight is
 the sum of its hyperedges' weights in hyperedge order. A vertex's
 incident pair weight is summed along its CSR row (lower neighbours
-ascending, then upper neighbours ascending) and its degree adds the loop
-last, so both depend on the graph alone, and every result is a fixed
-function of the hypergraph, the signal and the draws.
+ascending, then upper neighbours ascending) and its degree adds the unit
+loop last, so both depend on the graph alone, and every result is a
+fixed function of the hypergraph, the signal and the draws.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from typing import Literal
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .hypergraph import Hypergraph, degrees
-
-SelfLoopRule = Literal["unit", "degree"]
+from .hypergraph import Hypergraph
 
 # extreme_pairs computes distances in tiles of at most _TILE values (two
 # gathers of signal rows, differenced in place, and their distances):
@@ -49,14 +46,13 @@ _BLOCK = 2**20
 @dataclass(frozen=True)
 class WeightedGraph:
     """Accumulated symmetric weighted graph over n vertices: distinct
-    pairs u[t] < v[t] of weight w[t], strictly increasing in u*n + v, plus
-    per-vertex self-loop weights `loops`."""
+    pairs u[t] < v[t] of weight w[t], strictly increasing in u*n + v.
+    Self-loops are not stored; `normalize` gives every vertex a unit one."""
 
     n: int
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    loops: np.ndarray
 
     @property
     def pair_count(self) -> int:
@@ -160,46 +156,23 @@ def extreme_pairs(
     return out
 
 
-def _accumulate(h: Hypergraph, a: np.ndarray, b: np.ndarray, wt: np.ndarray,
-                rule: SelfLoopRule) -> WeightedGraph:
+def _accumulate(h: Hypergraph, a: np.ndarray, b: np.ndarray, wt: np.ndarray) -> WeightedGraph:
     """Sum emitted pairs (a[t], b[t]) of weight wt[t], listed in hyperedge
     order, into a WeightedGraph: the distinct pairs in key order, each
     pair's weights summed in emission order, as sequential accumulation
     would."""
-    if rule not in ("unit", "degree"):
-        raise ValueError(f"unknown self-loop rule {rule!r}")
     keys, inverse = np.unique(np.minimum(a, b) * h.n + np.maximum(a, b), return_inverse=True)
     u, v = np.divmod(keys, h.n)
-    w = np.bincount(inverse, weights=wt, minlength=keys.size)
-    g = WeightedGraph(n=h.n, u=u, v=v, w=w, loops=np.ones(h.n))
-    if rule == "degree":
-        # restore each vertex degree to d_v; residual is non-negative for
-        # all three rules because a hyperedge contributes at most w(e)
-        # to any one of its vertices. A vertex in no hyperedge (d_v = 0)
-        # keeps a unit loop, so its row is the identity, as under "unit"
-        d = degrees(h)
-        residual = np.maximum(d - g.incident_pair_weight(), 0.0)
-        g = replace(g, loops=np.where(d > 0.0, residual, 1.0))
-    return g
+    return WeightedGraph(n=h.n, u=u, v=v, w=np.bincount(inverse, weights=wt, minlength=keys.size))
 
 
-def expand_one_edge(
-    h: Hypergraph,
-    signal: np.ndarray,
-    rng: np.random.Generator,
-    self_loops: SelfLoopRule = "unit",
-) -> WeightedGraph:
+def expand_one_edge(h: Hypergraph, signal: np.ndarray, rng: np.random.Generator) -> WeightedGraph:
     """Represent each hyperedge by its single extreme pair, weight w(e)/|e|."""
     ext = extreme_pairs(h, signal, rng)
-    return _accumulate(h, ext[:, 0], ext[:, 1], h.weights / h.edge_sizes(), self_loops)
+    return _accumulate(h, ext[:, 0], ext[:, 1], h.weights / h.edge_sizes())
 
 
-def expand_mediators(
-    h: Hypergraph,
-    signal: np.ndarray,
-    rng: np.random.Generator,
-    self_loops: SelfLoopRule = "unit",
-) -> WeightedGraph:
+def expand_mediators(h: Hypergraph, signal: np.ndarray, rng: np.random.Generator) -> WeightedGraph:
     """Connect each hyperedge's extreme pair and route every remaining
     vertex through both extremes, each pair weighted w(e)/(2|e|-3).
 
@@ -218,12 +191,10 @@ def expand_mediators(
     slot = np.flatnonzero(keep)
     per = 2 * sizes - 3
     return _accumulate(h, ij.ravel()[slot], h.indices[slot >> 1],
-                       np.repeat(h.weights / per, per), self_loops)
+                       np.repeat(h.weights / per, per))
 
 
-def expand_clique(
-    h: Hypergraph, self_loops: SelfLoopRule = "unit"
-) -> WeightedGraph:
+def expand_clique(h: Hypergraph) -> WeightedGraph:
     """Replace each hyperedge by a clique, every pair weighted
     2 w(e)/(|e| (|e|-1)). Signal-independent."""
     sizes = h.edge_sizes()
@@ -233,20 +204,20 @@ def expand_clique(
     second = first + 1 + np.arange(first.size) - (np.cumsum(later) - later)[first]
     wt = 2.0 * h.weights / (sizes * (sizes - 1))
     return _accumulate(h, h.indices[first], h.indices[second],
-                       np.repeat(wt, sizes * (sizes - 1) // 2), self_loops)
+                       np.repeat(wt, sizes * (sizes - 1) // 2))
 
 
 def normalize(g: WeightedGraph) -> NormalizedAdjacency:
-    """Symmetric normalization D̃^{-1/2} Ã D̃^{-1/2} of pair weights plus
-    self-loops. No extra identity is added; the expansion already set the
-    self-loops. Raises on any vertex with zero total degree."""
-    rows, cols, vals = g.coo(g.loops)
-    # loop last, so a degree-restoring loop gives back d_v to one rounding
-    deg = g.incident_pair_weight() + g.loops
+    """Symmetric normalization D̃^{-1/2} Ã D̃^{-1/2}, where Ã is the pair
+    weights plus a unit self-loop on every vertex. Raises on any vertex
+    whose degree (incident pair weight plus 1) is not positive, which only
+    negative pair weights can cause."""
+    rows, cols, vals = g.coo(np.ones(g.n))
+    deg = g.incident_pair_weight() + 1.0
     bad = np.flatnonzero(deg <= 0.0)
     if bad.size:
         raise ValueError(
-            f"isolated vertex with no self-loop: {bad[0]}"
+            f"vertex with non-positive degree: {bad[0]}"
             + (f" (and {bad.size - 1} more)" if bad.size > 1 else "")
         )
     dinv = 1.0 / np.sqrt(deg)

@@ -34,7 +34,6 @@ from . import nn
 from .dataio import LabeledSplit, balanced_split_labels
 from .expansion import (
     NormalizedAdjacency,
-    SelfLoopRule,
     WeightedGraph,
     expand_clique,
     expand_mediators,
@@ -58,7 +57,6 @@ class TrainConfig:
     epochs: int = 200
     hlr_lambda: float = 0.001
     seed: int = 0
-    self_loops: SelfLoopRule = "unit"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.dropout < 1.0:
@@ -168,16 +166,15 @@ def train_ssl(
     if cfg.method in ("hypergcn", "one-hypergcn"):
         expander = expand_mediators if cfg.method == "hypergcn" else expand_one_edge
         graph = nn.reexpanding_graph(
-            lambda signal: normalize(built(expander(h, signal, streams.ties, cfg.self_loops))))
+            lambda signal: normalize(built(expander(h, signal, streams.ties))))
     elif cfg.method == "hgnn":
-        graph = nn.constant_graph(normalize(built(expand_clique(h, cfg.self_loops))))
+        graph = nn.constant_graph(normalize(built(expand_clique(h))))
     elif cfg.method == "fast-hypergcn":
-        graph = nn.constant_graph(
-            normalize(built(expand_mediators(h, x, streams.ties, cfg.self_loops))))
+        graph = nn.constant_graph(normalize(built(expand_mediators(h, x, streams.ties))))
     else:
         graph = nn.constant_graph(NormalizedAdjacency.identity(n))
         if cfg.method == "mlp-hlr":
-            g = built(expand_mediators(h, x, streams.ties, cfg.self_loops))
+            g = built(expand_mediators(h, x, streams.ties))
             loss_fn = partial(hlr_ce, labels=labels, mask=split.train_idx,
                               lap=pair_laplacian(g), lam=cfg.hlr_lambda)
 

@@ -89,6 +89,12 @@ class TestBadInput:
              "--hidden", "0"],
             ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
              "--epochs", "-1"],
+            # these used to exit 2 as a data error or end in a traceback
+            ["gen-noisy", "--eta", "0", "--out", "OUT"],
+            ["gen-noisy", "--eta", "1.5", "--out", "OUT"],
+            ["densek", "--data", "DATA", "--method", "brute-force", "--k-frac", "0.5"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--epochs", "2", "--lr", "1e200"],
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, capsys, dataset_dir, tmp_path, argv):

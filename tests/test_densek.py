@@ -378,15 +378,6 @@ class TestTrainDensek:
         chosen = solve_learned(model, DenseKInstance(h, 27))
         assert len(chosen) == 27
 
-    def test_gaussian_features_supported(self):
-        rng = np.random.default_rng(17)
-        samples = [gen_sample(24, 18, 0.7, rng) for _ in range(3)]
-        cfg = TrainConfig(epochs=2, dropout=0.0, seed=0)
-        model = train_densek(samples, cfg, maps=2, feature_kind="gaussian",
-                             feature_dim=5)
-        h, _ = gen_sample(24, 18, 0.7, rng)
-        assert predict_maps(model, h).values.shape == (24, 2)
-
     def test_methods_differ(self):
         # hypergcn re-expands per layer on every step; fast-hypergcn keeps
         # the feature-built expansion, so the two traces must part
@@ -420,5 +411,3 @@ class TestTrainDensek:
         x = vertex_features(h)
         np.testing.assert_allclose(x[:, 0], [1.0, 0.5, 0.5])
         np.testing.assert_allclose(x[:, 1], 1.0)
-        with pytest.raises(ValueError, match="unknown feature kind"):
-            vertex_features(h, kind="spectral")

@@ -18,7 +18,7 @@ from hypergcn.expansion import (
     extreme_pairs,
     normalize,
 )
-from hypergcn.hypergraph import Hypergraph, degrees
+from hypergcn.hypergraph import Hypergraph
 
 NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -191,14 +191,12 @@ class TestOneEdgeExpansion:
         h = Hypergraph.from_edges(2, [(0, 1)])
         g = expand_one_edge(h, np.zeros((2, 1)), np.random.default_rng(0))
         assert pair_dict(g) == {(0, 1): 0.5}
-        np.testing.assert_array_equal(g.loops, [1.0, 1.0])
 
     def test_picks_extreme_pair(self):
         h = Hypergraph.from_edges(3, [(0, 1, 2)])
         s = np.array([[0.0], [1.0], [5.0]])
         g = expand_one_edge(h, s, np.random.default_rng(0))
         assert pair_dict(g) == {(0, 2): pytest.approx(1 / 3)}
-        np.testing.assert_array_equal(g.loops, [1.0, 1.0, 1.0])
 
     def test_duplicate_edges_accumulate(self):
         h = Hypergraph.from_edges(2, [(0, 1), (0, 1)])
@@ -227,7 +225,6 @@ class TestMediatorExpansion:
         assert set(pair_dict(g)) == expected
         for v in pair_dict(g).values():
             assert v == pytest.approx(1 / 5)
-        np.testing.assert_array_equal(g.loops, np.ones(4))
 
     def test_size_two_edge_weight_one(self):
         h = Hypergraph.from_edges(2, [(0, 1)])
@@ -299,7 +296,6 @@ class TestMediatorCliqueEquivalence:
             gm = expand_mediators(h, s, rng)
             gc = expand_clique(h)
             assert pairs_close(pair_dict(gm), pair_dict(gc))
-            np.testing.assert_array_equal(gm.loops, gc.loops)
 
     def test_size_four_breaks_equivalence(self):
         h = Hypergraph.from_edges(4, [(0, 1, 2, 3)])
@@ -310,28 +306,6 @@ class TestMediatorCliqueEquivalence:
 
 
 class TestSelfLoopRules:
-    def test_degree_restoring_loops(self):
-        # with the one-edge rule, loops top vertex degree back up to d_v
-        h = Hypergraph.from_edges(3, [(0, 1, 2)], weights=[2.0])
-        s = np.array([[0.0], [1.0], [5.0]])
-        g = expand_one_edge(h, s, np.random.default_rng(0), self_loops="degree")
-        d = degrees(h)
-        incident = g.incident_pair_weight()
-        np.testing.assert_allclose(g.loops + incident, d, atol=1e-12)
-
-    def test_degree_restoring_nonnegative(self):
-        rng = np.random.default_rng(17)
-        for expand in (expand_one_edge, expand_mediators):
-            for _ in range(20):
-                h = random_hypergraph(rng)
-                g = expand(h, rng.normal(size=(h.n, 2)), rng, self_loops="degree")
-                assert np.all(g.loops >= 0.0)
-
-    def test_unknown_rule_rejected(self):
-        h = Hypergraph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError, match="self-loop rule"):
-            expand_clique(h, self_loops="bogus")
-
     def test_incident_pair_weight_sums_the_symmetric_coo_rows(self):
         # reference: row sums of the full symmetric COO with a zero
         # diagonal, which orders each row's terms as the CSR row does
@@ -347,22 +321,21 @@ class TestSelfLoopRules:
 
 class TestNormalize:
     def test_single_pair(self):
-        g = WeightedGraph(
-            n=2, u=np.array([0]), v=np.array([1]), w=np.array([1.0]), loops=np.ones(2)
-        )
+        g = WeightedGraph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([1.0]))
         a = normalize(g)
         np.testing.assert_allclose(
             a.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15
         )
 
     def test_loops_only_is_identity(self):
-        g = WeightedGraph(n=3, u=NO_IDS, v=NO_IDS, w=np.empty(0), loops=np.ones(3))
+        g = WeightedGraph(n=3, u=NO_IDS, v=NO_IDS, w=np.empty(0))
         a = normalize(g)
         np.testing.assert_allclose(a.matrix.toarray(), np.eye(3), atol=1e-15)
 
     def test_isolated_vertex_rejected(self):
-        g = WeightedGraph(n=2, u=NO_IDS, v=NO_IDS, w=np.empty(0), loops=np.zeros(2))
-        with pytest.raises(ValueError, match="isolated vertex with no self-loop"):
+        # a pair weight of -1 cancels both unit loops, leaving degree 0
+        g = WeightedGraph(n=2, u=np.array([0]), v=np.array([1]), w=np.array([-1.0]))
+        with pytest.raises(ValueError, match=r"non-positive degree: 0 \(and 1 more\)"):
             normalize(g)
 
     def test_symmetric_and_spectral_radius_at_most_one(self):
@@ -392,7 +365,7 @@ class TestNormalize:
         pre = np.zeros((g.n, g.n))
         for (u, v), w in pair_dict(g).items():
             pre[u, v] = pre[v, u] = w
-        pre += np.diag(g.loops)
+        pre += np.eye(g.n)
         deg = pre.sum(axis=1)
         rebuilt = np.diag(np.sqrt(deg)) @ dense @ np.diag(np.sqrt(deg))
         np.testing.assert_allclose(rebuilt, pre, atol=1e-12)
@@ -434,7 +407,7 @@ class TestPermutationEquivariance:
         assert pairs_close(relabeled, pair_dict(g_perm))
 
 
-def dict_oracle(h, rule, ext, self_loops):
+def dict_oracle(h, rule, ext):
     """Sequential dict accumulation of each rule's pairs, hyperedge by
     hyperedge; `ext` holds the extreme pairs. Also returns per-hyperedge
     emitted mass."""
@@ -455,16 +428,7 @@ def dict_oracle(h, rule, ext, self_loops):
             key = (min(a, b), max(a, b))
             pairs[key] = pairs.get(key, 0.0) + wt
         mass.append(sum(wt for _, _, wt in emitted))
-    loops = np.ones(h.n)
-    if self_loops == "degree":
-        deg, incident = np.zeros(h.n), np.zeros(h.n)
-        for e, w in zip(edges(h), h.weights):
-            deg[list(e)] += w
-        for (u, v), wt in sorted(pairs.items()):
-            incident[u] += wt
-            incident[v] += wt
-        loops = np.where(deg > 0.0, np.maximum(deg - incident, 0.0), 1.0)
-    return pairs, loops, mass
+    return pairs, mass
 
 
 @st.composite
@@ -502,20 +466,18 @@ class TestTiling:
 
 class TestDictOracle:
     @settings(max_examples=150, deadline=None)
-    @given(hypergraph_and_signal(), st.sampled_from(["unit", "degree"]),
-           st.integers(0, 2**31))
-    def test_expansions_equal_dict_accumulation(self, hs, self_loops, seed):
+    @given(hypergraph_and_signal(), st.integers(0, 2**31))
+    def test_expansions_equal_dict_accumulation(self, hs, seed):
         h, s = hs
         scalar_rng = np.random.default_rng(seed)
         ext = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
         for rule, g in (
-            ("one-edge", expand_one_edge(h, s, np.random.default_rng(seed), self_loops)),
-            ("mediators", expand_mediators(h, s, np.random.default_rng(seed), self_loops)),
-            ("clique", expand_clique(h, self_loops)),
+            ("one-edge", expand_one_edge(h, s, np.random.default_rng(seed))),
+            ("mediators", expand_mediators(h, s, np.random.default_rng(seed))),
+            ("clique", expand_clique(h)),
         ):
-            pairs, loops, mass = dict_oracle(h, rule, ext, self_loops)
+            pairs, mass = dict_oracle(h, rule, ext)
             assert list(pair_dict(g).items()) == sorted(pairs.items())
-            np.testing.assert_array_equal(g.loops, loops)
             # one-edge keeps a single pair of weight w(e)/|e|; the other
             # rules spread exactly w(e) over their pairs
             want = h.weights / h.edge_sizes() if rule == "one-edge" else h.weights
@@ -525,20 +487,13 @@ class TestDictOracle:
 
 class TestNormalizeProperties:
     @settings(max_examples=150, deadline=None)
-    @given(hypergraph_and_signal(), st.sampled_from(["unit", "degree"]),
-           st.integers(0, 2**31))
-    def test_symmetric_with_spectrum_in_unit_interval(self, hs, self_loops, seed):
+    @given(hypergraph_and_signal(), st.integers(0, 2**31))
+    def test_symmetric_with_spectrum_in_unit_interval(self, hs, seed):
         h, s = hs
-        for g in (expand_one_edge(h, s, np.random.default_rng(seed), self_loops),
-                  expand_mediators(h, s, np.random.default_rng(seed), self_loops),
-                  expand_clique(h, self_loops)):
+        for g in (expand_one_edge(h, s, np.random.default_rng(seed)),
+                  expand_mediators(h, s, np.random.default_rng(seed)),
+                  expand_clique(h)):
             a = normalize(g).matrix.toarray()
-            if self_loops == "degree":
-                # a vertex in no hyperedge has no degree to restore: it keeps
-                # a unit loop, so its row is the identity's, as under "unit"
-                isolated = degrees(h) == 0
-                np.testing.assert_array_equal(g.loops[isolated], 1.0)
-                np.testing.assert_array_equal(a[isolated], np.eye(h.n)[isolated])
             # the gradient uses A for Aᵀ, so mirrored entries must be equal
             np.testing.assert_array_equal(a, a.T)
             eigs = np.linalg.eigvalsh(a)
@@ -549,19 +504,19 @@ def normalized_csr_oracle(g):
     """CSR (indptr, indices, data) of normalize(g), built pair by pair: row
     r lists its lower neighbours ascending, the loop, then its upper
     neighbours ascending; r's degree sums its pair weights in that order,
-    then adds the loop."""
+    then adds the unit loop."""
     lower, upper = [[] for _ in range(g.n)], [[] for _ in range(g.n)]
     for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
         upper[u].append((v, w))
         lower[v].append((u, w))
     rows, dinv = [], []
-    for r, loop in enumerate(g.loops.tolist()):
+    for r in range(g.n):
         below, above = sorted(lower[r]), sorted(upper[r])
         deg = 0.0
         for _, w in below + above:
             deg += w
-        dinv.append(1.0 / math.sqrt(deg + loop))
-        rows.append(below + [(r, loop)] + above)
+        dinv.append(1.0 / math.sqrt(deg + 1.0))
+        rows.append(below + [(r, 1.0)] + above)
     indptr, indices, data = [0], [], []
     for r, row in enumerate(rows):
         for c, w in row:
@@ -573,13 +528,12 @@ def normalized_csr_oracle(g):
 
 class TestNormalizeRowOrder:
     @settings(max_examples=150, deadline=None)
-    @given(hypergraph_and_signal(), st.sampled_from(["unit", "degree"]),
-           st.integers(0, 2**31))
-    def test_matches_pair_by_pair_csr(self, hs, self_loops, seed):
+    @given(hypergraph_and_signal(), st.integers(0, 2**31))
+    def test_matches_pair_by_pair_csr(self, hs, seed):
         h, s = hs
-        for g in (expand_one_edge(h, s, np.random.default_rng(seed), self_loops),
-                  expand_mediators(h, s, np.random.default_rng(seed), self_loops),
-                  expand_clique(h, self_loops)):
+        for g in (expand_one_edge(h, s, np.random.default_rng(seed)),
+                  expand_mediators(h, s, np.random.default_rng(seed)),
+                  expand_clique(h)):
             m = normalize(g).matrix
             indptr, indices, data = normalized_csr_oracle(g)
             assert m.has_sorted_indices

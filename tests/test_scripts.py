@@ -22,7 +22,7 @@ class TestEquivalenceScript:
         first = run_equivalence("--save", str(saved))
         again = run_equivalence("--against", str(saved))
         names = [line["part"] for line in first[:-1]]
-        assert "60/degree/clique/csr" in names and "densek/hypergcn" in names
+        assert "60/unit/clique/csr" in names and "densek/hypergcn" in names
         assert all("sha256" in line for line in first[:-1])
         assert [line["part"] for line in again[:-1]] == names
         assert again[-1]["digest"] == first[-1]["digest"]

@@ -69,17 +69,6 @@ class TestTrainSsl:
         report = train_ssl(h, x, split, cfg)
         assert report.test_error == 0.0
 
-    @pytest.mark.parametrize("method", GCN_METHODS)
-    def test_degree_loops_train_with_an_isolated_vertex(self, method):
-        # vertex 4 is in no hyperedge, so it has no degree to restore
-        _, x, split = two_component_instance()
-        h = Hypergraph.from_edges(5, [(0, 1), (2, 3)])
-        x = np.vstack([x, [0.5, 0.5]])
-        split = replace(split, labels=np.append(split.labels, 0))
-        cfg = TrainConfig(method=method, epochs=1, self_loops="degree")
-        report = train_ssl(h, x, split, cfg)
-        assert np.all(np.isfinite(report.losses))
-
     def test_mlp_memorizes_one_hot_label_features(self):
         h = Hypergraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
         labels = np.array([0, 1, 2, 0, 1, 2])
