@@ -21,8 +21,12 @@ After the methods of each n it times the expansion phases on that
 instance's features, one line per rule (one-edge, mediators, clique):
 the rule's expansion with the extreme-pair result held fixed (computed
 once, then returned by a stub, so only pair emission and accumulation
-are timed) and `normalize` of its graph, medians of `PHASE_REPEATS` (11)
-runs in ms.
+are timed), `normalize` of its graph and `nn.spmm` with the normalized
+CSR on 32 and on 2 columns, medians of `PHASE_REPEATS` (11) runs in ms.
+If the tree has the incidence-factored adjacencies, one more line per
+factored rule (mediators, clique) gives the same for them: the build
+(`mediator_adjacency` with the same stub, `clique_adjacency`) and
+`nn.spmm` on 32 and on 2 columns.
 
 Then it times the DkSH solver's optimizer step (`densek.fit_step`, µs per
 call; for hypergcn it includes the per-layer re-expansion) for
@@ -34,8 +38,8 @@ of the `densek-planted` shape: n uniform in 100..300, k = 3n/4, p = 0.75,
 BLAS runs one thread. `--src` picks the source tree to import, so that
 two trees can be timed by one script.
 
-Prints one JSON line per (n, method), per (n, rule) and per DkSH
-method, then one with the environment.
+Prints one JSON line per (n, method), per (n, rule), per (n, factored
+rule) and per DkSH method, then one with the environment.
 """
 
 from __future__ import annotations
@@ -91,26 +95,43 @@ class StepProbe:
         return (self.faults[-1] - self.faults[0]) / max(1, len(self.faults) - 1)
 
 
-def phase_times(expansion, h, x, rng) -> dict[str, tuple[list[float], list[float]]]:
-    """Per rule, the ms of each expansion run with the extreme-pair result
-    (drawn once from `rng`) held fixed, and of each `normalize` of its graph."""
+def median_ms(run) -> float:
+    """Median ms of `PHASE_REPEATS` calls of `run`."""
+    times = []
+    for _ in range(PHASE_REPEATS):
+        t0 = time.perf_counter()
+        run()
+        times.append(1e3 * (time.perf_counter() - t0))
+    return round(statistics.median(times), 3)
+
+
+def phase_times(expansion, nn, h, x, rng) -> list[dict]:
+    """One dict per rule and, where the tree has them, per factored rule:
+    the ms of each phase, with the extreme-pair result (drawn once from
+    `rng`) held fixed."""
     ext = expansion.extreme_pairs(h, x, rng)
+    cols = {k: rng.normal(size=(h.n, k)) for k in (32, 2)}
     search, expansion.extreme_pairs = expansion.extreme_pairs, lambda *_: ext
     rules = {"one-edge": lambda: expansion.expand_one_edge(h, x, None),
              "mediators": lambda: expansion.expand_mediators(h, x, None),
              "clique": lambda: expansion.expand_clique(h)}
-    out = {}
+    factored = {"mediators": lambda: expansion.mediator_adjacency(h, x, None),
+                "clique": lambda: expansion.clique_adjacency(h),
+                } if hasattr(expansion, "clique_adjacency") else {}
+    out = []
     try:
         for rule, expand in rules.items():
-            expand_ms, normalize_ms = [], []
-            for _ in range(PHASE_REPEATS):
-                t0 = time.perf_counter()
-                g = expand()
-                t1 = time.perf_counter()
-                expansion.normalize(g)
-                expand_ms.append(1e3 * (t1 - t0))
-                normalize_ms.append(1e3 * (time.perf_counter() - t1))
-            out[rule] = expand_ms, normalize_ms
+            g = expand()
+            a = expansion.normalize(g)
+            out.append({"rule": rule, "expand_ms": median_ms(expand),
+                        "normalize_ms": median_ms(lambda: expansion.normalize(g)),
+                        **{f"spmm{k}_ms": median_ms(lambda: nn.spmm(a, y))
+                           for k, y in cols.items()}})
+        for rule, build in factored.items():
+            a = build()
+            out.append({"factored": rule, "build_ms": median_ms(build),
+                        **{f"spmm{k}_ms": median_ms(lambda: nn.spmm(a, y))
+                           for k, y in cols.items()}})
     finally:
         expansion.extreme_pairs = search
     return out
@@ -147,13 +168,9 @@ def main() -> int:
                               "ms_per_epoch": round(statistics.median(runs), 3),
                               "runs_ms": [round(r, 3) for r in runs],
                               "faults_per_epoch": [round(f, 1) for f in faults]}), flush=True)
-        for rule, (expand_ms, normalize_ms) in phase_times(
-                expansion, bundle.hypergraph, bundle.features,
-                np.random.default_rng(0)).items():
-            print(json.dumps({"n": n, "rule": rule, "repeats": PHASE_REPEATS,
-                              "expand_ms": round(statistics.median(expand_ms), 3),
-                              "normalize_ms": round(statistics.median(normalize_ms), 3)}),
-                  flush=True)
+        for line in phase_times(expansion, nn, bundle.hypergraph, bundle.features,
+                                np.random.default_rng(0)):
+            print(json.dumps({"n": n, **line, "repeats": PHASE_REPEATS}), flush=True)
 
     rng = np.random.default_rng(7)
     samples = [densek.gen_sample(int(s), 3 * int(s) // 4, 0.75, rng)

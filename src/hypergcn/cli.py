@@ -105,6 +105,13 @@ def _workers() -> int:
     return int(text)
 
 
+def _quiet_divergence():
+    """Turns off numpy's overflow and invalid-value warnings: a diverging
+    run stops at the non-finite check in `nn` and reports itself as one
+    usage error, without the warnings its last steps raised."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def cmd_validate(args) -> int:
     # a bundle that loads is valid: Hypergraph checks itself when built
     bundle = load_bundle(args.data)
@@ -130,7 +137,8 @@ def cmd_train(args) -> int:
     cfg = _config_from(args)
     streams = rng_streams(cfg.seed)
     split = balanced_split_labels(bundle.labels, args.budget, streams.split)
-    report = train_ssl(bundle.hypergraph, bundle.features, split, cfg)
+    with _quiet_divergence():
+        report = train_ssl(bundle.hypergraph, bundle.features, split, cfg)
     _emit(report.to_dict())
     return 0
 
@@ -138,15 +146,16 @@ def cmd_train(args) -> int:
 def cmd_trials(args) -> int:
     bundle = load_bundle(args.data)
     cfg = _config_from(args)
-    result = run_trials(
-        bundle.hypergraph,
-        bundle.features,
-        bundle.labels,
-        cfg,
-        trials=args.trials,
-        budget=args.budget,
-        workers=_workers(),
-    )
+    with _quiet_divergence():
+        result = run_trials(
+            bundle.hypergraph,
+            bundle.features,
+            bundle.labels,
+            cfg,
+            trials=args.trials,
+            budget=args.budget,
+            workers=_workers(),
+        )
     for t, report in enumerate(result.reports):
         row = report.to_dict()
         row["trial"] = t
@@ -199,8 +208,9 @@ def cmd_densek(args) -> int:
             dk.gen_sample(int(sz), (3 * int(sz)) // 4, 0.75, rng) for sz in sizes
         ]
         cfg = replace(_config_from(args), method=method)
-        model = dk.train_densek(samples, cfg, maps=args.maps)
-        chosen = dk.solve_learned(model, inst, seed=args.seed)
+        with _quiet_divergence():
+            model = dk.train_densek(samples, cfg, maps=args.maps)
+            chosen = dk.solve_learned(model, inst, seed=args.seed)
     else:
         raise _UsageError(f"unknown densek method {method!r}")
     _emit({

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import nn
-from .expansion import expand_mediators, normalize
+from .expansion import expand_mediators, mediator_adjacency, normalize
 from .hypergraph import Hypergraph
 from .training import TrainConfig, fit_step
 
@@ -191,13 +191,9 @@ def _sample_inputs(
     if method not in METHODS:
         raise ValueError(f"unknown densek method {method!r}; expected one of {METHODS}")
     x = vertex_features(h)
-
-    def expand(signal: np.ndarray):
-        return normalize(expand_mediators(h, signal, tie_rng))
-
     if method == "fast-hypergcn":
-        return x, nn.constant_graph(expand(x))
-    return x, nn.reexpanding_graph(expand)
+        return x, nn.constant_graph(normalize(expand_mediators(h, x, tie_rng)))
+    return x, nn.reexpanding_graph(lambda signal: mediator_adjacency(h, signal, tie_rng))
 
 
 def train_densek(

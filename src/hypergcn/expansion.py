@@ -22,6 +22,23 @@ incident pair weight is summed along its CSR row (lower neighbours
 ascending, then upper neighbours ascending) and its degree adds the unit
 loop last, so both depend on the graph alone, and every result is a
 fixed function of the hypergraph, the signal and the draws.
+
+The clique and mediator graphs are sums of one small structured matrix
+per hyperedge, so `clique_adjacency` and `mediator_adjacency` also build
+them factored: the hypergraph's incidence matrices, one coefficient per
+hyperedge, the extreme pairs for mediators and the degrees, which take
+O(N) to find. `nn.spmm` multiplies through these factors, and the CSR is
+built only if `matrix` is read. HGNN's clique graph is factored because
+its CSR has sum |e|(|e|-1) off-diagonal entries against the 2N incidence
+entries a product reads. HyperGCN's per-epoch mediator graphs are
+factored because each is used for two products only, and the factored
+build skips pair emission, `np.unique` and the CSR conversion. The
+other graphs keep the CSR from `normalize`. A constant mediator graph
+(FastHyperGCN, DkSH fast-hypergcn, MLP-HLR's Laplacian) is built once
+and multiplied every epoch, and its CSR product is cheaper than the
+factored one, which adds two incidence products, the extreme-pair
+gathers and their corrections. One-edge graphs and the identity hold
+one pair per hyperedge or none, so their CSR is already small.
 """
 
 from __future__ import annotations
@@ -75,18 +92,90 @@ class WeightedGraph:
                            weights=np.concatenate([self.w, self.w]), minlength=self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class IncidenceFactors:
+    """The pair weights W = Σ_e c_e B_e of a clique or mediator expansion
+    of `h`, where B_e is the 0/1 pattern of hyperedge e's pairs: its
+    clique when `ext` is None, else its mediator graph around extreme
+    pair ext[e]. `coef` holds c_e and `dinv` D̃^{-1/2}, the degrees of
+    W plus a unit loop per vertex; weights are positive, so no degree is
+    below 1."""
+
+    h: Hypergraph
+    coef: np.ndarray
+    dinv: np.ndarray
+    ext: np.ndarray | None = None
+
+    @functools.cached_property
+    def _loop(self) -> np.ndarray:
+        """Clique: the unit loop less the self term Σ_{e∋v} c_e of H c Hᵀ."""
+        return 1.0 - self.h.incidence[1] @ self.coef
+
+    @functools.cached_property
+    def _select(self) -> sp.csc_array:
+        """Mediators: the n x 2m selector of each hyperedge's i (column
+        2e) and j (column 2e + 1); one entry per column, so no sort."""
+        m = self.h.m
+        return sp.csc_array((np.ones(2 * m), self.ext.ravel(), np.arange(2 * m + 1)),
+                            shape=(self.h.n, 2 * m))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """A x = D̃^{-1/2} (W + I) D̃^{-1/2} x for an n x k `x`, through
+        the incidence matrices: with y = D̃^{-1/2} x and S_e the sum of y over
+        e's members, a clique member k receives c_e (S_e - y_k); a mediator
+        member receives c_e (y_i + y_j), except i, which receives
+        c_e (S_e - y_i), and j, which receives c_e (S_e - y_j)."""
+        ht, hm = self.h.incidence
+        c = self.coef[:, None]
+        y = self.dinv[:, None] * x
+        s = ht @ y
+        if self.ext is None:
+            s *= c
+            out = hm @ s
+            y *= self._loop[:, None]
+        else:
+            yij = np.take(y, self.ext, axis=0)  # (m, 2, k): y_i, y_j
+            p = yij[:, 0] + yij[:, 1]
+            # i's and j's corrections to the c_e (y_i + y_j) every member gets
+            s -= p
+            q = np.subtract(s[:, None], yij, out=yij)
+            p *= c
+            q *= c[:, None]
+            out = hm @ p
+            out += self._select @ q.reshape(-1, q.shape[2])
+        out += y
+        out *= self.dinv[:, None]
+        return out
+
+    def pairs(self) -> WeightedGraph:
+        """The expansion these factors stand for."""
+        return expand_clique(self.h) if self.ext is None else _mediator_graph(self.h, self.ext)
+
+
+@dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
-    """Symmetrically normalized adjacency D̃^{-1/2} Ã D̃^{-1/2} in CSR form."""
+    """Symmetrically normalized adjacency D̃^{-1/2} Ã D̃^{-1/2}: a CSR
+    (`csr`), or factored through the incidence matrix (`factors`), in
+    which case `matrix` builds the CSR from the expansion on first read."""
 
     n: int
-    matrix: sp.csr_array
+    csr: sp.csr_array | None = None
+    factors: IncidenceFactors | None = None
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_array:
+        return self.csr if self.factors is None else normalize(self.factors.pairs()).matrix
+
+    @property
+    def pair_count(self) -> int:
+        """Distinct vertex pairs joined: the off-diagonal entries, halved."""
+        return (self.matrix.nnz - self.n) // 2
 
     @classmethod
     def identity(cls, n: int) -> "NormalizedAdjacency":
         """Normalized adjacency of the loops-only graph; turns the
         convolution into a plain MLP layer."""
-        return cls(n=n, matrix=sp.eye_array(n, format="csr", dtype=np.float64))
+        return cls(n=n, csr=sp.eye_array(n, format="csr", dtype=np.float64))
 
 
 def as_signal(s: np.ndarray, n: int) -> np.ndarray:
@@ -123,11 +212,13 @@ def extreme_pairs(
 
     Squared distances are computed for the i < j pairs only. A size group
     is split into blocks of at most `_BLOCK` distances (or one hyperedge's
-    s(s-1)/2, if more); the tie pick runs once per block. A block's
-    distances are filled tile by tile, each tile a run of its hyperedges
-    and pairs holding at most `_TILE` values of temporaries. Memory thus
-    does not grow with the group; one hyperedge of size s adds its s(s-1)/2
-    pair indices, distances and tie counts.
+    s(s-1)/2, if more); the tie pick runs once per block. It takes the
+    argmax of each row whose maximum is unique, and counts ties only in
+    the rows with more than one. A block's distances are filled tile by
+    tile, each tile a run of its hyperedges and pairs holding at most
+    `_TILE` values of temporaries. Memory thus does not grow with the
+    group; one hyperedge of size s adds its s(s-1)/2 pair indices,
+    distances and tie flags.
     """
     s = as_signal(signal, h.n)
     out = np.zeros((h.m, 2), dtype=np.int64)
@@ -147,11 +238,15 @@ def extreme_pairs(
                     diff = np.take(s, r[:, iu[c : c + chunk]], axis=0)  # (g, p, d)
                     diff -= np.take(s, r[:, ju[c : c + chunk]], axis=0)
                     vals[t : t + tile, c : c + chunk] = np.einsum("gpk,gpk->gp", diff, diff)
-            tied = vals == vals.max(axis=1, keepdims=True)
+            pick = vals.argmax(axis=1)
+            tied = vals == np.take_along_axis(vals, pick[:, None], 1)
             count = tied.sum(axis=1)
-            rank = np.minimum((draws[ids] * count).astype(np.int64), count - 1)
-            # position of the (rank+1)-th tied entry of each row
-            pick = np.argmax(np.cumsum(tied, axis=1) > rank[:, None], axis=1)
+            multi = np.flatnonzero(count > 1)
+            if multi.size:  # a unique maximum is rank 0 of 1: argmax's pick
+                tied, count = tied[multi], count[multi]
+                rank = np.minimum((draws[ids[multi]] * count).astype(np.int64), count - 1)
+                # position of the (rank+1)-th tied entry of each row
+                pick[multi] = np.argmax(np.cumsum(tied, axis=1) > rank[:, None], axis=1)
             out[ids] = np.take_along_axis(rows, np.column_stack([iu[pick], ju[pick]]), 1)
     return out
 
@@ -177,11 +272,15 @@ def expand_mediators(h: Hypergraph, signal: np.ndarray, rng: np.random.Generator
     vertex through both extremes, each pair weighted w(e)/(2|e|-3).
 
     Emits max(1, 2|e|-3) distinct pairs per hyperedge; the per-hyperedge
-    weight mass always sums to w(e). Member k of hyperedge e with extreme
-    pair (i, j) emits (i, k) unless k = i, and (j, k) unless k is i or j,
-    so the extreme pair comes once, from k = j.
+    weight mass always sums to w(e).
     """
-    ext = extreme_pairs(h, signal, rng)
+    return _mediator_graph(h, extreme_pairs(h, signal, rng))
+
+
+def _mediator_graph(h: Hypergraph, ext: np.ndarray) -> WeightedGraph:
+    """The mediator expansion around extreme pairs `ext`. Member k of
+    hyperedge e with extreme pair (i, j) emits (i, k) unless k = i, and
+    (j, k) unless k is i or j, so the extreme pair comes once, from k = j."""
     sizes = h.edge_sizes()
     # each member's extreme pair (np.take: a [] row gather is much slower)
     ij = np.take(ext, np.repeat(np.arange(h.m), sizes), axis=0)
@@ -224,4 +323,29 @@ def normalize(g: WeightedGraph) -> NormalizedAdjacency:
     # one product of the two scalings, so A[u, v] and A[v, u] round alike
     scaled = vals * (dinv[rows] * dinv[cols])
     mat = sp.coo_array((scaled, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    return NormalizedAdjacency(n=g.n, matrix=mat)
+    return NormalizedAdjacency(n=g.n, csr=mat)
+
+
+def mediator_adjacency(h: Hypergraph, signal: np.ndarray,
+                       rng: np.random.Generator) -> NormalizedAdjacency:
+    """`normalize(expand_mediators(h, signal, rng))`, factored: the same
+    extreme pairs and draws, c_e = w(e)/(2|e|-3), and a vertex's incident
+    pair weight is 2c_e over the hyperedges it is a non-extreme member
+    of and (|e|-1)c_e over those it is extreme in."""
+    ext = extreme_pairs(h, signal, rng)
+    sizes = h.edge_sizes()
+    coef = h.weights / (2 * sizes - 3)
+    incident = h.incidence[1] @ (2.0 * coef) + np.bincount(
+        ext.ravel(), weights=np.repeat((sizes - 3) * coef, 2), minlength=h.n)
+    return NormalizedAdjacency(h.n, factors=IncidenceFactors(
+        h, coef, 1.0 / np.sqrt(incident + 1.0), ext))
+
+
+def clique_adjacency(h: Hypergraph) -> NormalizedAdjacency:
+    """`normalize(expand_clique(h))`, factored: c_e = 2w(e)/(|e|(|e|-1)),
+    and a vertex's incident pair weight is (|e|-1)c_e over its hyperedges."""
+    sizes = h.edge_sizes()
+    coef = 2.0 * h.weights / (sizes * (sizes - 1))
+    incident = h.incidence[1] @ ((sizes - 1) * coef)
+    return NormalizedAdjacency(h.n, factors=IncidenceFactors(
+        h, coef, 1.0 / np.sqrt(incident + 1.0)))

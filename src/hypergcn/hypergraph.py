@@ -8,8 +8,9 @@ checks every invariant once (n >= 0; one finite positive weight per
 hyperedge; two or more sorted, distinct ids in [0, n) per hyperedge),
 naming each offending hyperedge in one ValueError. So an instance is
 valid, immutable and safe to share across threads. The same-size groups
-that the extreme-pair search vectorizes over are cached on first use;
-the expansions read the CSR arrays directly.
+that the extreme-pair search vectorizes over, and the incidence matrices
+that the factored adjacencies multiply by, are cached on first use; the
+expansions read the CSR arrays directly.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +124,18 @@ class Hypergraph:
             members.setflags(write=False)
             groups.append((size, idxs, members))
         return tuple(groups)
+
+    @cached_property
+    def incidence(self) -> tuple[sp.csr_array, sp.csr_array]:
+        """(Hᵀ, H): the m x n and n x m incidence matrices with unit
+        entries, as read-only CSR. Hᵀ is this hypergraph's own (indptr,
+        indices), so only H takes a (counting-sort) transpose."""
+        ht = sp.csr_array((np.ones(self.indices.size), self.indices, self.indptr),
+                          shape=(self.m, self.n))
+        hm = ht.T.tocsr()
+        for a in (ht.data, ht.indices, ht.indptr, hm.data, hm.indices, hm.indptr):
+            a.setflags(write=False)
+        return ht, hm
 
 
 def degrees(h: Hypergraph) -> np.ndarray:

@@ -5,7 +5,11 @@ Dense matrices are float64 numpy arrays. The network computes the logits
     A2 · ReLU( A1 · X · Θ1 ) · Θ2
 
 with optional inverted dropout on the input of each layer. Layer τ
-convolves over `graph(layer input, Θτ)`, a `Graph`. Layer 1 runs its
+convolves over `graph(layer input, Θτ)`, a `Graph`. Every product with
+an adjacency is `spmm`: by its CSR, or, for HGNN's clique graph and
+HyperGCN's per-epoch mediator graphs, through the incidence matrix
+(`expansion.IncidenceFactors`); a constant mediator graph keeps the CSR,
+whose product is cheaper (see `expansion`). Layer 1 runs its
 sparse product on the narrower side: (A1 · X) · Θ1 when X has fewer
 columns than the hidden layer, else A1 · (X · Θ1). `forward` is the one
 forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
@@ -104,10 +108,11 @@ def reexpanding_graph(expand: Callable[[np.ndarray], NormalizedAdjacency]) -> Gr
 
 
 def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product A x."""
+    """Sparse-dense product A x, by the CSR or through the incidence
+    matrix for a factored adjacency."""
     if a.n != x.shape[0]:
         raise ValueError(f"adjacency n={a.n} does not match x rows {x.shape[0]}")
-    return a.matrix @ x
+    return a.matrix @ x if a.factors is None else a.factors.product(x)
 
 
 def forward_hidden(

@@ -35,9 +35,11 @@ from .dataio import LabeledSplit, balanced_split_labels
 from .expansion import (
     NormalizedAdjacency,
     WeightedGraph,
+    clique_adjacency,
     expand_clique,
     expand_mediators,
     expand_one_edge,
+    mediator_adjacency,
     normalize,
 )
 from .hypergraph import Hypergraph, size_counts
@@ -156,19 +158,23 @@ def train_ssl(
 
     expansions = adjacency_pairs = 0
 
-    def built(g: WeightedGraph) -> WeightedGraph:
+    def built(g: WeightedGraph | NormalizedAdjacency):
+        # a factored adjacency counts its pairs by building its CSR once
         nonlocal expansions, adjacency_pairs
         expansions += 1
         adjacency_pairs = adjacency_pairs or g.pair_count
         return g
 
     loss_fn = partial(nn.softmax_ce, labels=labels, mask=split.train_idx)
-    if cfg.method in ("hypergcn", "one-hypergcn"):
-        expander = expand_mediators if cfg.method == "hypergcn" else expand_one_edge
+    if cfg.method == "hypergcn":
         graph = nn.reexpanding_graph(
-            lambda signal: normalize(built(expander(h, signal, streams.ties))))
+            lambda signal: built(mediator_adjacency(h, signal, streams.ties)))
+    elif cfg.method == "one-hypergcn":
+        graph = nn.reexpanding_graph(
+            lambda signal: normalize(built(expand_one_edge(h, signal, streams.ties))))
     elif cfg.method == "hgnn":
-        graph = nn.constant_graph(normalize(built(expand_clique(h))))
+        built(expand_clique(h))  # for its pair count only
+        graph = nn.constant_graph(clique_adjacency(h))
     elif cfg.method == "fast-hypergcn":
         graph = nn.constant_graph(normalize(built(expand_mediators(h, x, streams.ties))))
     else:

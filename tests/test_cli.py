@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,28 @@ class TestBadInput:
         code, _, err = run_cli(capsys, argv)
         assert code == 1
         assert "usage error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4", "--epochs", "5"],
+            ["train", "--data", "DATA", "--method", "hypergcn", "--budget", "4",
+             "--epochs", "5"],
+            ["trials", "--data", "DATA", "--method", "hgnn", "--budget", "4", "--epochs", "5",
+             "--trials", "2"],
+            ["densek", "--data", "DATA", "--method", "hypergcn", "--trials", "2",
+             "--epochs", "5"],
+        ],
+    )
+    def test_diverged_run_prints_only_its_usage_error(self, capsys, dataset_dir, argv):
+        # numpy's overflow and invalid-value warnings would be raised as
+        # errors here, so none may escape the run
+        argv = [dataset_dir if a == "DATA" else a for a in argv] + ["--lr", "1e200"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert re.fullmatch(r"usage error: training diverged \([^\n]*\)\n", err), err
 
     def test_malformed_manifest_is_data_error(self, capsys, dataset_dir):
         with open(f"{dataset_dir}/manifest.json", "w") as fh:

@@ -12,13 +12,16 @@ from hypergcn.expansion import (
     NormalizedAdjacency,
     WeightedGraph,
     as_signal,
+    clique_adjacency,
     expand_clique,
     expand_mediators,
     expand_one_edge,
     extreme_pairs,
+    mediator_adjacency,
     normalize,
 )
 from hypergcn.hypergraph import Hypergraph
+from hypergcn.nn import spmm
 
 NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -168,6 +171,31 @@ class TestExtremePair:
                     for a, b in itertools.combinations(e, 2)
                 )
                 assert got == pytest.approx(best, abs=0)
+
+    def test_block_mixing_one_two_and_all_pairs_tied(self):
+        # one block of size-4 hyperedges: a unique maximum (argmax's pick),
+        # the two diagonals of a unit square tied, or all six pairs tied
+        rng = np.random.default_rng(31)
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        kinds = rng.permutation(np.repeat(["one", "two", "all"], 40))
+        s = np.zeros((4 * kinds.size, 2))
+        for idx, kind in enumerate(kinds):
+            rows = slice(4 * idx, 4 * idx + 4)
+            s[rows] = {"one": rng.normal(size=(4, 2)), "two": square + idx,
+                       "all": np.full((4, 2), float(idx))}[kind]
+        h = Hypergraph.from_edges(s.shape[0], np.arange(s.shape[0]).reshape(-1, 4))
+        for seed in range(5):
+            got = extreme_pairs(h, s, np.random.default_rng(seed))
+            scalar_rng = np.random.default_rng(seed)
+            want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+            assert [tuple(p) for p in got.tolist()] == want
+        # over the seeds every tied pair gets picked
+        picks = {(kind, tuple(got[idx] - 4 * idx))
+                 for seed in range(20)
+                 for got in [extreme_pairs(h, s, np.random.default_rng(seed))]
+                 for idx, kind in enumerate(kinds)}
+        assert {p for k, p in picks if k == "two"} == {(0, 3), (1, 2)}
+        assert len({p for k, p in picks if k == "all"}) == 6
 
     def test_column_slice_picks_as_its_copy(self):
         # a strided view is copied to C order; the picks do not change
@@ -546,3 +574,43 @@ class TestIdentityAdjacency:
     def test_identity(self):
         a = NormalizedAdjacency.identity(4)
         np.testing.assert_array_equal(a.matrix.toarray(), np.eye(4))
+
+
+@st.composite
+def factored_case(draw):
+    """A `hypergraph_and_signal` draw with up to 5 vertices in no
+    hyperedge appended, and a product operand of 1, 2 or 32 columns."""
+    h, s = draw(hypergraph_and_signal())
+    extra = draw(st.integers(0, 5))
+    h = Hypergraph(h.n + extra, h.indptr, h.indices, h.weights)
+    s = np.vstack([s, np.zeros((extra, s.shape[1]))])
+    cols = draw(st.sampled_from([1, 2, 32]))
+    x = np.random.default_rng(draw(st.integers(0, 2**31))).normal(size=(h.n, cols))
+    return h, s, x
+
+
+class TestFactoredAdjacency:
+    @settings(max_examples=150, deadline=None)
+    @given(factored_case(), st.integers(0, 2**31))
+    def test_products_and_matrix_equal_normalize(self, case, seed):
+        h, s, x = case
+        for factored, csr in (
+            (mediator_adjacency(h, s, np.random.default_rng(seed)),
+             normalize(expand_mediators(h, s, np.random.default_rng(seed)))),
+            (clique_adjacency(h), normalize(expand_clique(h))),
+        ):
+            assert factored.factors is not None and csr.factors is None
+            want = spmm(csr, x)
+            scale = np.abs(want).max()
+            assert np.abs(spmm(factored, x) - want).max() <= 1e-13 * scale
+            m = factored.matrix
+            assert m.format == "csr" and (m != m.T).nnz == 0
+            np.testing.assert_array_equal(m.indptr, csr.matrix.indptr)
+            np.testing.assert_array_equal(m.indices, csr.matrix.indices)
+            np.testing.assert_allclose(m.data, csr.matrix.data, rtol=1e-13, atol=0)
+            assert factored.pair_count == csr.pair_count
+
+    def test_matrix_is_built_on_first_read_only(self):
+        a = clique_adjacency(Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)]))
+        assert "matrix" not in vars(a)
+        assert a.matrix is a.matrix

@@ -95,11 +95,24 @@ class TestValidate:
         h = Hypergraph(3, [0, 2, 4], indices, weights)
         indices[0], weights[0] = 5, -1.0  # the caller's arrays stay theirs
         assert edges(h) == ((0, 1), (1, 2)) and h.weights[0] == 1.0
-        for arr in (h.indptr, h.indices, h.weights, *h.size_groups[0][1:]):
+        ht, hm = h.incidence
+        for arr in (h.indptr, h.indices, h.weights, *h.size_groups[0][1:],
+                    ht.data, hm.data, hm.indices, hm.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
         assert (h.indptr.dtype, h.indices.dtype, h.weights.dtype) == (
             np.int64, np.int64, np.float64)
+
+    def test_incidence_is_the_membership_matrix(self):
+        h = Hypergraph.from_edges(5, [(0, 1, 2), (2, 3), (1, 3, 4), (2, 3)])
+        ht, hm = h.incidence
+        member = np.zeros((h.m, h.n))
+        for idx, e in enumerate(edges(h)):
+            member[idx, list(e)] = 1.0
+        assert ht.format == hm.format == "csr"
+        np.testing.assert_array_equal(ht.toarray(), member)
+        np.testing.assert_array_equal(hm.toarray(), member.T)
+        assert h.incidence is h.incidence
 
     def test_pickle_rebuilds_through_constructor(self):
         # run_trials sends the hypergraph to worker processes

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -42,3 +43,27 @@ class TestEquivalenceScript:
         assert 0.9e-9 < changed["max_rel"] < 1.1e-9
         assert lines["densek/fast-hypergcn"]["against"]["identical"]
         assert lines[None]["against"]["identical"] == lines[None]["against"]["parts"] - 1
+
+
+class TestEpochTimesPhases:
+    def test_a_line_per_rule_and_per_factored_rule(self):
+        spec = importlib.util.spec_from_file_location(
+            "epoch_times", ROOT / "scripts" / "epoch_times.py")
+        epoch_times = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(epoch_times)
+        from hypergcn import dataio, expansion, nn
+
+        bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
+                                      feat_dim=16)
+        search = expansion.extreme_pairs
+        lines = epoch_times.phase_times(expansion, nn, bundle.hypergraph, bundle.features,
+                                        np.random.default_rng(0))
+        assert expansion.extreme_pairs is search
+        spmm = {"spmm32_ms", "spmm2_ms"}
+        assert [(line.get("rule"), line.get("factored")) for line in lines] == [
+            ("one-edge", None), ("mediators", None), ("clique", None),
+            (None, "mediators"), (None, "clique")]
+        assert all(set(line) == {"rule", "expand_ms", "normalize_ms"} | spmm
+                   for line in lines[:3])
+        assert all(set(line) == {"factored", "build_ms"} | spmm for line in lines[3:])
+        assert all(v >= 0 for line in lines for k, v in line.items() if k.endswith("_ms"))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hypergcn
-from hypergcn.dataio import LabeledSplit
+from hypergcn.dataio import LabeledSplit, balanced_split_labels, gen_noisy_ssl
 from hypergcn.expansion import (
     NormalizedAdjacency,
     expand_clique,
@@ -25,6 +25,7 @@ from hypergcn.nn import (
     constant_graph,
     forward,
     glorot_init,
+    rng_streams,
     softmax_ce,
     step,
 )
@@ -117,6 +118,19 @@ class TestTrainSsl:
             )
             # two layers per epoch plus the final inference expansion
             assert report.expansions == 2 * epochs + 2
+
+    @pytest.mark.parametrize("method, pairs, expansions", [
+        ("hypergcn", 581, 8), ("one-hypergcn", 22, 8), ("fast-hypergcn", 550, 1),
+        ("hgnn", 1660, 1), ("mlp", 0, 0), ("mlp-hlr", 550, 1)])
+    def test_adjacency_pairs_and_expansions_pinned(self, method, pairs, expansions):
+        # the distinct pair count of the first expansion, whether the
+        # method convolves through a CSR or through the incidence matrix
+        bundle = gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
+                               feat_dim=16)
+        split = balanced_split_labels(bundle.labels, 10, rng_streams(0).split)
+        report = train_ssl(bundle.hypergraph, bundle.features, split,
+                           TrainConfig(method=method, epochs=3, seed=0))
+        assert (report.adjacency_pairs, report.expansions) == (pairs, expansions)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_diverging_run_raises(self, method):
