@@ -33,13 +33,17 @@ call; for hypergcn it includes the per-layer re-expansion) for
 fast-hypergcn and hypergcn (those of them in `--methods`) on 100 samples
 of the `densek-planted` shape: n uniform in 100..300, k = 3n/4, p = 0.75,
 8 maps, 20 epochs for fast-hypergcn and 2 for hypergcn, median of
-`REPEATS` runs.
+`REPEATS` runs. Before them, two lines split the step's fixed costs on
+the same samples, medians of `PHASE_REPEATS` runs: µs per
+`densek.hindsight_loss` call on each sample's n x 8 normal logits, and
+ms per `extreme_pairs` pass over the samples' input features (the
+first run builds each hypergraph's cached size groups).
 
 BLAS runs one thread. `--src` picks the source tree to import, so that
 two trees can be timed by one script.
 
 Prints one JSON line per (n, method), per (n, rule), per (n, factored
-rule) and per DkSH method, then one with the environment.
+rule), per DkSH phase and per DkSH method, then one with the environment.
 """
 
 from __future__ import annotations
@@ -137,6 +141,25 @@ def phase_times(expansion, nn, h, x, rng) -> list[dict]:
     return out
 
 
+def densek_phases(densek, expansion, samples, rng) -> list[dict]:
+    """The DkSH step's fixed costs on `samples`: µs per `hindsight_loss`
+    call, with n x 8 normal logits drawn once from `rng`, and ms per
+    `extreme_pairs` pass over the samples' input features."""
+    losses = [(rng.normal(size=(h.n, 8)), t.astype(float).reshape(-1, 1))
+              for h, t in samples]
+    inputs = [(h, densek.vertex_features(h)) for h, _ in samples]
+
+    def search():
+        for h, x in inputs:
+            expansion.extreme_pairs(h, x, rng)
+
+    loss_ms = median_ms(lambda: [densek.hindsight_loss(z, t) for z, t in losses])
+    return [{"densek_phase": "hindsight_loss", "samples": len(samples),
+             "us_per_call": round(1e3 * loss_ms / len(samples), 2)},
+            {"densek_phase": "extreme_pairs", "samples": len(samples),
+             "ms_per_pass": median_ms(search)}]
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src")
@@ -175,6 +198,9 @@ def main() -> int:
     rng = np.random.default_rng(7)
     samples = [densek.gen_sample(int(s), 3 * int(s) // 4, 0.75, rng)
                for s in rng.integers(100, 301, size=100)]
+    if not args.methods or set(args.methods) & set(DENSEK_EPOCHS):
+        for line in densek_phases(densek, expansion, samples, np.random.default_rng(0)):
+            print(json.dumps(line), flush=True)
     densek_probe = StepProbe(densek)
     for method in DENSEK_EPOCHS:
         if args.methods and method not in args.methods:

@@ -11,6 +11,12 @@ Pair weights from distinct hyperedges accumulate. Normalization adds a
 unit self-loop to every vertex, as the GCN renormalized adjacency does,
 and scales the result symmetrically for use in graph convolutions.
 
+`extreme_pairs` finds the signal-extreme pairs of all hyperedges at
+once. It searches the bands of `Hypergraph.size_groups`: runs of sizes
+padded to the band's largest, with the padding masked out, so that a
+hypergraph of many small sizes pays the search's fixed cost per band
+rather than per size, and picks exactly as a search by size would.
+
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
 row order of the CSR matrices built from them. Each rule lists its
@@ -203,28 +209,39 @@ def extreme_pairs(
     h: Hypergraph, signal: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Pair (i, j), i < j, of each hyperedge's vertices maximizing the
-    Euclidean signal distance, vectorized over same-size groups.
+    Euclidean signal distance, vectorized over the size bands of
+    `Hypergraph.size_groups`.
 
     Ties (exactly equal distances) are broken uniformly at random with
     one uniform draw per hyperedge, consumed in hyperedge order: of the k
     tied pairs of a hyperedge, in lexicographic order, the
     min(int(draw * k), k - 1)-th is picked.
 
-    Squared distances are computed for the i < j pairs only. A size group
-    is split into blocks of at most `_BLOCK` distances (or one hyperedge's
-    s(s-1)/2, if more); the tie pick runs once per block. It takes the
-    argmax of each row whose maximum is unique, and counts ties only in
-    the rows with more than one. A block's distances are filled tile by
-    tile, each tile a run of its hyperedges and pairs holding at most
-    `_TILE` values of temporaries. Memory thus does not grow with the
-    group; one hyperedge of size s adds its s(s-1)/2 pair indices,
+    Squared distances are computed for the i < j pairs only. A band of
+    width S computes every pair of `np.triu_indices(S, 1)` for each of
+    its hyperedges, padded ones included, then sets the pairs with a
+    padding copy to -1. A copy of the first member would otherwise repeat
+    a real distance and could make a false tie; at -1 such a pair is
+    below every distance and never ties, and the remaining pairs keep the
+    lexicographic order of the hyperedge's own pairs, so picks and draws
+    are those of a search by exact size. Each band pays the search's
+    fixed per-group cost once: a small DkSH hypergraph (sizes 2-10, a
+    dozen hyperedges of each) runs as 3-5 bands instead of 9 sizes.
+
+    A band is split into blocks of at most `_BLOCK` distances (or one
+    hyperedge's S(S-1)/2, if more); the tie pick runs once per block. It
+    takes the argmax of each row whose maximum is unique, and counts ties
+    only in the rows with more than one. A block's distances are filled
+    tile by tile, each tile a run of its hyperedges and pairs holding at
+    most `_TILE` values of temporaries. Memory thus does not grow with
+    the band; one hyperedge of size S adds its S(S-1)/2 pair indices,
     distances and tie flags.
     """
     s = as_signal(signal, h.n)
     out = np.zeros((h.m, 2), dtype=np.int64)
     draws = rng.random(h.m)
     per_pair = 2 * s.shape[1] + 1
-    for size, idxs, members in h.size_groups:
+    for size, idxs, members, own in h.size_groups:
         iu, ju = _triu_pairs(size)
         block = max(1, _BLOCK // iu.size)  # hyperedges per block
         tile = max(1, _TILE // (iu.size * per_pair))  # hyperedges per tile
@@ -238,6 +255,8 @@ def extreme_pairs(
                     diff = np.take(s, r[:, iu[c : c + chunk]], axis=0)  # (g, p, d)
                     diff -= np.take(s, r[:, ju[c : c + chunk]], axis=0)
                     vals[t : t + tile, c : c + chunk] = np.einsum("gpk,gpk->gp", diff, diff)
+            if own is not None:  # pair (a, b) of a size-s row holds a padding copy if b >= s
+                np.copyto(vals, -1.0, where=ju >= own[lo : lo + block, None])
             pick = vals.argmax(axis=1)
             tied = vals == np.take_along_axis(vals, pick[:, None], 1)
             count = tied.sum(axis=1)

@@ -266,6 +266,35 @@ class TestHindsight:
         per_map, _ = hindsight_bce(logits, np.ones(5))
         assert np.all(per_map < 1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 4.0, 30.0, 700.0])
+    def test_matches_logaddexp_within_4_ulp(self, scale):
+        # each softplus entry may move by an ulp or two against logaddexp;
+        # a map's mean then moves by at most 4 ulp of the mean of its
+        # terms' magnitudes (cancellation can make the mean itself smaller)
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            logits = rng.uniform(-scale, scale, size=(n, 8))
+            logits[rng.random(logits.shape) < 0.1] = 0.0
+            logits[rng.random(logits.shape) < 0.02] = 700.0 * rng.choice([-1.0, 1.0])
+            target = rng.integers(0, 2, size=n)
+            with np.errstate(all="raise"):
+                per_map, best = hindsight_bce(logits, target)
+            softplus = np.logaddexp(0.0, logits)
+            want = (softplus - target[:, None] * logits).mean(axis=0)
+            terms = (softplus + np.abs(target[:, None] * logits)).mean(axis=0)
+            assert np.all(np.abs(per_map - want) <= 4 * np.spacing(terms))
+            assert best == int(np.argmin(want))
+
+    def test_extreme_and_zero_logits(self):
+        logits = np.array([[700.0, -700.0, 0.0], [-700.0, 700.0, 0.0]])
+        with np.errstate(all="raise"):
+            per_map, best = hindsight_bce(logits, np.array([1, 0]))
+        # map 0: softplus(700) - 700 rounds to 0, softplus(-700) = e^-700
+        np.testing.assert_allclose(per_map, [np.exp(-700.0) / 2, 700.0, np.log(2.0)],
+                                   rtol=1e-15)
+        assert best == 0
+
     def test_min_bound_over_maps(self):
         rng = np.random.default_rng(12)
         logits = rng.normal(size=(10, 4))
@@ -349,6 +378,15 @@ class TestTrainDensek:
         samples = [gen_sample(20, 8, 0.75, np.random.default_rng(0))]
         with pytest.raises(ValueError, match="maps"):
             train_densek(samples, TrainConfig(epochs=1), maps=0)
+
+    @pytest.mark.parametrize("values", [(0, 2), (-0.5, 0.5)])
+    def test_non_binary_target_rejected(self, values):
+        rng = np.random.default_rng(17)
+        samples = [gen_sample(20, 15, 0.7, rng) for _ in range(3)]
+        h, target = samples[1]
+        samples[1] = (h, np.where(target == 1, *values[::-1]))
+        with pytest.raises(ValueError, match=r"^sample 1: target labelling must assign 0/1"):
+            train_densek(samples, TrainConfig(epochs=1), maps=2)
 
     def test_loss_decreases_on_toy_set(self):
         # trend check: across seeds, the epoch losses trend downward for

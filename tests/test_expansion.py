@@ -214,6 +214,44 @@ class TestExtremePair:
             np.testing.assert_array_equal(got, want)
 
 
+class TestPaddedBands:
+    def test_padding_copy_never_ties(self):
+        # (0, 1, 2) at 0, 1, 3 is padded to width 4 with vertex 0, whose
+        # pair with vertex 2 would copy the farthest distance; (3, 4) is
+        # padded to (3, 4, 3, 3), copying its only pair twice
+        h = Hypergraph.from_edges(5, [(0, 1, 2), (3, 4), (0, 1, 2, 3)])
+        s = np.array([[0.0], [1.0], [3.0], [7.0], [9.0]])
+        ((width, _, members, own),) = h.size_groups
+        assert width == 4 and members[:2].tolist() == [[0, 1, 2, 0], [3, 4, 3, 3]]
+        assert own.tolist() == [3, 2, 4]
+        for seed in range(20):
+            got = extreme_pairs(h, s, np.random.default_rng(seed))
+            assert got.tolist() == [[0, 2], [3, 4], [0, 3]]
+
+    def test_mixed_sizes_with_ties_at_band_edges_match_sequential_calls(self):
+        # sizes 2..12, each drawn with a signal that: has a unique maximum;
+        # ties every pair with the last member, the one next to the padding;
+        # ties every pair across two halves; or ties every pair
+        rng = np.random.default_rng(41)
+        rows, blocks = [], []
+        for size in rng.permutation(np.repeat(np.arange(2, 13), 6)).tolist():
+            last = np.arange(size)[:, None] == size - 1
+            halves = np.arange(size)[:, None] >= size // 2
+            x = [rng.normal(size=(size, 2)), last, halves, np.zeros((size, 1))][rng.integers(4)]
+            x = np.broadcast_to(x, (size, 2))
+            start = sum(len(r) for r in rows)
+            rows.append(np.arange(start, start + size))
+            blocks.append(x + 3.0 * len(rows))
+        s = np.concatenate(blocks)
+        h = Hypergraph.from_edges(s.shape[0], rows)
+        assert sum(own is not None for *_, own in h.size_groups) >= 3
+        for seed in range(10):
+            scalar_rng = np.random.default_rng(seed)
+            want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+            got = extreme_pairs(h, s, np.random.default_rng(seed))
+            assert [tuple(p) for p in got.tolist()] == want
+
+
 class TestOneEdgeExpansion:
     def test_size_two(self):
         h = Hypergraph.from_edges(2, [(0, 1)])

@@ -45,12 +45,16 @@ class TestEquivalenceScript:
         assert lines[None]["against"]["identical"] == lines[None]["against"]["parts"] - 1
 
 
+def load_epoch_times():
+    spec = importlib.util.spec_from_file_location("epoch_times", ROOT / "scripts" / "epoch_times.py")
+    epoch_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(epoch_times)
+    return epoch_times
+
+
 class TestEpochTimesPhases:
     def test_a_line_per_rule_and_per_factored_rule(self):
-        spec = importlib.util.spec_from_file_location(
-            "epoch_times", ROOT / "scripts" / "epoch_times.py")
-        epoch_times = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(epoch_times)
+        epoch_times = load_epoch_times()
         from hypergcn import dataio, expansion, nn
 
         bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
@@ -67,3 +71,16 @@ class TestEpochTimesPhases:
                    for line in lines[:3])
         assert all(set(line) == {"factored", "build_ms"} | spmm for line in lines[3:])
         assert all(v >= 0 for line in lines for k, v in line.items() if k.endswith("_ms"))
+
+    def test_a_line_per_densek_phase(self):
+        epoch_times = load_epoch_times()
+        from hypergcn import densek, expansion
+
+        rng = np.random.default_rng(7)
+        samples = [densek.gen_sample(n, 3 * n // 4, 0.75, rng) for n in (20, 30, 40)]
+        lines = epoch_times.densek_phases(densek, expansion, samples, np.random.default_rng(0))
+        assert [set(line) for line in lines] == [
+            {"densek_phase", "samples", "us_per_call"}, {"densek_phase", "samples", "ms_per_pass"}]
+        assert [line["densek_phase"] for line in lines] == ["hindsight_loss", "extreme_pairs"]
+        assert all(line["samples"] == 3 for line in lines)
+        assert lines[0]["us_per_call"] > 0 and lines[1]["ms_per_pass"] > 0
