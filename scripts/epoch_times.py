@@ -17,7 +17,10 @@ end of the last, so a run's one-time expansion and first touch of its
 buffers are left out. The first run of the first method is the only one
 in a process that no earlier run has warmed.
 
-After the methods of each n it times the expansion phases on that
+After the methods of each n it times `extreme_pairs` on n x 32 and n x 2
+normal signals, the widths that a `hypergcn` epoch searches (hidden
+layer and classes), median ms of `PHASE_REPEATS` calls, in one line.
+Then it times the expansion phases on that
 instance's features, one line per rule (one-edge, mediators, clique):
 the rule's expansion with the extreme-pair result held fixed (computed
 once, then returned by a stub, so only pair emission and accumulation
@@ -37,13 +40,14 @@ of the `densek-planted` shape: n uniform in 100..300, k = 3n/4, p = 0.75,
 the same samples, medians of `PHASE_REPEATS` runs: µs per
 `densek.hindsight_loss` call on each sample's n x 8 normal logits, and
 ms per `extreme_pairs` pass over the samples' input features (the
-first run builds each hypergraph's cached size groups).
+first run builds each hypergraph's cached pair list).
 
 BLAS runs one thread. `--src` picks the source tree to import, so that
 two trees can be timed by one script.
 
-Prints one JSON line per (n, method), per (n, rule), per (n, factored
-rule), per DkSH phase and per DkSH method, then one with the environment.
+Prints one JSON line per (n, method), per n for the search, per (n, rule),
+per (n, factored rule), per DkSH phase and per DkSH method, then one with
+the environment.
 """
 
 from __future__ import annotations
@@ -107,6 +111,16 @@ def median_ms(run) -> float:
         run()
         times.append(1e3 * (time.perf_counter() - t0))
     return round(statistics.median(times), 3)
+
+
+def search_times(expansion, h, rng) -> dict:
+    """ms per `extreme_pairs` call on n x 32 and n x 2 normal signals,
+    drawn once from `rng`, which also draws the ties."""
+    out = {"phase": "extreme_pairs"}
+    for k in (32, 2):
+        y = rng.normal(size=(h.n, k))
+        out[f"search{k}_ms"] = median_ms(lambda: expansion.extreme_pairs(h, y, rng))
+    return out
 
 
 def phase_times(expansion, nn, h, x, rng) -> list[dict]:
@@ -191,6 +205,9 @@ def main() -> int:
                               "ms_per_epoch": round(statistics.median(runs), 3),
                               "runs_ms": [round(r, 3) for r in runs],
                               "faults_per_epoch": [round(f, 1) for f in faults]}), flush=True)
+        print(json.dumps({"n": n, **search_times(expansion, bundle.hypergraph,
+                                                 np.random.default_rng(0)),
+                          "repeats": PHASE_REPEATS}), flush=True)
         for line in phase_times(expansion, nn, bundle.hypergraph, bundle.features,
                                 np.random.default_rng(0)):
             print(json.dumps({"n": n, **line, "repeats": PHASE_REPEATS}), flush=True)

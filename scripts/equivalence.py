@@ -12,6 +12,9 @@ each, in order), then one line with the digest over all parts:
   mediators and clique expansions (unit self-loops), on the instance's
   features with tie rng `default_rng(3)`; `<n>/unit/<rule>/csr`: the
   normalized CSR indptr, indices and data;
+* `<n>/picks/zero`: the `extreme_pairs` result on the instance's features
+  zeroed, where every pair of every hyperedge ties, with tie rng
+  `default_rng(3)`, so that the draws alone decide each pick;
 * `ssl/<n>/<method>` and `ssl/<n>/p8/<method>`: `train_ssl` losses and test
   error of all six methods, trial seed 0, on the instance's features and
   on the same instance drawn with 8 feature dims (narrower than the
@@ -19,7 +22,10 @@ each, in order), then one line with the digest over all parts:
 * `densek/<method>`: the `train_densek` loss trace, Θ1 and Θ2 of
   `hypergcn` and `fast-hypergcn` (2 epochs, 8 maps) on 10 samples of
   the `densek-planted` shape (n uniform in 100..300, k = 3n/4,
-  p = 0.75), and the vertex sets `solve_learned` decodes with them.
+  p = 0.75), and the vertex sets `solve_learned` decodes with them;
+  `densek/picks`: the `extreme_pairs` results on those samples' degree
+  features (`densek.vertex_features`), where most hyperedges tie, one
+  tie rng `default_rng(3)` drawn through the samples in order.
 
 The instances are `gen_noisy_ssl(0.5, default_rng(7), ...)`: n=1000 (the
 default benchmark, 20 training epochs), the 20k instance (n=20000,
@@ -87,6 +93,8 @@ def parts(sizes: list[int]):
             g = expand()
             yield f"{n}/unit/{rule}", [g.u, g.v, g.w]
             yield f"{n}/unit/{rule}/csr", attempt(lambda: csr(expansion.normalize(g)))
+        yield f"{n}/picks/zero", [expansion.extreme_pairs(h, np.zeros_like(x),
+                                                          np.random.default_rng(3))]
         narrow = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7),
                                       **{**kwargs, "feat_dim": NARROW_DIMS})
         for method in training.METHODS:
@@ -97,6 +105,9 @@ def parts(sizes: list[int]):
     rng = np.random.default_rng(7)
     drawn = [(densek.gen_sample(int(s), 3 * int(s) // 4, 0.75, rng), 3 * int(s) // 4)
              for s in rng.integers(100, 301, size=DENSEK_SAMPLES)]
+    tie_rng = np.random.default_rng(3)
+    yield "densek/picks", [expansion.extreme_pairs(h, densek.vertex_features(h), tie_rng)
+                           for (h, _), _ in drawn]
     for method in ("hypergcn", "fast-hypergcn"):
         cfg = training.TrainConfig(method=method, epochs=DENSEK_EPOCHS, seed=0)
 

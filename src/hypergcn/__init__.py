@@ -1,7 +1,7 @@
 """Hypergraph learning toolkit: spectral expansions, a two-layer graph
 convolutional trainer, and densest-k-subhypergraph solvers."""
 
-from .hypergraph import Hypergraph, degrees, size_counts
+from .hypergraph import Hypergraph, size_counts
 from .expansion import (
     NormalizedAdjacency,
     WeightedGraph,
@@ -22,7 +22,6 @@ from .training import TrainConfig, TrainReport, evaluate, run_trials, train_ssl
 
 __all__ = [
     "Hypergraph",
-    "degrees",
     "size_counts",
     "NormalizedAdjacency",
     "WeightedGraph",

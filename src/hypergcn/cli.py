@@ -8,6 +8,7 @@ argv plus seed reproduce identical output bytes apart from timing fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -112,6 +113,17 @@ def _quiet_divergence():
     return np.errstate(over="ignore", invalid="ignore")
 
 
+@contextlib.contextmanager
+def _budget_check():
+    """Reports the label split's DataError, a --budget that the classes
+    cannot meet, as a usage error: the bundle itself has loaded, so it
+    is valid."""
+    try:
+        yield
+    except DataError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def cmd_validate(args) -> int:
     # a bundle that loads is valid: Hypergraph checks itself when built
     bundle = load_bundle(args.data)
@@ -136,7 +148,8 @@ def cmd_train(args) -> int:
     bundle = load_bundle(args.data)
     cfg = _config_from(args)
     streams = rng_streams(cfg.seed)
-    split = balanced_split_labels(bundle.labels, args.budget, streams.split)
+    with _budget_check():
+        split = balanced_split_labels(bundle.labels, args.budget, streams.split)
     with _quiet_divergence():
         report = train_ssl(bundle.hypergraph, bundle.features, split, cfg)
     _emit(report.to_dict())
@@ -146,7 +159,7 @@ def cmd_train(args) -> int:
 def cmd_trials(args) -> int:
     bundle = load_bundle(args.data)
     cfg = _config_from(args)
-    with _quiet_divergence():
+    with _quiet_divergence(), _budget_check():
         result = run_trials(
             bundle.hypergraph,
             bundle.features,

@@ -12,10 +12,10 @@ unit self-loop to every vertex, as the GCN renormalized adjacency does,
 and scales the result symmetrically for use in graph convolutions.
 
 `extreme_pairs` finds the signal-extreme pairs of all hyperedges at
-once. It searches the bands of `Hypergraph.size_groups`: runs of sizes
-padded to the band's largest, with the padding masked out, so that a
-hypergraph of many small sizes pays the search's fixed cost per band
-rather than per size, and picks exactly as a search by size would.
+once, over `Hypergraph.clique_pairs`: the cached flat list of every
+hyperedge's pairs, in hyperedge order, which `expand_clique` emits too.
+Hyperedges of every size share its blocks and tiles, so the search's
+fixed costs are paid per block, not per hyperedge size.
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
@@ -196,77 +196,55 @@ def as_signal(s: np.ndarray, n: int) -> np.ndarray:
     return arr
 
 
-@functools.cache
-def _triu_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(size, k=1)`, read-only because every call for
-    one size shares them; the cache keeps size·(size-1) int64s per size."""
-    iu, ju = np.triu_indices(size, k=1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
-
-
 def extreme_pairs(
     h: Hypergraph, signal: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Pair (i, j), i < j, of each hyperedge's vertices maximizing the
-    Euclidean signal distance, vectorized over the size bands of
-    `Hypergraph.size_groups`.
+    Euclidean signal distance, vectorized over `Hypergraph.clique_pairs`.
 
     Ties (exactly equal distances) are broken uniformly at random with
     one uniform draw per hyperedge, consumed in hyperedge order: of the k
     tied pairs of a hyperedge, in lexicographic order, the
-    min(int(draw * k), k - 1)-th is picked.
+    min(int(draw * k), k - 1)-th is picked. A unique maximum is the
+    0-th of 1, so one pick serves both.
 
-    Squared distances are computed for the i < j pairs only. A band of
-    width S computes every pair of `np.triu_indices(S, 1)` for each of
-    its hyperedges, padded ones included, then sets the pairs with a
-    padding copy to -1. A copy of the first member would otherwise repeat
-    a real distance and could make a false tie; at -1 such a pair is
-    below every distance and never ties, and the remaining pairs keep the
-    lexicographic order of the hyperedge's own pairs, so picks and draws
-    are those of a search by exact size. Each band pays the search's
-    fixed per-group cost once: a small DkSH hypergraph (sizes 2-10, a
-    dozen hyperedges of each) runs as 3-5 bands instead of 9 sizes.
-
-    A band is split into blocks of at most `_BLOCK` distances (or one
-    hyperedge's S(S-1)/2, if more); the tie pick runs once per block. It
-    takes the argmax of each row whose maximum is unique, and counts ties
-    only in the rows with more than one. A block's distances are filled
-    tile by tile, each tile a run of its hyperedges and pairs holding at
-    most `_TILE` values of temporaries. Memory thus does not grow with
-    the band; one hyperedge of size S adds its S(S-1)/2 pair indices,
-    distances and tie flags.
+    Squared distances are computed for the i < j pairs only. The search
+    walks blocks of whole hyperedges, at most `_BLOCK` pairs each (or one
+    hyperedge's s(s-1)/2, if more), and picks once per block: it takes
+    each hyperedge's largest distance (`np.maximum.reduceat` over its run
+    of pairs), lists the positions of the pairs equal to it, and takes
+    the ranked one of each hyperedge's tied positions. A block's
+    distances are filled in 1-D tiles of pairs that hold at most `_TILE`
+    values of temporaries, so memory does not grow with the signal's
+    width; a block adds its distances, its hyperedges' maxima repeated
+    per pair, and the tied positions.
     """
     s = as_signal(signal, h.n)
-    out = np.zeros((h.m, 2), dtype=np.int64)
+    out = np.empty((h.m, 2), dtype=np.int64)
     draws = rng.random(h.m)
-    per_pair = 2 * s.shape[1] + 1
-    for size, idxs, members, own in h.size_groups:
-        iu, ju = _triu_pairs(size)
-        block = max(1, _BLOCK // iu.size)  # hyperedges per block
-        tile = max(1, _TILE // (iu.size * per_pair))  # hyperedges per tile
-        chunk = max(1, _TILE // (tile * per_pair))  # pairs per tile
-        for lo in range(0, idxs.size, block):
-            ids, rows = idxs[lo : lo + block], members[lo : lo + block]
-            vals = np.empty((ids.size, iu.size))
-            for t in range(0, ids.size, tile):
-                r = rows[t : t + tile]
-                for c in range(0, iu.size, chunk):
-                    diff = np.take(s, r[:, iu[c : c + chunk]], axis=0)  # (g, p, d)
-                    diff -= np.take(s, r[:, ju[c : c + chunk]], axis=0)
-                    vals[t : t + tile, c : c + chunk] = np.einsum("gpk,gpk->gp", diff, diff)
-            if own is not None:  # pair (a, b) of a size-s row holds a padding copy if b >= s
-                np.copyto(vals, -1.0, where=ju >= own[lo : lo + block, None])
-            pick = vals.argmax(axis=1)
-            tied = vals == np.take_along_axis(vals, pick[:, None], 1)
-            count = tied.sum(axis=1)
-            multi = np.flatnonzero(count > 1)
-            if multi.size:  # a unique maximum is rank 0 of 1: argmax's pick
-                tied, count = tied[multi], count[multi]
-                rank = np.minimum((draws[ids[multi]] * count).astype(np.int64), count - 1)
-                # position of the (rank+1)-th tied entry of each row
-                pick[multi] = np.argmax(np.cumsum(tied, axis=1) > rank[:, None], axis=1)
-            out[ids] = np.take_along_axis(rows, np.column_stack([iu[pick], ju[pick]]), 1)
+    ptr, a, b = h.clique_pairs
+    count = np.diff(ptr)
+    tile = max(1, _TILE // (2 * s.shape[1] + 1))  # pairs per tile
+    lo = 0
+    while lo < h.m:
+        # hyperedges lo..hi-1 hold pairs p0..p1-1
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _BLOCK, "right")) - 1)
+        p0, p1 = ptr[lo], ptr[hi]
+        vals = np.empty(p1 - p0)
+        for t in range(p0, p1, tile):
+            u = min(t + tile, p1)
+            diff = np.take(s, a[t:u], axis=0)  # (pairs, d)
+            diff -= np.take(s, b[t:u], axis=0)
+            np.einsum("pk,pk->p", diff, diff, out=vals[t - p0 : u - p0])
+        starts = ptr[lo:hi] - p0
+        top = np.repeat(np.maximum.reduceat(vals, starts), count[lo:hi])
+        tied = np.flatnonzero(vals == top)
+        first = np.searchsorted(tied, starts)  # each hyperedge's first tied pair
+        k = np.diff(first, append=tied.size)
+        rank = np.minimum((draws[lo:hi] * k).astype(np.int64), k - 1)
+        pick = p0 + tied[first + rank]
+        out[lo:hi, 0], out[lo:hi, 1] = a[pick], b[pick]
+        lo = hi
     return out
 
 
@@ -316,13 +294,9 @@ def expand_clique(h: Hypergraph) -> WeightedGraph:
     """Replace each hyperedge by a clique, every pair weighted
     2 w(e)/(|e| (|e|-1)). Signal-independent."""
     sizes = h.edge_sizes()
-    # member q (a flat position) pairs with the later[q] members after it
-    later = np.repeat(h.indptr[1:], sizes) - np.arange(h.indices.size) - 1
-    first = np.repeat(np.arange(h.indices.size), later)
-    second = first + 1 + np.arange(first.size) - (np.cumsum(later) - later)[first]
+    ptr, a, b = h.clique_pairs
     wt = 2.0 * h.weights / (sizes * (sizes - 1))
-    return _accumulate(h, h.indices[first], h.indices[second],
-                       np.repeat(wt, sizes * (sizes - 1) // 2))
+    return _accumulate(h, a, b, np.repeat(wt, np.diff(ptr)))
 
 
 def normalize(g: WeightedGraph) -> NormalizedAdjacency:

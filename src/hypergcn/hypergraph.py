@@ -1,4 +1,4 @@
-"""Canonical hypergraph container with degree and size bookkeeping.
+"""Canonical hypergraph container with size bookkeeping.
 
 Vertices are dense 0-based integers. The m hyperedges are CSR arrays:
 hyperedge e is `indices[indptr[e]:indptr[e + 1]]` with weight `weights[e]`;
@@ -7,10 +7,11 @@ duplicate hyperedges accumulate in every expansion. The constructor
 checks every invariant once (n >= 0; one finite positive weight per
 hyperedge; two or more sorted, distinct ids in [0, n) per hyperedge),
 naming each offending hyperedge in one ValueError. So an instance is
-valid, immutable and safe to share across threads. The padded size bands
-that the extreme-pair search vectorizes over, and the incidence matrices
-that the factored adjacencies multiply by, are cached on first use; the
-expansions read the CSR arrays directly.
+valid, immutable and safe to share across threads. Two read-only
+derived structures are cached on first use: the list of every
+hyperedge's vertex pairs, which the extreme-pair search and the clique
+expansion read, and the incidence matrices that the factored adjacencies
+multiply by. Pickling drops them; the copy rebuilds them when read.
 """
 
 from __future__ import annotations
@@ -21,14 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-
-# Hypergraph.size_groups pads a band of sizes with at most this many pairs
-# in all. Each group costs the extreme-pair search a fixed 30-40 µs, and a
-# pair of a 32-dim signal about 0.1 µs; on DkSH-shaped hypergraphs (sizes
-# 2-10, 50-500 hyperedges) 2**7 was the fastest cap for 32-dim signals and
-# within 5 % of the fastest for their 2-dim degree features
-_BAND_PADDING = 2**7
-
 
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
@@ -117,39 +110,21 @@ class Hypergraph:
         return np.diff(self.indptr)
 
     @cached_property
-    def size_groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray | None], ...]:
-        """(size S, edge ids, member matrix, row sizes) per band of
-        hyperedge sizes, in increasing size, for the extreme-pair search.
-
-        A band is a run of distinct sizes searched as one group of width
-        S, its largest size. Row r of the (g, S) member matrix is hyperedge
-        `edge ids[r]` (edge ids increase), padded past its own size, row
-        sizes[r], with its first member; row sizes is None when every row
-        has size S. Sizes join a band while the pairs that padding adds to
-        it, sum over rows of S(S-1)/2 - s(s-1)/2, number at most
-        `_BAND_PADDING`. That keeps a band's padding small next to the
-        fixed per-group cost of the search that it saves, so large groups
-        (such as sizes 5 and 20 in the noisy benchmark) stay apart.
-        """
+    def clique_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ptr, a, b): every pair a < b of each hyperedge's vertices, in
+        hyperedge order and lexicographic within a hyperedge; hyperedge
+        e's pairs are (a[t], b[t]) for t in [ptr[e], ptr[e + 1]). Read-only;
+        it holds 16 bytes per pair."""
         sizes = self.edge_sizes()
-        distinct, counts = np.unique(sizes, return_counts=True)
-        pairs = distinct * (distinct - 1) // 2
-        groups, lo = [], 0
-        for hi in range(1, distinct.size + 1):
-            if hi < distinct.size and (counts[lo : hi + 1].sum() * pairs[hi]
-                                       - counts[lo : hi + 1] @ pairs[lo : hi + 1]
-                                       <= _BAND_PADDING):
-                continue  # size distinct[hi] joins the band
-            width = int(distinct[hi - 1])
-            idxs = np.flatnonzero((sizes >= distinct[lo]) & (sizes <= width))
-            own = sizes[idxs]
-            slot = np.arange(width)  # slots past a row's size read its first member
-            members = self.indices[self.indptr[idxs, None] + slot * (slot < own[:, None])]
-            for arr in (idxs, members, own):
-                arr.setflags(write=False)
-            groups.append((width, idxs, members, own if distinct[lo] < width else None))
-            lo = hi
-        return tuple(groups)
+        # member q (a flat position) pairs with the later[q] members after it
+        later = np.repeat(self.indptr[1:], sizes) - np.arange(self.indices.size) - 1
+        first = np.repeat(np.arange(self.indices.size), later)
+        second = first + 1 + np.arange(first.size) - (np.cumsum(later) - later)[first]
+        ptr = np.concatenate([[0], np.cumsum(sizes * (sizes - 1) // 2)])
+        out = (ptr, self.indices[first], self.indices[second])
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     @cached_property
     def incidence(self) -> tuple[sp.csr_array, sp.csr_array]:
@@ -162,12 +137,6 @@ class Hypergraph:
         for a in (ht.data, ht.indices, ht.indptr, hm.data, hm.indices, hm.indptr):
             a.setflags(write=False)
         return ht, hm
-
-
-def degrees(h: Hypergraph) -> np.ndarray:
-    """Vertex degrees d_v = sum of w(e) over hyperedges containing v."""
-    weights = np.repeat(h.weights, h.edge_sizes())
-    return np.bincount(h.indices, weights=weights, minlength=h.n)
 
 
 def size_counts(h: Hypergraph) -> tuple[int, int, int]:

@@ -96,6 +96,10 @@ class TestBadInput:
             ["densek", "--data", "DATA", "--method", "brute-force", "--k-frac", "0.5"],
             ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
              "--epochs", "2", "--lr", "1e200"],
+            # these used to exit 2 as a data error: a budget not divisible
+            # by the 2 classes, or more than the 12 members of a class
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "3"],
+            ["trials", "--data", "DATA", "--method", "mlp", "--budget", "26", "--trials", "2"],
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, capsys, dataset_dir, tmp_path, argv):

@@ -173,8 +173,8 @@ class TestExtremePair:
                 assert got == pytest.approx(best, abs=0)
 
     def test_block_mixing_one_two_and_all_pairs_tied(self):
-        # one block of size-4 hyperedges: a unique maximum (argmax's pick),
-        # the two diagonals of a unit square tied, or all six pairs tied
+        # one block of size-4 hyperedges: a unique maximum, the two
+        # diagonals of a unit square tied, or all six pairs tied
         rng = np.random.default_rng(31)
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         kinds = rng.permutation(np.repeat(["one", "two", "all"], 40))
@@ -197,6 +197,36 @@ class TestExtremePair:
         assert {p for k, p in picks if k == "two"} == {(0, 3), (1, 2)}
         assert len({p for k, p in picks if k == "all"}) == 6
 
+    def test_mixed_sizes_in_one_block_match_sequential_calls(self):
+        # (0, 1, 2) at 0, 1, 3 sits next to a size-2 and a size-4 hyperedge
+        # whose pairs lie on either side of its own in the pair list
+        h = Hypergraph.from_edges(5, [(0, 1, 2), (3, 4), (0, 1, 2, 3)])
+        s = np.array([[0.0], [1.0], [3.0], [7.0], [9.0]])
+        for seed in range(20):
+            got = extreme_pairs(h, s, np.random.default_rng(seed))
+            assert got.tolist() == [[0, 2], [3, 4], [0, 3]]
+        # sizes 2..12 in random order, each drawn with a signal that: has a
+        # unique maximum; ties every pair with the last member; ties every
+        # pair across two halves; or ties every pair
+        rng = np.random.default_rng(41)
+        rows, blocks = [], []
+        for size in rng.permutation(np.repeat(np.arange(2, 13), 6)).tolist():
+            last = np.arange(size)[:, None] == size - 1
+            halves = np.arange(size)[:, None] >= size // 2
+            x = [rng.normal(size=(size, 2)), last, halves, np.zeros((size, 1))][rng.integers(4)]
+            x = np.broadcast_to(x, (size, 2))
+            start = sum(len(r) for r in rows)
+            rows.append(np.arange(start, start + size))
+            blocks.append(x + 3.0 * len(rows))
+        s = np.concatenate(blocks)
+        h = Hypergraph.from_edges(s.shape[0], rows)
+        assert h.clique_pairs[0][-1] <= expansion._BLOCK  # one block
+        for seed in range(10):
+            scalar_rng = np.random.default_rng(seed)
+            want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+            got = extreme_pairs(h, s, np.random.default_rng(seed))
+            assert [tuple(p) for p in got.tolist()] == want
+
     def test_column_slice_picks_as_its_copy(self):
         # a strided view is copied to C order; the picks do not change
         rng = np.random.default_rng(23)
@@ -212,44 +242,6 @@ class TestExtremePair:
             got = extreme_pairs(h, view, np.random.default_rng(seed))
             want = extreme_pairs(h, view.copy(), np.random.default_rng(seed))
             np.testing.assert_array_equal(got, want)
-
-
-class TestPaddedBands:
-    def test_padding_copy_never_ties(self):
-        # (0, 1, 2) at 0, 1, 3 is padded to width 4 with vertex 0, whose
-        # pair with vertex 2 would copy the farthest distance; (3, 4) is
-        # padded to (3, 4, 3, 3), copying its only pair twice
-        h = Hypergraph.from_edges(5, [(0, 1, 2), (3, 4), (0, 1, 2, 3)])
-        s = np.array([[0.0], [1.0], [3.0], [7.0], [9.0]])
-        ((width, _, members, own),) = h.size_groups
-        assert width == 4 and members[:2].tolist() == [[0, 1, 2, 0], [3, 4, 3, 3]]
-        assert own.tolist() == [3, 2, 4]
-        for seed in range(20):
-            got = extreme_pairs(h, s, np.random.default_rng(seed))
-            assert got.tolist() == [[0, 2], [3, 4], [0, 3]]
-
-    def test_mixed_sizes_with_ties_at_band_edges_match_sequential_calls(self):
-        # sizes 2..12, each drawn with a signal that: has a unique maximum;
-        # ties every pair with the last member, the one next to the padding;
-        # ties every pair across two halves; or ties every pair
-        rng = np.random.default_rng(41)
-        rows, blocks = [], []
-        for size in rng.permutation(np.repeat(np.arange(2, 13), 6)).tolist():
-            last = np.arange(size)[:, None] == size - 1
-            halves = np.arange(size)[:, None] >= size // 2
-            x = [rng.normal(size=(size, 2)), last, halves, np.zeros((size, 1))][rng.integers(4)]
-            x = np.broadcast_to(x, (size, 2))
-            start = sum(len(r) for r in rows)
-            rows.append(np.arange(start, start + size))
-            blocks.append(x + 3.0 * len(rows))
-        s = np.concatenate(blocks)
-        h = Hypergraph.from_edges(s.shape[0], rows)
-        assert sum(own is not None for *_, own in h.size_groups) >= 3
-        for seed in range(10):
-            scalar_rng = np.random.default_rng(seed)
-            want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
-            got = extreme_pairs(h, s, np.random.default_rng(seed))
-            assert [tuple(p) for p in got.tolist()] == want
 
 
 class TestOneEdgeExpansion:
@@ -518,8 +510,8 @@ class TestTiling:
     @given(hs=hypergraph_and_signal(), seed=st.integers(0, 2**31))
     def test_tiles_and_blocks_match_sequential_calls(self, tile, block, hs, seed):
         # (1, 1) makes every tile one pair of one hyperedge and every block
-        # one hyperedge; the others leave partial tiles and blocks at the
-        # end of a hyperedge's pairs and of a size group
+        # one hyperedge; the others make tiles that span hyperedges and end
+        # short at a block's end, and blocks of one or several hyperedges
         h, s = hs
         scalar_rng = np.random.default_rng(seed)
         want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]

@@ -1,12 +1,13 @@
+import itertools
 import pickle
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from hypergcn import dataio, densek, hypergraph
-from hypergcn.hypergraph import Hypergraph, degrees, size_counts
-from test_expansion import edges
+from hypergcn.hypergraph import Hypergraph, size_counts
+from test_expansion import edges, hypergraph_and_signal
 
 
 # (n, edges, weights, the message naming the offending hyperedge)
@@ -26,35 +27,6 @@ def violations(n, edges, weights=None):
     with pytest.raises(ValueError) as info:
         Hypergraph.from_edges(n, edges, weights)
     return str(info.value).split("; ")
-
-
-def check_size_groups(h):
-    """Check `h.size_groups` against the CSR arrays: disjoint bands of
-    consecutive sizes, in increasing size, that cover every hyperedge once;
-    rows in edge-id order, padded past their size with their first member;
-    row sizes, None for a band of one size; and at most `_BAND_PADDING`
-    pairs added by padding per band. Returns the (smallest, largest) size
-    of each band."""
-    sizes = h.edge_sizes()
-    spans, seen = [], []
-    for width, idxs, members, own in h.size_groups:
-        band = sizes[idxs]
-        assert band.max() == width and np.all(np.diff(idxs) > 0)
-        assert members.shape == (idxs.size, width)
-        for row, idx in zip(members.tolist(), idxs.tolist()):
-            e = edges(h)[idx]
-            assert row == list(e) + [e[0]] * (width - len(e))
-        if band.min() == width:
-            assert own is None
-        else:
-            np.testing.assert_array_equal(own, band)
-        padding = (width * (width - 1) - band * (band - 1)) // 2
-        assert padding.sum() <= hypergraph._BAND_PADDING
-        spans.append((int(band.min()), width))
-        seen += idxs.tolist()
-    assert sorted(seen) == list(range(h.m))
-    assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
-    return spans
 
 
 class TestValidate:
@@ -126,7 +98,7 @@ class TestValidate:
         indices[0], weights[0] = 5, -1.0  # the caller's arrays stay theirs
         assert edges(h) == ((0, 1), (1, 2)) and h.weights[0] == 1.0
         ht, hm = h.incidence
-        for arr in (h.indptr, h.indices, h.weights, *h.size_groups[0][1:3],
+        for arr in (h.indptr, h.indices, h.weights, *h.clique_pairs,
                     ht.data, hm.data, hm.indices, hm.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
@@ -147,11 +119,11 @@ class TestValidate:
     def test_pickle_rebuilds_through_constructor(self):
         # run_trials sends the hypergraph to worker processes
         h = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[2.0, 3.0])
-        h.size_groups
+        h.clique_pairs
         copy = pickle.loads(pickle.dumps(h))
         assert edges(copy) == edges(h) and copy.weights.tolist() == [2.0, 3.0]
         assert not copy.indices.flags.writeable
-        assert not copy.size_groups[0][2].flags.writeable
+        assert not copy.clique_pairs[1].flags.writeable
 
     def test_from_edges_matches_tuple_canonicalization(self):
         rng = np.random.default_rng(9)
@@ -161,7 +133,6 @@ class TestValidate:
             rows = [r for r in rows if np.unique(r).size >= 2]
             h = Hypergraph.from_edges(n, rows)
             assert edges(h) == tuple(tuple(sorted(set(r.tolist()))) for r in rows)
-            check_size_groups(h)
 
     def test_fractional_ids_rejected(self):
         # a cast to int64 would truncate them to the hyperedge (0, 2)
@@ -180,81 +151,28 @@ class TestValidate:
 
     def test_no_hyperedges(self):
         h = Hypergraph.from_edges(4, [])
-        assert (h.m, h.size_groups, h.indptr.tolist()) == (0, (), [0])
+        assert (h.m, h.indptr.tolist()) == (0, [0])
+        assert [arr.tolist() for arr in h.clique_pairs] == [[0], [], []]
         assert h.edge_sizes().dtype == np.int64
 
 
-class TestSizeGroups:
-    def test_noisy_benchmark_sizes_stay_two_groups(self):
-        # 100 hyperedges of size 5 padded to 20 would add 18,000 pairs
-        h = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7)).hypergraph
-        assert check_size_groups(h) == [(5, 5), (20, 20)]
-        assert [own for *_, own in h.size_groups] == [None, None]
-
-    def test_dksh_sizes_share_padded_bands(self):
-        # sizes 2..10, a dozen hyperedges of each: fewer, padded groups
-        rng = np.random.default_rng(3)
-        for n in (100, 200, 300):
-            h, _ = densek.gen_sample(n, 3 * n // 4, 0.75, rng)
-            spans = check_size_groups(h)
-            assert spans[0][0] == 2 and spans[-1][1] == 10 and len(spans) < 9
-            assert any(lo < hi for lo, hi in spans)
-
-    def test_bands_over_random_sizes(self):
-        rng = np.random.default_rng(21)
-        padded = 0
-        for _ in range(100):
-            n = int(rng.integers(12, 40))
-            rows = [rng.choice(n, size=int(rng.integers(2, 13)), replace=False)
-                    for _ in range(int(rng.integers(1, 30)))]
-            spans = check_size_groups(Hypergraph.from_edges(n, rows))
-            padded += sum(lo < hi for lo, hi in spans)
-        assert padded > 100
-
-    def test_padded_band_is_read_only(self):
-        h = Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)])
-        ((width, idxs, members, own),) = h.size_groups
-        assert (width, members.tolist(), own.tolist()) == (3, [[0, 1, 0], [1, 2, 3]], [2, 3])
-        for arr in (idxs, members, own):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
-
-
-class TestDegrees:
-    def test_unit_weights(self):
-        h = Hypergraph.from_edges(3, [(0, 1), (0, 2)])
-        np.testing.assert_array_equal(degrees(h), [2.0, 1.0, 1.0])
-
-    def test_weighted(self):
-        h = Hypergraph.from_edges(3, [(0, 1, 2)], weights=[0.5])
-        np.testing.assert_array_equal(degrees(h), [0.5, 0.5, 0.5])
-
-    def test_no_edges(self):
-        h = Hypergraph.from_edges(4, [])
-        np.testing.assert_array_equal(degrees(h), np.zeros(4))
-
-    def test_degree_sum_identity(self):
-        # sum of degrees equals sum of |e| * w(e)
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            n = int(rng.integers(3, 20))
-            m = int(rng.integers(1, 15))
-            rows = [
-                rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
-                for _ in range(m)
-            ]
-            w = rng.uniform(0.1, 3.0, size=m)
-            h = Hypergraph.from_edges(n, rows, w)
-            expected = sum(len(e) * we for e, we in zip(edges(h), h.weights))
-            assert degrees(h).sum() == pytest.approx(expected)
-
-    def test_linear_in_weights(self):
-        rng = np.random.default_rng(7)
-        edges = [(0, 1, 2), (1, 3), (0, 3, 4)]
-        w = rng.uniform(0.5, 2.0, size=3)
-        h1 = Hypergraph.from_edges(5, edges, w)
-        h2 = Hypergraph.from_edges(5, edges, 3.0 * w)
-        np.testing.assert_allclose(degrees(h2), 3.0 * degrees(h1), rtol=1e-15)
+class TestCliquePairs:
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraph_and_signal())
+    def test_each_hyperedges_combinations_in_order(self, hs):
+        h, _ = hs
+        h.clique_pairs
+        copy = pickle.loads(pickle.dumps(h))
+        assert "clique_pairs" not in vars(copy)  # pickling drops the cache
+        sizes = h.edge_sizes()
+        for g in (h, copy):
+            ptr, a, b = g.clique_pairs
+            assert ptr.tolist() == [0, *np.cumsum(sizes * (sizes - 1) // 2).tolist()]
+            # with ptr as above, hyperedge e's pairs are its combinations
+            assert list(zip(a.tolist(), b.tolist())) == [
+                pair for e in edges(h) for pair in itertools.combinations(e, 2)]
+            assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in (ptr, a, b))
+            assert g.clique_pairs is g.clique_pairs
 
 
 class TestSizeCounts:

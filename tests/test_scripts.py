@@ -24,6 +24,7 @@ class TestEquivalenceScript:
         again = run_equivalence("--against", str(saved))
         names = [line["part"] for line in first[:-1]]
         assert "60/unit/clique/csr" in names and "densek/hypergcn" in names
+        assert "60/picks/zero" in names and "densek/picks" in names
         assert all("sha256" in line for line in first[:-1])
         assert [line["part"] for line in again[:-1]] == names
         assert again[-1]["digest"] == first[-1]["digest"]
@@ -71,6 +72,17 @@ class TestEpochTimesPhases:
                    for line in lines[:3])
         assert all(set(line) == {"factored", "build_ms"} | spmm for line in lines[3:])
         assert all(v >= 0 for line in lines for k, v in line.items() if k.endswith("_ms"))
+
+    def test_a_line_for_the_search(self):
+        epoch_times = load_epoch_times()
+        from hypergcn import dataio, expansion
+
+        bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
+                                      feat_dim=16)
+        line = epoch_times.search_times(expansion, bundle.hypergraph, np.random.default_rng(0))
+        assert set(line) == {"phase", "search32_ms", "search2_ms"}
+        assert line["phase"] == "extreme_pairs"
+        assert line["search32_ms"] > 0 and line["search2_ms"] > 0
 
     def test_a_line_per_densek_phase(self):
         epoch_times = load_epoch_times()
