@@ -197,14 +197,38 @@ class TestExtremePair:
         assert {p for k, p in picks if k == "two"} == {(0, 3), (1, 2)}
         assert len({p for k, p in picks if k == "all"}) == 6
 
-    def test_mixed_sizes_in_one_block_match_sequential_calls(self):
-        # (0, 1, 2) at 0, 1, 3 sits next to a size-2 and a size-4 hyperedge
-        # whose pairs lie on either side of its own in the pair list
+    def test_column_slice_picks_as_its_copy(self):
+        # a strided view is copied to C order; the picks do not change
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            h = random_hypergraph(rng, n_max=40, m_max=30, size_range=(2, 12))
+            wide = rng.normal(size=(h.n, 9)).round(1)  # rounding makes ties
+            view = wide[:, 2:7:2]
+            assert not view.flags.c_contiguous
+            coerced = as_signal(view, h.n)
+            assert coerced.flags.c_contiguous
+            np.testing.assert_array_equal(coerced, view)
+            seed = int(rng.integers(2**31))
+            got = extreme_pairs(h, view, np.random.default_rng(seed))
+            want = extreme_pairs(h, view.copy(), np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
+
+
+class TestPaddedBands:
+    """Hyperedges of mixed sizes in one block. The cases were written for
+    the padded size bands that the pair list replaced, where a padding copy
+    of a member could tie a hyperedge's farthest pair."""
+
+    def test_padding_copy_never_ties(self):
+        # (0, 1, 2) at 0, 1, 3 has the unique farthest pair (0, 2); its
+        # pairs sit between those of a size-2 and a size-4 hyperedge
         h = Hypergraph.from_edges(5, [(0, 1, 2), (3, 4), (0, 1, 2, 3)])
         s = np.array([[0.0], [1.0], [3.0], [7.0], [9.0]])
         for seed in range(20):
             got = extreme_pairs(h, s, np.random.default_rng(seed))
             assert got.tolist() == [[0, 2], [3, 4], [0, 3]]
+
+    def test_mixed_sizes_with_ties_at_band_edges_match_sequential_calls(self):
         # sizes 2..12 in random order, each drawn with a signal that: has a
         # unique maximum; ties every pair with the last member; ties every
         # pair across two halves; or ties every pair
@@ -226,22 +250,6 @@ class TestExtremePair:
             want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
             got = extreme_pairs(h, s, np.random.default_rng(seed))
             assert [tuple(p) for p in got.tolist()] == want
-
-    def test_column_slice_picks_as_its_copy(self):
-        # a strided view is copied to C order; the picks do not change
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            h = random_hypergraph(rng, n_max=40, m_max=30, size_range=(2, 12))
-            wide = rng.normal(size=(h.n, 9)).round(1)  # rounding makes ties
-            view = wide[:, 2:7:2]
-            assert not view.flags.c_contiguous
-            coerced = as_signal(view, h.n)
-            assert coerced.flags.c_contiguous
-            np.testing.assert_array_equal(coerced, view)
-            seed = int(rng.integers(2**31))
-            got = extreme_pairs(h, view, np.random.default_rng(seed))
-            want = extreme_pairs(h, view.copy(), np.random.default_rng(seed))
-            np.testing.assert_array_equal(got, want)
 
 
 class TestOneEdgeExpansion:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hypergcn import dataio, densek, expansion
 from hypergcn.hypergraph import Hypergraph, size_counts
-from test_expansion import edges, hypergraph_and_signal
+from test_expansion import edges, extreme_pair, hypergraph_and_signal
 
 
 # (n, edges, weights, the message naming the offending hyperedge)
@@ -27,6 +28,21 @@ def violations(n, edges, weights=None):
     with pytest.raises(ValueError) as info:
         Hypergraph.from_edges(n, edges, weights)
     return str(info.value).split("; ")
+
+
+def check_clique_pairs(h):
+    """Check `h.clique_pairs` against the CSR arrays: `ptr` is the
+    cumulative s(s-1)/2 over the hyperedge sizes, hyperedge e's pairs are
+    `itertools.combinations(e, 2)` in order, and the arrays are read-only
+    int64 and cached. Returns the sorted distinct hyperedge sizes."""
+    sizes = h.edge_sizes()
+    ptr, a, b = h.clique_pairs
+    assert ptr.tolist() == [0, *np.cumsum(sizes * (sizes - 1) // 2).tolist()]
+    assert list(zip(a.tolist(), b.tolist())) == [
+        pair for e in edges(h) for pair in itertools.combinations(e, 2)]
+    assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in (ptr, a, b))
+    assert h.clique_pairs is h.clique_pairs
+    return sorted(set(sizes.tolist()))
 
 
 class TestValidate:
@@ -164,15 +180,52 @@ class TestCliquePairs:
         h.clique_pairs
         copy = pickle.loads(pickle.dumps(h))
         assert "clique_pairs" not in vars(copy)  # pickling drops the cache
-        sizes = h.edge_sizes()
-        for g in (h, copy):
-            ptr, a, b = g.clique_pairs
-            assert ptr.tolist() == [0, *np.cumsum(sizes * (sizes - 1) // 2).tolist()]
-            # with ptr as above, hyperedge e's pairs are its combinations
-            assert list(zip(a.tolist(), b.tolist())) == [
-                pair for e in edges(h) for pair in itertools.combinations(e, 2)]
-            assert all(arr.dtype == np.int64 and not arr.flags.writeable for arr in (ptr, a, b))
-            assert g.clique_pairs is g.clique_pairs
+        assert check_clique_pairs(h) == check_clique_pairs(copy)
+        assert edges(copy) == edges(h)
+
+
+class TestSizeGroups:
+    """The pair list over the size mixes that the padded size bands, which
+    it replaced, were tested on."""
+
+    def test_noisy_benchmark_sizes_stay_two_groups(self):
+        # 100 hyperedges of size 5 and 100 of size 20: 10 and 190 pairs each
+        h = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7)).hypergraph
+        assert check_clique_pairs(h) == [5, 20]
+        assert set(np.diff(h.clique_pairs[0]).tolist()) == {10, 190}
+
+    def test_dksh_sizes_share_padded_bands(self):
+        # sizes 2..10, a dozen hyperedges of each, searched on the degree
+        # features, where most hyperedges tie, as sequential calls pick
+        rng = np.random.default_rng(3)
+        for n in (100, 200, 300):
+            h, _ = densek.gen_sample(n, 3 * n // 4, 0.75, rng)
+            sizes = check_clique_pairs(h)
+            assert sizes[0] == 2 and sizes[-1] == 10
+            x = densek.vertex_features(h)
+            seed = int(rng.integers(2**31))
+            scalar_rng = np.random.default_rng(seed)
+            want = [extreme_pair(h, idx, x, scalar_rng) for idx in range(h.m)]
+            got = expansion.extreme_pairs(h, x, np.random.default_rng(seed))
+            assert [tuple(p) for p in got.tolist()] == want
+
+    def test_bands_over_random_sizes(self):
+        rng = np.random.default_rng(21)
+        mixed = 0
+        for _ in range(100):
+            n = int(rng.integers(12, 40))
+            rows = [rng.choice(n, size=int(rng.integers(2, 13)), replace=False)
+                    for _ in range(int(rng.integers(1, 30)))]
+            mixed += len(check_clique_pairs(Hypergraph.from_edges(n, rows))) > 1
+        assert mixed > 90
+
+    def test_padded_band_is_read_only(self):
+        h = Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)])
+        ptr, a, b = h.clique_pairs
+        assert [ptr.tolist(), a.tolist(), b.tolist()] == [[0, 1, 4], [0, 1, 1, 2], [1, 2, 3, 3]]
+        for arr in (ptr, a, b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestSizeCounts:
