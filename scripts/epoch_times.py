@@ -9,8 +9,9 @@ feature dims, budget 100, 50 epochs), and the 20k instance
 `gen_noisy_ssl(0.5, default_rng(7), n=20000, pure=2000, noisy=8000,
 feat_dim=64)` (10k hyperedges of sizes 5 and 20, budget 2000, 10
 epochs). The time is `TrainReport.seconds_per_epoch`, the training loop
-alone; each method runs `REPEATS` (3) times on trial seed 0 and the
-median is reported. The first run in a process also pays one-time warm-up.
+(`training.fit`) alone; each method runs `REPEATS` (3) times on trial
+seed 0 and the median is reported. The first run in a process also pays
+one-time warm-up.
 Each line also gives every run's minor page faults per epoch
 (`ru_minflt`), counted from the end of the first optimizer step to the
 end of the last, so a run's one-time expansion and first touch of its
@@ -26,12 +27,11 @@ the rule's expansion with the extreme-pair result held fixed (computed
 once, then returned by a stub, so only pair emission and accumulation
 are timed), `normalize` of its graph and `nn.spmm` with the normalized
 CSR on 32 and on 2 columns, medians of `PHASE_REPEATS` (11) runs in ms.
-If the tree has the incidence-factored adjacencies, one more line per
-factored rule (mediators, clique) gives the same for them: the build
-(`mediator_adjacency` with the same stub, `clique_adjacency`) and
-`nn.spmm` on 32 and on 2 columns.
+One more line per factored rule (mediators, clique) gives the same for
+the incidence-factored adjacencies: the build (`mediator_adjacency` with
+the same stub, `clique_adjacency`) and `nn.spmm` on 32 and on 2 columns.
 
-Then it times the DkSH solver's optimizer step (`densek.fit_step`, µs per
+Then it times the DkSH solver's optimizer step (`training.fit_step`, µs per
 call; for hypergcn it includes the per-layer re-expansion) for
 fast-hypergcn and hypergcn (those of them in `--methods`) on 100 samples
 of the `densek-planted` shape: n uniform in 100..300, k = 3n/4, p = 0.75,
@@ -79,7 +79,9 @@ DENSEK_EPOCHS = {"fast-hypergcn": 20, "hypergcn": 2}
 
 
 class StepProbe:
-    """Wraps a module's `fit_step`: minor faults and wall time after each call."""
+    """Wraps a module's `fit_step`: minor faults and wall time after each
+    call. On `training` it sees the SSL and the DkSH steps alike, since
+    `training.fit` runs both."""
 
     def __init__(self, module) -> None:
         self.faults: list[int] = []
@@ -124,7 +126,7 @@ def search_times(expansion, h, rng) -> dict:
 
 
 def phase_times(expansion, nn, h, x, rng) -> list[dict]:
-    """One dict per rule and, where the tree has them, per factored rule:
+    """One dict per rule and per factored rule:
     the ms of each phase, with the extreme-pair result (drawn once from
     `rng`) held fixed."""
     ext = expansion.extreme_pairs(h, x, rng)
@@ -134,8 +136,7 @@ def phase_times(expansion, nn, h, x, rng) -> list[dict]:
              "mediators": lambda: expansion.expand_mediators(h, x, None),
              "clique": lambda: expansion.expand_clique(h)}
     factored = {"mediators": lambda: expansion.mediator_adjacency(h, x, None),
-                "clique": lambda: expansion.clique_adjacency(h),
-                } if hasattr(expansion, "clique_adjacency") else {}
+                "clique": lambda: expansion.clique_adjacency(h)}
     out = []
     try:
         for rule, expand in rules.items():
@@ -188,7 +189,7 @@ def main() -> int:
 
     from hypergcn import dataio, densek, expansion, nn, training
 
-    ssl_probe = StepProbe(training)
+    probe = StepProbe(training)
     for n in args.sizes:
         kwargs, budget, epochs = INSTANCES[n]
         bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), **kwargs)
@@ -197,10 +198,10 @@ def main() -> int:
             cfg = training.TrainConfig(method=method, epochs=epochs, seed=0)
             runs, faults = [], []
             for _ in range(REPEATS):
-                ssl_probe.reset()
+                probe.reset()
                 runs.append(1e3 * training.train_ssl(bundle.hypergraph, bundle.features,
                                                      split, cfg).seconds_per_epoch)
-                faults.append(ssl_probe.faults_per_step())
+                faults.append(probe.faults_per_step())
             print(json.dumps({"n": n, "method": method, "epochs": epochs,
                               "ms_per_epoch": round(statistics.median(runs), 3),
                               "runs_ms": [round(r, 3) for r in runs],
@@ -218,16 +219,15 @@ def main() -> int:
     if not args.methods or set(args.methods) & set(DENSEK_EPOCHS):
         for line in densek_phases(densek, expansion, samples, np.random.default_rng(0)):
             print(json.dumps(line), flush=True)
-    densek_probe = StepProbe(densek)
     for method in DENSEK_EPOCHS:
         if args.methods and method not in args.methods:
             continue
         cfg = training.TrainConfig(method=method, epochs=DENSEK_EPOCHS[method], seed=0)
         runs = []
         for _ in range(REPEATS):
-            densek_probe.reset()
+            probe.reset()
             densek.train_densek(samples, cfg, maps=8)
-            runs.append(1e6 * densek_probe.seconds / len(densek_probe.faults))
+            runs.append(1e6 * probe.seconds / len(probe.faults))
         print(json.dumps({"densek": method, "samples": len(samples), "epochs": cfg.epochs,
                           "us_per_step": round(statistics.median(runs), 1),
                           "runs_us": [round(r, 1) for r in runs]}), flush=True)

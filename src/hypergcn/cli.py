@@ -8,9 +8,9 @@ argv plus seed reproduce identical output bytes apart from timing fields.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -18,20 +18,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import densek as dk
-from .dataio import (
-    DataError,
-    DatasetBundle,
-    balanced_split_labels,
-    gen_noisy_ssl,
-    load_bundle,
-    save_bundle,
-)
+from .dataio import DataError, DatasetBundle, gen_noisy_ssl, load_bundle, save_bundle
 from .hypergraph import size_counts
-from .nn import rng_streams
-from .training import METHODS, TrainConfig, run_trials, train_ssl
-
-TIMING_FIELDS = ("seconds_per_epoch",)
-
+from .training import METHODS, TrainConfig, run_trials
 
 class _UsageError(Exception):
     pass
@@ -84,13 +73,24 @@ def _echo_config(command: str, args: argparse.Namespace) -> None:
     _emit({"command": command, "config": resolved})
 
 
+def _finite(text: str) -> float:
+    """Float flag type that rejects NaN and infinities, which are not JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--hlr-lambda", type=float, default=0.001)
+    p.add_argument("--dropout", type=_finite, default=0.5)
+    p.add_argument("--lr", type=_finite, default=0.01)
+    p.add_argument("--weight-decay", type=_finite, default=0.0005)
+    p.add_argument("--hlr-lambda", type=_finite, default=0.001)
 
 
 def _k_from(k_frac: float, n: int) -> int:
@@ -113,15 +113,17 @@ def _quiet_divergence():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-@contextlib.contextmanager
-def _budget_check():
-    """Reports the label split's DataError, a --budget that the classes
-    cannot meet, as a usage error: the bundle itself has loaded, so it
-    is valid."""
-    try:
-        yield
-    except DataError as exc:
-        raise _UsageError(str(exc)) from None
+def _trials(args: argparse.Namespace, bundle: DatasetBundle, trials: int, workers: int = 1):
+    """`run_trials` with the flags' config and --budget. The split's DataError
+    (a budget the classes cannot meet, or that leaves nothing to evaluate)
+    is a usage error: the bundle has loaded, so it is valid."""
+    cfg = _config_from(args)
+    with _quiet_divergence():
+        try:
+            return run_trials(bundle.hypergraph, bundle.features, bundle.labels, cfg,
+                              trials=trials, budget=args.budget, workers=workers)
+        except DataError as exc:
+            raise _UsageError(str(exc)) from None
 
 
 def cmd_validate(args) -> int:
@@ -145,37 +147,21 @@ def cmd_counts(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bundle = load_bundle(args.data)
-    cfg = _config_from(args)
-    streams = rng_streams(cfg.seed)
-    with _budget_check():
-        split = balanced_split_labels(bundle.labels, args.budget, streams.split)
-    with _quiet_divergence():
-        report = train_ssl(bundle.hypergraph, bundle.features, split, cfg)
-    _emit(report.to_dict())
+    # the one trial of `trials --trials 1`, losses included
+    _emit(_trials(args, load_bundle(args.data), trials=1).reports[0].to_dict())
     return 0
 
 
 def cmd_trials(args) -> int:
     bundle = load_bundle(args.data)
-    cfg = _config_from(args)
-    with _quiet_divergence(), _budget_check():
-        result = run_trials(
-            bundle.hypergraph,
-            bundle.features,
-            bundle.labels,
-            cfg,
-            trials=args.trials,
-            budget=args.budget,
-            workers=_workers(),
-        )
+    result = _trials(args, bundle, args.trials, _workers())
     for t, report in enumerate(result.reports):
         row = report.to_dict()
         row["trial"] = t
         row.pop("losses")  # per-trial traces stay out of the aggregate stream
         _emit(row)
     aggregate = {
-        "method": cfg.method,
+        "method": args.method,
         "dataset": bundle.name,
         "budget": args.budget,
         "trials": args.trials,
@@ -191,8 +177,8 @@ def cmd_trials(args) -> int:
                 ["method", "dataset", "budget", "mean", "stdev", "epochs", "seconds_per_epoch"]
             )
             writer.writerow(
-                [cfg.method, bundle.name, args.budget, f"{result.mean_error:.4f}",
-                 f"{result.std_error:.4f}", cfg.epochs, f"{sec:.6f}"]
+                [args.method, bundle.name, args.budget, f"{result.mean_error:.4f}",
+                 f"{result.std_error:.4f}", args.epochs, f"{sec:.6f}"]
             )
         _log(f"wrote {args.out}")
     return 0
@@ -298,7 +284,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True,
                    choices=("max-degree", "remove-min-degree", "brute-force",
                             *dk.METHODS))
-    p.add_argument("--k-frac", type=float, default=0.75)
+    p.add_argument("--k-frac", type=_finite, default=0.75)
     p.add_argument("--maps", type=int, default=8)
     p.add_argument("--trials", type=int, default=100,
                    help="training samples for the learned methods")
@@ -307,15 +293,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_densek)
 
     p = sub.add_parser("gen-noisy", help="generate a noisy two-class benchmark")
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--eta", type=_finite, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_noisy)
 
     p = sub.add_parser("gen-densek", help="generate a planted dense instance")
     p.add_argument("--vertices", type=int, default=1000)
-    p.add_argument("--k-frac", type=float, default=0.75)
-    p.add_argument("--p", type=float, default=0.75)
+    p.add_argument("--k-frac", type=_finite, default=0.75)
+    p.add_argument("--p", type=_finite, default=0.75)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_densek)

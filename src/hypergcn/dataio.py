@@ -188,7 +188,8 @@ def balanced_split_labels(
     """Sample a class-balanced labelled set of `budget` vertices.
 
     Each class contributes exactly budget/q uniformly sampled vertices;
-    the evaluation set is the complement.
+    the evaluation set is the complement, and a budget that leaves it
+    empty raises DataError.
     """
     labels = np.asarray(labels, dtype=np.int64)
     q = int(labels.max()) + 1
@@ -205,6 +206,8 @@ def balanced_split_labels(
         chosen.append(rng.choice(members, size=per_class, replace=False))
     train_idx = np.sort(np.concatenate(chosen))
     eval_idx = np.setdiff1d(np.arange(labels.size), train_idx)
+    if eval_idx.size == 0:
+        raise DataError(f"label budget {budget} leaves no vertex to evaluate")
     return LabeledSplit(labels=labels, train_idx=train_idx, eval_idx=eval_idx)
 
 

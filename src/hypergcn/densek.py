@@ -4,10 +4,10 @@ The objective is the number of hyperedges fully contained in a chosen
 set of k hypernodes. Two deterministic greedy heuristics (top-k by
 degree, and iterative minimum-degree peeling), an exact enumeration
 oracle for small instances, and a learned solver: the semi-supervised
-trainer's optimizer step (`training.fit_step`) under a hindsight loss,
-emitting several candidate probability maps (`nn.forward` over each
-sample's `nn.Graph`). Degrees here are hyperedge counts; hyperedge
-weights play no role in the combinatorial objective.
+trainer's loop (`training.fit`) under a hindsight loss, emitting several
+candidate probability maps (`nn.forward` over each sample's `nn.Graph`).
+Degrees here are hyperedge counts; hyperedge weights play no role in the
+combinatorial objective.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.special import expit
 from . import nn
 from .expansion import expand_mediators, mediator_adjacency, normalize
 from .hypergraph import Hypergraph
-from .training import TrainConfig, fit_step
+from .training import TrainConfig, fit
 
 METHODS = ("hypergcn", "fast-hypergcn")
 
@@ -219,39 +219,23 @@ def train_densek(
     `hypergcn`, which re-expands each sample per layer on every step, or
     `fast-hypergcn`, which builds each sample's mediator expansion once
     from its input features; any other method raises ValueError, as does
-    a target that is not one 0 or 1 per vertex, naming its sample. One
-    optimizer step is taken per sample per epoch, in fixed sample order.
+    a target that is not one 0 or 1 per vertex, naming its sample.
+    `training.fit` takes one step per sample per epoch, in sample order.
     """
     if len(train_set) == 0:
         raise ValueError("empty training set")
     if maps < 1:
         raise ValueError(f"maps {maps} < 1")
+    streams = nn.rng_streams(cfg.seed)
+    prepared = []
     for idx, (h, target) in enumerate(train_set):
         t = np.asarray(target)
         if t.shape != (h.n,) or not np.all((t == 0) | (t == 1)):
             raise ValueError(f"sample {idx}: target labelling must assign 0/1 per vertex")
-
-    streams = nn.rng_streams(cfg.seed)
-    prepared = []
-    for h, target in train_set:
         x, graph = _sample_inputs(h, cfg.method, streams.ties)
-        column = np.asarray(target, dtype=np.float64).reshape(-1, 1)
+        column = t.astype(np.float64).reshape(-1, 1)
         prepared.append((x, graph, partial(hindsight_loss, target=column)))
-
-    p = prepared[0][0].shape[1]
-    theta = nn.Params.of(nn.glorot_init(p, cfg.hidden, streams.init),
-                         nn.glorot_init(cfg.hidden, maps, streams.init))
-    state = nn.AdamState.for_params(theta, cfg.lr, cfg.weight_decay)
-    buf = np.empty((max(x.shape[0] for x, _, _ in prepared), p))
-
-    loss_trace: list[float] = []
-    for _ in range(cfg.epochs):
-        epoch_loss = 0.0
-        for x, graph, loss_fn in prepared:
-            epoch_loss += fit_step(graph, x, theta, state, loss_fn, cfg.dropout,
-                                   streams.dropout, buf)
-        loss_trace.append(epoch_loss / len(prepared))
-
+    theta, loss_trace = fit(prepared, maps, cfg, streams)
     return DenseKModel(theta1=theta.theta1, theta2=theta.theta2, method=cfg.method,
                        loss_trace=loss_trace)
 

@@ -14,18 +14,20 @@ Method dispatch:
 Each method is an `nn.Graph` from a layer's input and weights to its
 adjacency, and every method trains the same two-layer network for a
 fixed number of epochs with the adaptive-moment optimizer; there is no
-early stopping. `fit_step` (dropout masks, `nn.step` with the setting's
-loss function, Adam) is shared with the DkSH solver in `densek`;
-evaluation is `nn.forward` without dropout.
+early stopping. `fit` is the one training loop, over one sample here and
+over the DkSH solver's samples in `densek`; a step of it is a `fit_step`
+(dropout masks, `nn.step` with the sample's loss function, Adam).
+Evaluation is `nn.forward` without dropout.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
-from typing import Callable
+from functools import partial, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,8 +63,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout {self.dropout} outside [0, 1)")
+        # written so that a NaN fails every rule
+        for name, holds, rule in (
+                ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+                ("hidden", self.hidden >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
+                ("lr", self.lr > 0.0, "> 0"), ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
+                ("hlr_lambda", self.hlr_lambda >= 0.0, ">= 0")):
+            if not holds:
+                raise ValueError(f"{name} {getattr(self, name)} is not {rule}")
 
 
 @dataclass
@@ -119,7 +127,8 @@ def fit_step(
     then layer 2's; none when `rate` is 0), run `nn.step` with `loss_fn`
     and update `theta`'s one flat vector in place. Returns the loss. Layer
     1's draw, mask and dropped input take turns in the first rows of `buf`,
-    which the caller creates for one training run; nothing outlives it."""
+    the buffer that `fit` creates for one training run; nothing outlives
+    it."""
     masks, x_in = (None, None), buf[: x.shape[0]]
     if rate > 0.0:
         masks = (
@@ -129,6 +138,31 @@ def fit_step(
     loss, g1, g2 = nn.step(graph, x, theta.theta1, theta.theta2, masks, loss_fn, out=x_in)
     nn.adam_step(theta, np.concatenate((g1, g2), axis=None), state)
     return loss
+
+
+def fit(
+    samples: Sequence[tuple[np.ndarray, nn.Graph, Callable]],
+    outputs: int,
+    cfg: TrainConfig,
+    streams: nn.RngStreams,
+) -> tuple[nn.Params, list[float]]:
+    """Train the network on `samples`, (input, graph, loss function)
+    triples of one input width, with Glorot Θ1 and Θ2 (`outputs` columns)
+    from `streams.init`, one Adam state and one dropout buffer sized to
+    the largest sample. An epoch is one `fit_step` per sample, in order.
+    Returns Θ and each epoch's mean loss, summed from its first step's so
+    that one sample's loss keeps its bits, -0.0 included."""
+    p = samples[0][0].shape[1]
+    theta = nn.Params.of(nn.glorot_init(p, cfg.hidden, streams.init),
+                         nn.glorot_init(cfg.hidden, outputs, streams.init))
+    state = nn.AdamState.for_params(theta, cfg.lr, cfg.weight_decay)
+    buf = np.empty((max(x.shape[0] for x, _, _ in samples), p))
+    losses: list[float] = []
+    for _ in range(cfg.epochs):
+        epoch = [fit_step(graph, x, theta, state, loss_fn, cfg.dropout, streams.dropout, buf)
+                 for x, graph, loss_fn in samples]
+        losses.append(reduce(operator.add, epoch) / len(epoch))
+    return theta, losses
 
 
 def train_ssl(
@@ -141,18 +175,12 @@ def train_ssl(
         raise ValueError(f"feature rows {x.shape[0]} != vertex count {h.n}")
     if split.train_idx.size == 0:
         raise ValueError("empty labelled set")
+    if split.eval_idx.size == 0:
+        raise ValueError("empty evaluation set")
 
     x = np.ascontiguousarray(x, dtype=np.float64)
     labels = np.asarray(split.labels, dtype=np.int64)
-    n, p = x.shape
-    q = int(labels.max()) + 1
-
     streams = nn.rng_streams(cfg.seed)
-    theta = nn.Params.of(nn.glorot_init(p, cfg.hidden, streams.init),
-                         nn.glorot_init(cfg.hidden, q, streams.init))
-    state = nn.AdamState.for_params(theta, cfg.lr, cfg.weight_decay)
-    buf = np.empty((n, p))
-
     counts = size_counts(h)
     edge_counts = {"N": counts[0], "N_m": counts[1], "N_c": counts[2]}
 
@@ -178,17 +206,14 @@ def train_ssl(
     elif cfg.method == "fast-hypergcn":
         graph = nn.constant_graph(normalize(built(expand_mediators(h, x, streams.ties))))
     else:
-        graph = nn.constant_graph(NormalizedAdjacency.identity(n))
+        graph = nn.constant_graph(NormalizedAdjacency.identity(h.n))
         if cfg.method == "mlp-hlr":
             g = built(expand_mediators(h, x, streams.ties))
             loss_fn = partial(hlr_ce, labels=labels, mask=split.train_idx,
                               lap=pair_laplacian(g), lam=cfg.hlr_lambda)
 
-    losses: list[float] = []
     t0 = time.perf_counter()
-    for _ in range(cfg.epochs):
-        losses.append(fit_step(graph, x, theta, state, loss_fn, cfg.dropout,
-                               streams.dropout, buf))
+    theta, losses = fit([(x, graph, loss_fn)], int(labels.max()) + 1, cfg, streams)
     seconds_per_epoch = (time.perf_counter() - t0) / max(1, cfg.epochs)
 
     error = evaluate(nn.softmax_rows(nn.forward(graph, x, theta.theta1, theta.theta2)[0]), split)

@@ -100,6 +100,15 @@ class TestBadInput:
             # by the 2 classes, or more than the 12 members of a class
             ["train", "--data", "DATA", "--method", "mlp", "--budget", "3"],
             ["trials", "--data", "DATA", "--method", "mlp", "--budget", "26", "--trials", "2"],
+            # a budget that labels all 24 vertices trained to the end, then
+            # ended in a traceback for want of an evaluation set
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "24"],
+            # these trained without complaint
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4", "--lr", "-1"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--weight-decay", "-5"],
+            ["train", "--data", "DATA", "--method", "mlp-hlr", "--budget", "4",
+             "--hlr-lambda", "-1"],
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, capsys, dataset_dir, tmp_path, argv):
@@ -130,6 +139,31 @@ class TestBadInput:
             code, _, err = run_cli(capsys, argv)
         assert code == 1
         assert re.fullmatch(r"usage error: training diverged \([^\n]*\)\n", err), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4", "--lr", "nan"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--dropout", "nan"],
+            ["trials", "--data", "DATA", "--method", "mlp", "--budget", "4",
+             "--weight-decay", "inf"],
+            ["trials", "--data", "DATA", "--method", "mlp-hlr", "--budget", "4",
+             "--hlr-lambda=-inf"],
+            ["densek", "--data", "DATA", "--method", "max-degree", "--k-frac", "nan"],
+            ["gen-noisy", "--eta", "nan", "--out", "OUT"],
+            ["gen-densek", "--p", "inf", "--out", "OUT"],
+            ["train", "--data", "DATA", "--method", "mlp", "--budget", "4", "--lr", "abc"],
+        ],
+    )
+    def test_non_finite_float_flag_prints_nothing(self, capsys, dataset_dir, tmp_path, argv):
+        # the config echo wrote NaN and Infinity, which are not JSON
+        argv = [dataset_dir if a == "DATA" else str(tmp_path / "o") if a == "OUT" else a
+                for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "usage error:" in err and "finite float" in err
 
     def test_malformed_manifest_is_data_error(self, capsys, dataset_dir):
         with open(f"{dataset_dir}/manifest.json", "w") as fh:
@@ -198,6 +232,20 @@ class TestContracts:
         assert report["method"] == "mlp"
         assert len(report["losses"]) == 3
         assert 0.0 <= report["test_error"] <= 100.0
+
+    @pytest.mark.parametrize("method", ("hypergcn", "mlp-hlr"))
+    def test_train_is_the_row_of_one_trial(self, capsys, dataset_dir, method):
+        argv = ["--data", dataset_dir, "--method", method, "--budget", "4",
+                "--epochs", "3", "--seed", "6"]
+        _, out, _ = run_cli(capsys, ["train", *argv])
+        train = parse_jsonl(out)[1]
+        _, out, _ = run_cli(capsys, ["trials", *argv, "--trials", "1"])
+        row = parse_jsonl(out)[1]
+        assert len(train.pop("losses")) == 3
+        assert row.pop("trial") == 0
+        for payload in (train, row):
+            payload.pop("seconds_per_epoch")
+        assert train == row
 
     def test_trials_rows_and_aggregate(self, capsys, dataset_dir, tmp_path):
         csv_path = str(tmp_path / "agg.csv")

@@ -167,6 +167,14 @@ class TestBalancedSplit:
         with pytest.raises(DataError, match="class 1 has 1 members"):
             balanced_split_labels(labels, 4, np.random.default_rng(0))
 
+    def test_budget_leaving_no_evaluation_set_rejected(self):
+        # every vertex labelled: training used to run to the end and then
+        # fail in evaluation
+        labels = np.array([0, 1] * 6)
+        with pytest.raises(DataError, match="label budget 12 leaves no vertex to evaluate"):
+            balanced_split_labels(labels, 12, np.random.default_rng(0))
+        assert balanced_split_labels(labels, 10, np.random.default_rng(0)).eval_idx.size == 2
+
     def test_disjoint_and_exhaustive(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 4, size=100)

@@ -23,6 +23,7 @@ from hypergcn.densek import (
     train_densek,
     vertex_features,
 )
+from hypergcn import training
 from hypergcn.hypergraph import Hypergraph
 from hypergcn.training import TrainConfig
 from test_expansion import edges
@@ -387,6 +388,20 @@ class TestTrainDensek:
         samples[1] = (h, np.where(target == 1, *values[::-1]))
         with pytest.raises(ValueError, match=r"^sample 1: target labelling must assign 0/1"):
             train_densek(samples, TrainConfig(epochs=1), maps=2)
+
+    def test_every_step_is_a_training_fit_step(self, monkeypatch):
+        # densek bound a fit_step of its own, out of reach of this patch
+        rng = np.random.default_rng(21)
+        samples = [gen_sample(n, 3 * n // 4, 0.7, rng) for n in (20, 30, 40)]
+        sizes, step = [], training.fit_step
+
+        def counted(graph, x, *args):
+            sizes.append(x.shape[0])
+            return step(graph, x, *args)
+
+        monkeypatch.setattr(training, "fit_step", counted)
+        train_densek(samples, TrainConfig(epochs=2), maps=2)
+        assert sizes == [20, 30, 40] * 2
 
     def test_loss_decreases_on_toy_set(self):
         # trend check: across seeds, the epoch losses trend downward for

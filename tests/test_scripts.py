@@ -96,3 +96,18 @@ class TestEpochTimesPhases:
         assert [line["densek_phase"] for line in lines] == ["hindsight_loss", "extreme_pairs"]
         assert all(line["samples"] == 3 for line in lines)
         assert lines[0]["us_per_call"] > 0 and lines[1]["ms_per_pass"] > 0
+
+
+class TestStepProbe:
+    def test_a_probe_on_training_counts_every_densek_step(self, monkeypatch):
+        epoch_times = load_epoch_times()
+        from hypergcn import densek, training
+
+        monkeypatch.setattr(training, "fit_step", training.fit_step)  # restored afterwards
+        probe = epoch_times.StepProbe(training)
+        rng = np.random.default_rng(7)
+        samples = [densek.gen_sample(n, 3 * n // 4, 0.75, rng) for n in (20, 30, 40)]
+        densek.train_densek(samples, training.TrainConfig(method="fast-hypergcn", epochs=4),
+                            maps=2)
+        assert len(probe.faults) == 4 * 3
+        assert probe.seconds > 0

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -33,6 +34,7 @@ from hypergcn.training import (
     METHODS,
     TrainConfig,
     evaluate,
+    fit,
     fit_step,
     hlr_ce,
     pair_laplacian,
@@ -91,6 +93,16 @@ class TestTrainSsl:
         h, x, split = two_component_instance()
         with pytest.raises(ValueError, match="feature rows"):
             train_ssl(h, np.ones((5, 2)), split, TrainConfig(method="mlp"))
+
+    def test_empty_evaluation_set_rejected_before_training(self, monkeypatch):
+        # every vertex labelled: training used to run every epoch first
+        h, x, split = two_component_instance()
+        steps = []
+        monkeypatch.setattr(hypergcn.training, "fit_step", lambda *args: steps.append(0) or 0.0)
+        labelled_all = replace(split, train_idx=np.arange(4), eval_idx=np.arange(0))
+        with pytest.raises(ValueError, match="empty evaluation set"):
+            train_ssl(h, x, labelled_all, TrainConfig(method="mlp", epochs=2))
+        assert steps == []
 
     def test_loss_trace_finite_and_recorded(self):
         h, x, split = two_component_instance()
@@ -182,6 +194,43 @@ class TestTrainConfig:
             TrainConfig(dropout=rate)
         with pytest.raises(ValueError, match="dropout"):
             replace(TrainConfig(), dropout=rate)
+
+
+    @pytest.mark.parametrize("name, value", [
+        ("hidden", 0), ("epochs", -3), ("lr", -0.01), ("lr", 0.0), ("lr", float("nan")),
+        ("weight_decay", -5.0), ("hlr_lambda", -1.0)])
+    def test_field_outside_its_range_rejected(self, name, value):
+        # each trained silently: no hidden units, no epochs, a climbing
+        # loss, or a penalty that rewards rough predictions
+        with pytest.raises(ValueError, match=f"^{name} "):
+            TrainConfig(**{name: value})
+
+    def test_least_values_accepted(self):
+        TrainConfig(hidden=1, epochs=0, dropout=0.0, weight_decay=0.0, hlr_lambda=0.0)
+
+
+class TestFit:
+    def test_one_sample_epoch_keeps_a_negative_zero_loss(self):
+        # summed from 0.0, an epoch of one -0.0 loss would report 0.0
+        sample = (np.ones((3, 2)), constant_graph(NormalizedAdjacency.identity(3)),
+                  lambda logits: (-0.0, np.zeros_like(logits)))
+        _, losses = fit([sample], 2, TrainConfig(epochs=2), rng_streams(0))
+        assert [math.copysign(1.0, loss) for loss in losses] == [-1.0, -1.0]
+
+    def test_epoch_loss_is_the_mean_over_samples_in_order(self):
+        seen = []
+
+        def sample(n, value):
+            def loss_fn(logits):
+                seen.append(value)
+                return value, np.zeros_like(logits)
+            return np.ones((n, 2)), constant_graph(NormalizedAdjacency.identity(n)), loss_fn
+
+        theta, losses = fit([sample(3, 1.0), sample(5, 2.0), sample(4, 6.0)], 4,
+                            TrainConfig(hidden=5, epochs=2), rng_streams(0))
+        assert losses == [3.0, 3.0]
+        assert seen == [1.0, 2.0, 6.0] * 2
+        assert (theta.theta1.shape, theta.theta2.shape) == ((2, 5), (5, 4))
 
 
 class TestProposition1Traces:
