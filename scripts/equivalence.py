@@ -15,10 +15,11 @@ each, in order), then one line with the digest over all parts:
 * `<n>/picks/zero`: the `extreme_pairs` result on the instance's features
   zeroed, where every pair of every hyperedge ties, with tie rng
   `default_rng(3)`, so that the draws alone decide each pick;
-* `ssl/<n>/<method>` and `ssl/<n>/p8/<method>`: `train_ssl` losses and test
-  error of all six methods, trial seed 0, on the instance's features and
-  on the same instance drawn with 8 feature dims (narrower than the
-  hidden layer);
+* `ssl/<n>/<method>` and `ssl/<n>/p8/<method>`: `train_ssl` losses, test
+  error and counts (adjacency pairs, expansions, then the edge counts N,
+  N_m and N_c) of all six methods, trial seed 0, on the instance's
+  features and on the same instance drawn with 8 feature dims (narrower
+  than the hidden layer);
 * `densek/<method>`: the `train_densek` loss trace, Θ1 and Θ2 of
   `hypergcn` and `fast-hypergcn` (2 epochs, 8 maps) on 10 samples of
   the `densek-planted` shape (n uniform in 100..300, k = 3n/4,
@@ -80,7 +81,8 @@ def parts(sizes: list[int]):
         split = dataio.balanced_split_labels(bundle.labels, budget, nn.rng_streams(0).split)
         cfg = training.TrainConfig(method=method, epochs=epochs, seed=0)
         report = training.train_ssl(bundle.hypergraph, bundle.features, split, cfg)
-        return [np.array(report.losses), np.array([report.test_error])]
+        counts = [report.adjacency_pairs, report.expansions, *report.edge_counts.values()]
+        return [np.array(report.losses), np.array([report.test_error]), np.array(counts)]
 
     for n in sizes:
         kwargs, budget, epochs = INSTANCES[n]

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,8 +40,8 @@ def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-# least value of each count flag, for the subcommands that have it
-_COUNT_FLOORS = {"trials": 1, "maps": 1, "hidden": 1, "budget": 1, "epochs": 0}
+# least value of each count flag outside `TrainConfig`, for the subcommands that have it
+_COUNT_FLOORS = {"trials": 1, "maps": 1, "budget": 1}
 
 
 def _check_counts(args: argparse.Namespace) -> None:
@@ -55,7 +54,7 @@ def _check_counts(args: argparse.Namespace) -> None:
 def _config_from(args: argparse.Namespace) -> TrainConfig:
     try:
         return TrainConfig(
-            method=getattr(args, "method", "hypergcn"),
+            method=args.method,
             hidden=args.hidden,
             dropout=args.dropout,
             lr=args.lr,
@@ -69,7 +68,7 @@ def _config_from(args: argparse.Namespace) -> TrainConfig:
 
 
 def _echo_config(command: str, args: argparse.Namespace) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    resolved = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "train_config")}
     _emit({"command": command, "config": resolved})
 
 
@@ -117,10 +116,9 @@ def _trials(args: argparse.Namespace, bundle: DatasetBundle, trials: int, worker
     """`run_trials` with the flags' config and --budget. The split's DataError
     (a budget the classes cannot meet, or that leaves nothing to evaluate)
     is a usage error: the bundle has loaded, so it is valid."""
-    cfg = _config_from(args)
     with _quiet_divergence():
         try:
-            return run_trials(bundle.hypergraph, bundle.features, bundle.labels, cfg,
+            return run_trials(bundle.hypergraph, bundle.features, bundle.labels, args.train_config,
                               trials=trials, budget=args.budget, workers=workers)
         except DataError as exc:
             raise _UsageError(str(exc)) from None
@@ -206,9 +204,8 @@ def cmd_densek(args) -> int:
         samples = [
             dk.gen_sample(int(sz), (3 * int(sz)) // 4, 0.75, rng) for sz in sizes
         ]
-        cfg = replace(_config_from(args), method=method)
         with _quiet_divergence():
-            model = dk.train_densek(samples, cfg, maps=args.maps)
+            model = dk.train_densek(samples, args.train_config, maps=args.maps)
             chosen = dk.solve_learned(model, inst, seed=args.seed)
     else:
         raise _UsageError(f"unknown densek method {method!r}")
@@ -314,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_counts(args)
+        if "hidden" in args:  # a subcommand with the training flags
+            args.train_config = _config_from(args)
         _echo_config(args.subcommand, args)
         return args.func(args)
     except _UsageError as exc:

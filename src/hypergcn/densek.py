@@ -21,10 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from . import nn
-from .expansion import expand_mediators, mediator_adjacency, normalize
+from . import nn, training
+from .expansion import expand_mediators, normalize  # bound only for bench/selftest.py
 from .hypergraph import Hypergraph
-from .training import TrainConfig, fit
 
 METHODS = ("hypergcn", "fast-hypergcn")
 
@@ -59,10 +58,10 @@ def remove_min_degree(inst: DenseKInstance) -> list[int]:
     h = inst.hypergraph
     alive = np.ones(h.n, dtype=bool)
     edge_alive = np.ones(h.m, dtype=bool)
-    deg = np.bincount(h.indices, minlength=h.n)
     # hyperedges of vertex v, ascending: incident[start[v]:start[v + 1]]
-    incident = np.repeat(np.arange(h.m), h.edge_sizes())[np.argsort(h.indices, kind="stable")]
-    start = np.concatenate([[0], np.cumsum(deg)]).tolist()
+    hm = h.incidence[1]
+    incident, start = hm.indices, hm.indptr.tolist()
+    deg = np.diff(hm.indptr)
 
     for _ in range(h.n - inst.k):
         cands = np.flatnonzero(alive)
@@ -196,30 +195,25 @@ class DenseKModel:
 def _sample_inputs(
     h: Hypergraph, method: str, tie_rng: np.random.Generator
 ) -> tuple[np.ndarray, nn.Graph]:
-    """Input features of one hypergraph and its graph: the features'
-    mediator adjacency for fast-hypergcn, the mediator re-expansion of
-    each layer's signal for hypergcn."""
+    """Input features of one hypergraph and the method's graph on them."""
     if method not in METHODS:
         raise ValueError(f"unknown densek method {method!r}; expected one of {METHODS}")
     x = vertex_features(h)
-    if method == "fast-hypergcn":
-        return x, nn.constant_graph(normalize(expand_mediators(h, x, tie_rng)))
-    return x, nn.reexpanding_graph(lambda signal: mediator_adjacency(h, signal, tie_rng))
+    return x, training.method_graph(method, h, x, tie_rng)
 
 
 def train_densek(
     train_set: Sequence[tuple[Hypergraph, np.ndarray]],
-    cfg: TrainConfig,
+    cfg: training.TrainConfig,
     maps: int,
 ) -> DenseKModel:
     """Fit the probability-map model under the hindsight objective.
 
     Per sample the loss is the minimum binary cross-entropy over the M
-    emitted maps, so maps are free to specialize. `cfg.method` is
-    `hypergcn`, which re-expands each sample per layer on every step, or
-    `fast-hypergcn`, which builds each sample's mediator expansion once
-    from its input features; any other method raises ValueError, as does
-    a target that is not one 0 or 1 per vertex, naming its sample.
+    emitted maps, so maps are free to specialize. `cfg.method` is one of
+    `METHODS`, each sample's graph is `training.method_graph`'s; any other
+    method raises ValueError, as does a target that is not one 0 or 1 per
+    vertex, naming its sample.
     `training.fit` takes one step per sample per epoch, in sample order.
     """
     if len(train_set) == 0:
@@ -235,7 +229,7 @@ def train_densek(
         x, graph = _sample_inputs(h, cfg.method, streams.ties)
         column = t.astype(np.float64).reshape(-1, 1)
         prepared.append((x, graph, partial(hindsight_loss, target=column)))
-    theta, loss_trace = fit(prepared, maps, cfg, streams)
+    theta, loss_trace = training.fit(prepared, maps, cfg, streams)
     return DenseKModel(theta1=theta.theta1, theta2=theta.theta2, method=cfg.method,
                        loss_trace=loss_trace)
 

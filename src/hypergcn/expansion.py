@@ -34,17 +34,8 @@ per hyperedge, so `clique_adjacency` and `mediator_adjacency` also build
 them factored: the hypergraph's incidence matrices, one coefficient per
 hyperedge, the extreme pairs for mediators and the degrees, which take
 O(N) to find. `nn.spmm` multiplies through these factors, and the CSR is
-built only if `matrix` is read. HGNN's clique graph is factored because
-its CSR has sum |e|(|e|-1) off-diagonal entries against the 2N incidence
-entries a product reads. HyperGCN's per-epoch mediator graphs are
-factored because each is used for two products only, and the factored
-build skips pair emission, `np.unique` and the CSR conversion. The
-other graphs keep the CSR from `normalize`. A constant mediator graph
-(FastHyperGCN, DkSH fast-hypergcn, MLP-HLR's Laplacian) is built once
-and multiplied every epoch, and its CSR product is cheaper than the
-factored one, which adds two incidence products, the extreme-pair
-gathers and their corrections. One-edge graphs and the identity hold
-one pair per hyperedge or none, so their CSR is already small.
+built only if `matrix` is read. Which method convolves with which form,
+and why, is `training.method_graph`'s to say.
 """
 
 from __future__ import annotations
@@ -174,8 +165,10 @@ class NormalizedAdjacency:
 
     @property
     def pair_count(self) -> int:
-        """Distinct vertex pairs joined: the off-diagonal entries, halved."""
-        return (self.matrix.nnz - self.n) // 2
+        """Distinct vertex pairs joined: the CSR's off-diagonal entries,
+        halved, or the pairs of the expansion the factors stand for."""
+        return ((self.csr.nnz - self.n) // 2 if self.factors is None
+                else self.factors.pairs().pair_count)
 
     @classmethod
     def identity(cls, n: int) -> "NormalizedAdjacency":

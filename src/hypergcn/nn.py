@@ -5,11 +5,10 @@ Dense matrices are float64 numpy arrays. The network computes the logits
     A2 · ReLU( A1 · X · Θ1 ) · Θ2
 
 with optional inverted dropout on the input of each layer. Layer τ
-convolves over `graph(layer input, Θτ)`, a `Graph`. Every product with
-an adjacency is `spmm`: by its CSR, or, for HGNN's clique graph and
-HyperGCN's per-epoch mediator graphs, through the incidence matrix
-(`expansion.IncidenceFactors`); a constant mediator graph keeps the CSR,
-whose product is cheaper (see `expansion`). Layer 1 runs its
+convolves over `graph(layer input, Θτ)`, a `Graph`, which
+`training.method_graph` gives for each method. Every product with an
+adjacency is `spmm`: by its CSR, or through the incidence matrix
+(`expansion.IncidenceFactors`) for a factored one. Layer 1 runs its
 sparse product on the narrower side: (A1 · X) · Θ1 when X has fewer
 columns than the hidden layer, else A1 · (X · Θ1). `forward` is the one
 forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
@@ -83,8 +82,7 @@ def dropout_mask(
     return np.multiply(draw >= rate, 1.0 / (1.0 - rate), out=draw)
 
 
-# A layer's adjacency as a function of (layer input, layer weights):
-# HyperGCN re-expands from their product, other methods' is constant
+# A layer's adjacency as a function of (layer input, layer weights)
 Graph = Callable[[np.ndarray, np.ndarray], NormalizedAdjacency]
 
 

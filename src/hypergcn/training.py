@@ -1,23 +1,13 @@
 """Semi-supervised training and evaluation for the six convolution methods.
 
-Method dispatch:
-
-* ``hypergcn``       mediator expansion rebuilt every epoch and per layer,
-                     from the signal (layer input) x (that layer's weights)
-* ``one-hypergcn``   same schedule, single extreme pair per hyperedge
-* ``fast-hypergcn``  mediator expansion built once from the raw features
-* ``hgnn``           clique expansion built once
-* ``mlp``            identity adjacency (structure unused)
-* ``mlp-hlr``        identity adjacency plus an explicit quadratic
-                     penalty over the feature-built mediator graph
-
 Each method is an `nn.Graph` from a layer's input and weights to its
-adjacency, and every method trains the same two-layer network for a
-fixed number of epochs with the adaptive-moment optimizer; there is no
-early stopping. `fit` is the one training loop, over one sample here and
-over the DkSH solver's samples in `densek`; a step of it is a `fit_step`
-(dropout masks, `nn.step` with the sample's loss function, Adam).
-Evaluation is `nn.forward` without dropout.
+adjacency; `method_graph` says which graph each method convolves with.
+Every method trains the same two-layer network for a fixed number of
+epochs with the adaptive-moment optimizer; there is no early stopping.
+`fit` is the one training loop, over one sample here and over the DkSH
+solver's samples in `densek`; a step of it is a `fit_step` (dropout
+masks, `nn.step` with the sample's loss function, Adam). Evaluation is
+`nn.forward` without dropout.
 """
 
 from __future__ import annotations
@@ -38,12 +28,12 @@ from .expansion import (
     NormalizedAdjacency,
     WeightedGraph,
     clique_adjacency,
-    expand_clique,
     expand_mediators,
     expand_one_edge,
     mediator_adjacency,
     normalize,
 )
+from .expansion import expand_clique  # bound only for bench/selftest.py
 from .hypergraph import Hypergraph, size_counts
 
 METHODS = ("hypergcn", "one-hypergcn", "fast-hypergcn", "hgnn", "mlp", "mlp-hlr")
@@ -165,52 +155,76 @@ def fit(
     return theta, losses
 
 
+def method_graph(method: str, h: Hypergraph, x: np.ndarray, ties: np.random.Generator,
+                 built: Callable = lambda g: g) -> nn.Graph:
+    """The graph `method` convolves with on `h` and features `x`; extreme-pair
+    ties come from `ties`. `built` is called on each expansion as it is
+    built (a `WeightedGraph`, or a factored `NormalizedAdjacency`) and
+    returns it. A factored adjacency multiplies through the incidence
+    matrix (`expansion.IncidenceFactors`), skipping its CSR.
+
+    * ``hypergcn``: the mediator graph of each layer's signal (input times
+      weights), rebuilt per call. Factored: each is used for two products
+      only, and the factored build skips pair emission, `np.unique` and
+      the CSR conversion.
+    * ``one-hypergcn``: the same, one extreme pair per hyperedge. CSR, as
+      for the identity: with one pair per hyperedge or none it is small.
+    * ``fast-hypergcn``: the mediator graph of `x`, built once. CSR: it is
+      multiplied every epoch, and the factored product adds two incidence
+      products, the extreme-pair gathers and their corrections.
+    * ``hgnn``: the clique graph. Factored: its CSR has sum |e|(|e|-1)
+      off-diagonal entries against the 2N incidence entries a product reads.
+    * ``mlp``, ``mlp-hlr``: the identity. MLP-HLR's loss adds a penalty over
+      the mediator graph of `x` (CSR), which `train_ssl` builds.
+    """
+    if method == "hypergcn":
+        return nn.reexpanding_graph(lambda signal: built(mediator_adjacency(h, signal, ties)))
+    if method == "one-hypergcn":
+        return nn.reexpanding_graph(
+            lambda signal: normalize(built(expand_one_edge(h, signal, ties))))
+    if method == "fast-hypergcn":
+        return nn.constant_graph(normalize(built(expand_mediators(h, x, ties))))
+    if method == "hgnn":
+        return nn.constant_graph(built(clique_adjacency(h)))
+    return nn.constant_graph(NormalizedAdjacency.identity(h.n))
+
+
 def train_ssl(
     h: Hypergraph, x: np.ndarray, split: LabeledSplit, cfg: TrainConfig
 ) -> TrainReport:
     """Train one method on one split and report the evaluation error."""
     if cfg.method not in METHODS:
         raise ValueError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"features of shape {x.shape} are not n x p")
     if x.shape[0] != h.n:
         raise ValueError(f"feature rows {x.shape[0]} != vertex count {h.n}")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite features")
     if split.train_idx.size == 0:
         raise ValueError("empty labelled set")
     if split.eval_idx.size == 0:
         raise ValueError("empty evaluation set")
 
-    x = np.ascontiguousarray(x, dtype=np.float64)
     labels = np.asarray(split.labels, dtype=np.int64)
     streams = nn.rng_streams(cfg.seed)
-    counts = size_counts(h)
-    edge_counts = {"N": counts[0], "N_m": counts[1], "N_c": counts[2]}
+    edge_counts = dict(zip(("N", "N_m", "N_c"), size_counts(h)))
 
     expansions = adjacency_pairs = 0
 
     def built(g: WeightedGraph | NormalizedAdjacency):
-        # a factored adjacency counts its pairs by building its CSR once
         nonlocal expansions, adjacency_pairs
         expansions += 1
         adjacency_pairs = adjacency_pairs or g.pair_count
         return g
 
+    graph = method_graph(cfg.method, h, x, streams.ties, built)
     loss_fn = partial(nn.softmax_ce, labels=labels, mask=split.train_idx)
-    if cfg.method == "hypergcn":
-        graph = nn.reexpanding_graph(
-            lambda signal: built(mediator_adjacency(h, signal, streams.ties)))
-    elif cfg.method == "one-hypergcn":
-        graph = nn.reexpanding_graph(
-            lambda signal: normalize(built(expand_one_edge(h, signal, streams.ties))))
-    elif cfg.method == "hgnn":
-        built(expand_clique(h))  # for its pair count only
-        graph = nn.constant_graph(clique_adjacency(h))
-    elif cfg.method == "fast-hypergcn":
-        graph = nn.constant_graph(normalize(built(expand_mediators(h, x, streams.ties))))
-    else:
-        graph = nn.constant_graph(NormalizedAdjacency.identity(h.n))
-        if cfg.method == "mlp-hlr":
-            g = built(expand_mediators(h, x, streams.ties))
-            loss_fn = partial(hlr_ce, labels=labels, mask=split.train_idx,
-                              lap=pair_laplacian(g), lam=cfg.hlr_lambda)
+    if cfg.method == "mlp-hlr":
+        lap = pair_laplacian(built(expand_mediators(h, x, streams.ties)))
+        loss_fn = partial(hlr_ce, labels=labels, mask=split.train_idx, lap=lap,
+                          lam=cfg.hlr_lambda)
 
     t0 = time.perf_counter()
     theta, losses = fit([(x, graph, loss_fn)], int(labels.max()) + 1, cfg, streams)

@@ -118,6 +118,27 @@ class TestBadInput:
         assert code == 1
         assert "usage error:" in err
 
+    @pytest.mark.parametrize("flag", [
+        ["--dropout", "1.0"], ["--lr", "-1"], ["--weight-decay", "-5"], ["--hlr-lambda", "-1"],
+        ["--hidden", "0"], ["--epochs", "-1"]])
+    @pytest.mark.parametrize("command", [
+        ["train", "--method", "mlp", "--budget", "4"],
+        ["trials", "--method", "mlp", "--budget", "4", "--trials", "2"],
+        ["densek", "--method", "fast-hypergcn", "--trials", "2"]])
+    def test_out_of_range_training_flag_prints_nothing(self, capsys, dataset_dir, command,
+                                                       flag):
+        # the first four printed the config echo before the usage error
+        code, out, err = run_cli(capsys, command + ["--data", dataset_dir] + flag)
+        assert code == 1
+        assert out == ""
+        assert "usage error:" in err
+
+    def test_greedy_densek_rejects_out_of_range_training_flag(self, capsys, dataset_dir):
+        code, out, err = run_cli(capsys, ["densek", "--data", dataset_dir, "--method",
+                                          "max-degree", "--dropout", "1.0"])
+        assert (code, out) == (1, "")
+        assert "usage error: dropout 1.0 is not in [0, 1)" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -403,6 +403,23 @@ class TestTrainDensek:
         train_densek(samples, TrainConfig(epochs=2), maps=2)
         assert sizes == [20, 30, 40] * 2
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_graphs_are_training_method_graphs(self, monkeypatch, method):
+        # densek built its own mediator graphs, out of reach of this patch
+        rng = np.random.default_rng(22)
+        samples = [gen_sample(n, 3 * n // 4, 0.7, rng) for n in (20, 30)]
+        h, _ = gen_sample(36, 27, 0.7, rng)
+        calls, graph = [], training.method_graph
+
+        def counted(name, g, *args):
+            calls.append((name, g.n))
+            return graph(name, g, *args)
+
+        monkeypatch.setattr(training, "method_graph", counted)
+        model = train_densek(samples, TrainConfig(method=method, epochs=1), maps=2)
+        predict_maps(model, h)
+        assert calls == [(method, 20), (method, 30), (method, 36)]
+
     def test_loss_decreases_on_toy_set(self):
         # trend check: across seeds, the epoch losses trend downward for
         # a clear majority of epochs and end below where they started

@@ -650,5 +650,6 @@ class TestFactoredAdjacency:
 
     def test_matrix_is_built_on_first_read_only(self):
         a = clique_adjacency(Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)]))
+        assert a.pair_count == 5  # counted from the factors' expansion
         assert "matrix" not in vars(a)
         assert a.matrix is a.matrix

@@ -30,6 +30,14 @@ class TestEquivalenceScript:
         assert again[-1]["digest"] == first[-1]["digest"]
         assert again[-1]["against"] == {"parts": len(names), "identical": len(names),
                                         "max_abs": 0.0, "max_rel": 0.0}
+        # an SSL part holds the report's adjacency pairs, expansions, N, N_m and N_c
+        from hypergcn import dataio, expansion, hypergraph
+
+        h = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
+                                 feat_dim=16).hypergraph
+        with np.load(saved) as parts:
+            counts = parts["ssl/60/hgnn#2"].tolist()
+        assert counts == [expansion.expand_clique(h).pair_count, 1, *hypergraph.size_counts(h)]
 
     def test_reports_the_deltas_of_a_changed_part(self, tmp_path):
         saved = tmp_path / "parts.npz"

@@ -94,6 +94,18 @@ class TestTrainSsl:
         with pytest.raises(ValueError, match="feature rows"):
             train_ssl(h, np.ones((5, 2)), split, TrainConfig(method="mlp"))
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_features_must_be_a_finite_matrix(self, method):
+        # a vector failed inside fit with an IndexError; a NaN surfaced as
+        # diverged logits or as a non-finite signal of the expansion
+        h, x, split = two_component_instance()
+        cfg = TrainConfig(method=method, epochs=2)
+        with pytest.raises(ValueError, match=re.escape("shape (4,)")):
+            train_ssl(h, x[:, 0], split, cfg)
+        x[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            train_ssl(h, x, split, cfg)
+
     def test_empty_evaluation_set_rejected_before_training(self, monkeypatch):
         # every vertex labelled: training used to run every epoch first
         h, x, split = two_component_instance()
