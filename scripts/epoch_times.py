@@ -28,8 +28,9 @@ once, then returned by a stub, so only pair emission and accumulation
 are timed), `normalize` of its graph and `nn.spmm` with the normalized
 CSR on 32 and on 2 columns, medians of `PHASE_REPEATS` (11) runs in ms.
 One more line per factored rule (mediators, clique) gives the same for
-the incidence-factored adjacencies: the build (`mediator_adjacency` with
-the same stub, `clique_adjacency`) and `nn.spmm` on 32 and on 2 columns.
+the incidence-factored adjacencies: the build and its degrees
+(`mediator_adjacency` with the same stub, `clique_adjacency`, then
+`.factors.dinv`) and `nn.spmm` on 32 and on 2 columns.
 
 Then it times the DkSH solver's optimizer step (`training.fit_step`, µs per
 call; for hypergcn it includes the per-layer re-expansion) for
@@ -148,7 +149,7 @@ def phase_times(expansion, nn, h, x, rng) -> list[dict]:
                            for k, y in cols.items()}})
         for rule, build in factored.items():
             a = build()
-            out.append({"factored": rule, "build_ms": median_ms(build),
+            out.append({"factored": rule, "build_ms": median_ms(lambda: build().factors.dinv),
                         **{f"spmm{k}_ms": median_ms(lambda: nn.spmm(a, y))
                            for k, y in cols.items()}})
     finally:

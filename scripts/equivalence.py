@@ -26,7 +26,13 @@ each, in order), then one line with the digest over all parts:
   p = 0.75), and the vertex sets `solve_learned` decodes with them;
   `densek/picks`: the `extreme_pairs` results on those samples' degree
   features (`densek.vertex_features`), where most hyperedges tie, one
-  tie rng `default_rng(3)` drawn through the samples in order.
+  tie rng `default_rng(3)` drawn through the samples in order;
+* `cli/<command>/<method>`: the exit code and stdout bytes of `cli.main`,
+  `seconds_per_epoch` masked, for `train` (budget 10, 5 epochs) on all
+  six methods and `densek` (3 training samples, 2 epochs) on both
+  learned methods, on the n=60 instance saved to a temporary directory
+  and named by the same relative path in every run, so that the config
+  echo is the same too.
 
 The instances are `gen_noisy_ssl(0.5, default_rng(7), ...)`: n=1000 (the
 default benchmark, 20 training epochs), the 20k instance (n=20000,
@@ -44,10 +50,14 @@ zeros), then one summary line. BLAS runs one thread.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 # Pinned before numpy is imported.
@@ -63,13 +73,16 @@ INSTANCES = {
 }
 NARROW_DIMS = 8
 DENSEK_SAMPLES, DENSEK_EPOCHS, DENSEK_MAPS = 10, 2, 8
+CLI_RUNS = {"train": ["--budget", "10", "--epochs", "5"],
+            "densek": ["--trials", "3", "--epochs", "2"]}
+TIMING = re.compile(rb'"seconds_per_epoch": [0-9eE+.\-]+')
 
 
 def parts(sizes: list[int]):
     """Yield (name, arrays or an error string) for every part."""
     import numpy as np
 
-    from hypergcn import dataio, densek, expansion, nn, training
+    from hypergcn import cli, dataio, densek, expansion, nn, training
 
     def attempt(compute):
         try:
@@ -121,6 +134,24 @@ def parts(sizes: list[int]):
                     np.concatenate([np.array(s, dtype=np.int64) for s in sets])]
 
         yield f"densek/{method}", attempt(fit)
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        dataio.save_bundle(dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), **INSTANCES[60][0]),
+                           Path(tmp) / "bundle")
+        os.chdir(tmp)
+        try:
+            for command, methods in (("train", training.METHODS), ("densek", densek.METHODS)):
+                for method in methods:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = cli.main([command, "--data", "bundle", "--method", method,
+                                         *CLI_RUNS[command]])
+                    text = TIMING.sub(b'"seconds_per_epoch": 0', out.getvalue().encode())
+                    yield (f"cli/{command}/{method}",
+                           [np.array([code]), np.frombuffer(text, dtype=np.uint8)])
+        finally:
+            os.chdir(home)
 
 
 def csr(a) -> list:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -53,16 +54,7 @@ def _check_counts(args: argparse.Namespace) -> None:
 
 def _config_from(args: argparse.Namespace) -> TrainConfig:
     try:
-        return TrainConfig(
-            method=args.method,
-            hidden=args.hidden,
-            dropout=args.dropout,
-            lr=args.lr,
-            weight_decay=args.weight_decay,
-            epochs=args.epochs,
-            hlr_lambda=args.hlr_lambda,
-            seed=args.seed,
-        )
+        return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -84,12 +76,12 @@ def _finite(text: str) -> float:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--dropout", type=_finite, default=0.5)
-    p.add_argument("--lr", type=_finite, default=0.01)
-    p.add_argument("--weight-decay", type=_finite, default=0.0005)
-    p.add_argument("--hlr-lambda", type=_finite, default=0.001)
+    """One flag per `TrainConfig` field but the subcommand's own --method
+    and --seed, with the field's type and default."""
+    for f in fields(TrainConfig):
+        if f.name not in ("method", "seed"):
+            p.add_argument("--" + f.name.replace("_", "-"),
+                           type=int if isinstance(f.default, int) else _finite, default=f.default)
 
 
 def _k_from(k_frac: float, n: int) -> int:
@@ -197,8 +189,7 @@ def cmd_densek(args) -> int:
             chosen, _ = dk.brute_force(inst)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    elif method in dk.METHODS:
-        # train on freshly generated planted instances, then decode
+    else:  # a learned method: train on freshly generated planted instances, then decode
         rng = np.random.default_rng(args.seed)
         sizes = rng.integers(100, 301, size=args.trials)
         samples = [
@@ -207,8 +198,6 @@ def cmd_densek(args) -> int:
         with _quiet_divergence():
             model = dk.train_densek(samples, args.train_config, maps=args.maps)
             chosen = dk.solve_learned(model, inst, seed=args.seed)
-    else:
-        raise _UsageError(f"unknown densek method {method!r}")
     _emit({
         "method": method,
         "k": k,

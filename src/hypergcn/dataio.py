@@ -73,7 +73,9 @@ def _parse_hyperedges(path: Path, n: int) -> list[tuple[int, ...]]:
 
 def _parse_features(path: Path) -> np.ndarray:
     try:
-        feats = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            feats = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError:
         # slow path: locate the offending line for the error message
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -85,6 +87,8 @@ def _parse_features(path: Path) -> np.ndarray:
                         f"{path.name} line {lineno}: bad value {tok.strip()!r}"
                     ) from None
         raise DataError(f"{path.name}: inconsistent row lengths") from None
+    if feats.shape[0] == 0:
+        raise DataError(f"{path.name}: no rows")
     if not np.all(np.isfinite(feats)):
         raise DataError(f"{path.name}: non-finite feature value")
     return feats

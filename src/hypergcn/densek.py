@@ -134,8 +134,8 @@ class ProbabilityMaps:
 
     def __post_init__(self) -> None:
         v = self.values
-        if v.ndim != 2:
-            raise ValueError(f"expected n x M array, got shape {v.shape}")
+        if v.ndim != 2 or v.shape[1] < 1:
+            raise ValueError(f"expected n x M array with M >= 1, got shape {v.shape}")
         if not (np.all(v >= 0.0) and np.all(v <= 1.0)):
             raise ValueError("probability map entries outside [0, 1]")
 

@@ -30,11 +30,11 @@ loop last, so both depend on the graph alone, and every result is a
 fixed function of the hypergraph, the signal and the draws.
 
 The clique and mediator graphs are sums of one small structured matrix
-per hyperedge, so `clique_adjacency` and `mediator_adjacency` also build
-them factored: the hypergraph's incidence matrices, one coefficient per
-hyperedge, the extreme pairs for mediators and the degrees, which take
-O(N) to find. `nn.spmm` multiplies through these factors, and the CSR is
-built only if `matrix` is read. Which method convolves with which form,
+per hyperedge. `IncidenceFactors` defines both: one coefficient per
+hyperedge (and the extreme pairs, for mediators), from which it emits
+the pairs (`expand_*`) or multiplies by the normalized adjacency through
+the incidence matrices (`*_adjacency`, `nn.spmm`); the CSR is built
+only if `matrix` is read. Which method convolves with which form,
 and why, is `training.method_graph`'s to say.
 """
 
@@ -94,14 +94,25 @@ class IncidenceFactors:
     """The pair weights W = Σ_e c_e B_e of a clique or mediator expansion
     of `h`, where B_e is the 0/1 pattern of hyperedge e's pairs: its
     clique when `ext` is None, else its mediator graph around extreme
-    pair ext[e]. `coef` holds c_e and `dinv` D̃^{-1/2}, the degrees of
-    W plus a unit loop per vertex; weights are positive, so no degree is
-    below 1."""
+    pair ext[e]; `coef` holds c_e."""
 
     h: Hypergraph
     coef: np.ndarray
-    dinv: np.ndarray
     ext: np.ndarray | None = None
+
+    @functools.cached_property
+    def dinv(self) -> np.ndarray:
+        """D̃^{-1/2}, D̃ the degrees of W plus a unit loop (so >= 1). A vertex's
+        incident pair weight is (|e|-1)c_e over its cliques; for mediators,
+        2c_e where it is not extreme and (|e|-1)c_e where it is."""
+        sizes, hm = self.h.edge_sizes(), self.h.incidence[1]
+        if self.ext is None:
+            incident = hm @ ((sizes - 1) * self.coef)
+        else:
+            incident = hm @ (2.0 * self.coef) + np.bincount(
+                self.ext.ravel(), weights=np.repeat((sizes - 3) * self.coef, 2),
+                minlength=self.h.n)
+        return 1.0 / np.sqrt(incident + 1.0)
 
     @functools.cached_property
     def _loop(self) -> np.ndarray:
@@ -145,8 +156,23 @@ class IncidenceFactors:
         return out
 
     def pairs(self) -> WeightedGraph:
-        """The expansion these factors stand for."""
-        return expand_clique(self.h) if self.ext is None else _mediator_graph(self.h, self.ext)
+        """The expansion these factors stand for, c_e on each of e's pairs.
+        A clique emits `Hypergraph.clique_pairs`. Around extreme pair
+        (i, j), member k emits (i, k) unless k = i, and (j, k) unless k is
+        i or j, so the extreme pair comes once, from k = j: 2|e|-3 pairs."""
+        h = self.h
+        if self.ext is None:
+            ptr, a, b = h.clique_pairs
+            return _accumulate(h, a, b, np.repeat(self.coef, np.diff(ptr)))
+        sizes = h.edge_sizes()
+        # each member's extreme pair (np.take: a [] row gather is much slower)
+        ij = np.take(self.ext, np.repeat(np.arange(h.m), sizes), axis=0)
+        # slot 2t is member t's (i, k), slot 2t + 1 its (j, k); both need k != i
+        keep = h.indices[:, None] != ij
+        keep[:, 1] &= keep[:, 0]
+        slot = np.flatnonzero(keep)
+        return _accumulate(h, ij.ravel()[slot], h.indices[slot >> 1],
+                           np.repeat(self.coef, 2 * sizes - 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,38 +284,19 @@ def expand_one_edge(h: Hypergraph, signal: np.ndarray, rng: np.random.Generator)
 
 
 def expand_mediators(h: Hypergraph, signal: np.ndarray, rng: np.random.Generator) -> WeightedGraph:
-    """Connect each hyperedge's extreme pair and route every remaining
-    vertex through both extremes, each pair weighted w(e)/(2|e|-3).
+    """`mediator_adjacency`'s pairs: each hyperedge's extreme pair, and every
+    other member joined to both extremes, each pair weighted w(e)/(2|e|-3).
 
     Emits max(1, 2|e|-3) distinct pairs per hyperedge; the per-hyperedge
     weight mass always sums to w(e).
     """
-    return _mediator_graph(h, extreme_pairs(h, signal, rng))
-
-
-def _mediator_graph(h: Hypergraph, ext: np.ndarray) -> WeightedGraph:
-    """The mediator expansion around extreme pairs `ext`. Member k of
-    hyperedge e with extreme pair (i, j) emits (i, k) unless k = i, and
-    (j, k) unless k is i or j, so the extreme pair comes once, from k = j."""
-    sizes = h.edge_sizes()
-    # each member's extreme pair (np.take: a [] row gather is much slower)
-    ij = np.take(ext, np.repeat(np.arange(h.m), sizes), axis=0)
-    # slot 2t is member t's (i, k), slot 2t + 1 its (j, k); both need k != i
-    keep = h.indices[:, None] != ij
-    keep[:, 1] &= keep[:, 0]
-    slot = np.flatnonzero(keep)
-    per = 2 * sizes - 3
-    return _accumulate(h, ij.ravel()[slot], h.indices[slot >> 1],
-                       np.repeat(h.weights / per, per))
+    return mediator_adjacency(h, signal, rng).factors.pairs()
 
 
 def expand_clique(h: Hypergraph) -> WeightedGraph:
-    """Replace each hyperedge by a clique, every pair weighted
-    2 w(e)/(|e| (|e|-1)). Signal-independent."""
-    sizes = h.edge_sizes()
-    ptr, a, b = h.clique_pairs
-    wt = 2.0 * h.weights / (sizes * (sizes - 1))
-    return _accumulate(h, a, b, np.repeat(wt, np.diff(ptr)))
+    """`clique_adjacency`'s pairs: each hyperedge's clique, every pair
+    weighted 2 w(e)/(|e| (|e|-1)). Signal-independent."""
+    return clique_adjacency(h).factors.pairs()
 
 
 def normalize(g: WeightedGraph) -> NormalizedAdjacency:
@@ -314,24 +321,14 @@ def normalize(g: WeightedGraph) -> NormalizedAdjacency:
 
 def mediator_adjacency(h: Hypergraph, signal: np.ndarray,
                        rng: np.random.Generator) -> NormalizedAdjacency:
-    """`normalize(expand_mediators(h, signal, rng))`, factored: the same
-    extreme pairs and draws, c_e = w(e)/(2|e|-3), and a vertex's incident
-    pair weight is 2c_e over the hyperedges it is a non-extreme member
-    of and (|e|-1)c_e over those it is extreme in."""
-    ext = extreme_pairs(h, signal, rng)
-    sizes = h.edge_sizes()
-    coef = h.weights / (2 * sizes - 3)
-    incident = h.incidence[1] @ (2.0 * coef) + np.bincount(
-        ext.ravel(), weights=np.repeat((sizes - 3) * coef, 2), minlength=h.n)
+    """`normalize(expand_mediators(h, signal, rng))`, factored: c_e =
+    w(e)/(2|e|-3) around the extreme pairs of `signal`, ties drawn from `rng`."""
     return NormalizedAdjacency(h.n, factors=IncidenceFactors(
-        h, coef, 1.0 / np.sqrt(incident + 1.0), ext))
+        h, h.weights / (2 * h.edge_sizes() - 3), extreme_pairs(h, signal, rng)))
 
 
 def clique_adjacency(h: Hypergraph) -> NormalizedAdjacency:
-    """`normalize(expand_clique(h))`, factored: c_e = 2w(e)/(|e|(|e|-1)),
-    and a vertex's incident pair weight is (|e|-1)c_e over its hyperedges."""
+    """`normalize(expand_clique(h))`, factored: c_e = 2w(e)/(|e|(|e|-1))."""
     sizes = h.edge_sizes()
-    coef = 2.0 * h.weights / (sizes * (sizes - 1))
-    incident = h.incidence[1] @ ((sizes - 1) * coef)
     return NormalizedAdjacency(h.n, factors=IncidenceFactors(
-        h, coef, 1.0 / np.sqrt(incident + 1.0)))
+        h, 2.0 * h.weights / (sizes * (sizes - 1))))

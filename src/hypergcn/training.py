@@ -206,8 +206,16 @@ def train_ssl(
         raise ValueError("empty labelled set")
     if split.eval_idx.size == 0:
         raise ValueError("empty evaluation set")
+    labels = np.asarray(split.labels)
+    if labels.shape != (h.n,) or not np.all(np.isfinite(labels) & (labels >= 0)
+                                            & (labels == np.floor(labels))):
+        raise ValueError(f"labels are not {h.n} non-negative whole numbers")
+    for name in ("train_idx", "eval_idx"):
+        idx = getattr(split, name)
+        if not np.all((idx >= 0) & (idx < h.n)):
+            raise ValueError(f"{name} has entries outside [0, {h.n})")
 
-    labels = np.asarray(split.labels, dtype=np.int64)
+    labels = labels.astype(np.int64)
     streams = nn.rng_streams(cfg.seed)
     edge_counts = dict(zip(("N", "N_m", "N_c"), size_counts(h)))
 

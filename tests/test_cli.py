@@ -1,13 +1,15 @@
 import json
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hypergcn.cli import main
+from hypergcn.cli import build_parser, main
 from hypergcn.dataio import DatasetBundle, save_bundle
 from hypergcn.hypergraph import Hypergraph
+from hypergcn.training import TrainConfig
 
 TIMING_RE = re.compile(r'"seconds_per_epoch": [0-9eE+.\-]+')
 
@@ -186,6 +188,19 @@ class TestBadInput:
         assert out == ""
         assert "usage error:" in err and "finite float" in err
 
+    @pytest.mark.parametrize("argv", [["validate"], ["train", "--method", "hgnn", "--budget", "2"],
+                                      ["densek", "--method", "max-degree"]])
+    def test_empty_dataset_is_data_error(self, capsys, tmp_path, argv):
+        # train and densek died with a ValueError traceback; validate passed n=0
+        for name in ("features.csv", "labels.txt", "hyperedges.txt"):
+            (tmp_path / name).write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [argv[0], "--data", str(tmp_path), *argv[1:]])
+        assert code == 2
+        assert len(parse_jsonl(out)) == 1  # the config echo only
+        assert err == "data error: features.csv: no rows\n"
+
     def test_malformed_manifest_is_data_error(self, capsys, dataset_dir):
         with open(f"{dataset_dir}/manifest.json", "w") as fh:
             fh.write("[]")
@@ -329,6 +344,25 @@ class TestContracts:
         assert config["seed"] == 9
         assert config["method"] == "mlp"
         assert config["epochs"] == 2
+
+
+class TestTrainFlags:
+    REQUIRED = {"train": ["--method", "mlp", "--budget", "4"],
+                "trials": ["--method", "mlp", "--budget", "4"],
+                "densek": ["--method", "max-degree"]}
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_a_flag_per_config_field_with_its_default_and_type(self, command):
+        parser = build_parser()
+        argv = [command, "--data", "DATA", *self.REQUIRED[command]]
+        defaults = vars(parser.parse_args(argv))
+        for f in fields(TrainConfig):
+            if f.name in ("method", "seed"):
+                continue
+            assert defaults[f.name] == f.default and type(defaults[f.name]) is type(f.default)
+            flag = "--" + f.name.replace("_", "-")
+            given = getattr(parser.parse_args([*argv, flag, "1"]), f.name)
+            assert given == 1 and type(given) is type(f.default)
 
 
 class TestDeterminism:

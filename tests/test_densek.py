@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -328,6 +329,11 @@ class TestProbabilityMaps:
             ProbabilityMaps(values=np.array([[0.5, 1.5]]))
         with pytest.raises(ValueError, match="n x M"):
             ProbabilityMaps(values=np.zeros(3))
+
+    def test_zero_maps_rejected(self):
+        # decode_topk failed on them with a bare AssertionError
+        with pytest.raises(ValueError, match=re.escape("(4, 0)")):
+            ProbabilityMaps(values=np.zeros((4, 0)))
 
     def test_count(self):
         assert ProbabilityMaps(values=np.zeros((4, 3))).count == 3

@@ -648,6 +648,14 @@ class TestFactoredAdjacency:
             np.testing.assert_allclose(m.data, csr.matrix.data, rtol=1e-13, atol=0)
             assert factored.pair_count == csr.pair_count
 
+    def test_pairs_alone_build_no_incidence(self):
+        # the degrees are computed on the first product, not by pair emission
+        for expand in (lambda h: expand_mediators(h, np.arange(4.0), np.random.default_rng(0)),
+                       expand_clique, lambda h: clique_adjacency(h).pair_count):
+            h = Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)])
+            expand(h)
+            assert "incidence" not in vars(h)
+
     def test_matrix_is_built_on_first_read_only(self):
         a = clique_adjacency(Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)]))
         assert a.pair_count == 5  # counted from the factors' expansion

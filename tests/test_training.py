@@ -116,6 +116,18 @@ class TestTrainSsl:
             train_ssl(h, x, labelled_all, TrainConfig(method="mlp", epochs=2))
         assert steps == []
 
+    @pytest.mark.parametrize("labels, train_idx, problem", [
+        ([0, 0, 0, -1, 1, 1], [0, 3], "non-negative whole numbers"),  # trained on class 1
+        ([0, 0, 0, 1, 1], [0, 3], "non-negative whole numbers"),  # trained silently
+        ([0, 0, 0, 1, 1, 1], [0, 7], re.escape("train_idx has entries outside [0, 6)")),
+    ], ids=["negative-label", "five-labels", "index-outside"])
+    def test_malformed_split_rejected(self, labels, train_idx, problem):
+        h = Hypergraph.from_edges(6, [(0, 1, 2), (3, 4, 5), (2, 3)])
+        split = LabeledSplit(labels=np.array(labels), train_idx=np.array(train_idx),
+                             eval_idx=np.array([1, 4]))
+        with pytest.raises(ValueError, match=problem):
+            train_ssl(h, np.eye(6), split, TrainConfig(method="hgnn", epochs=2))
+
     def test_loss_trace_finite_and_recorded(self):
         h, x, split = two_component_instance()
         for method in METHODS:
