@@ -28,11 +28,12 @@ each, in order), then one line with the digest over all parts:
   features (`densek.vertex_features`), where most hyperedges tie, one
   tie rng `default_rng(3)` drawn through the samples in order;
 * `cli/<command>/<method>`: the exit code and stdout bytes of `cli.main`,
-  `seconds_per_epoch` masked, for `train` (budget 10, 5 epochs) on all
-  six methods and `densek` (3 training samples, 2 epochs) on both
-  learned methods, on the n=60 instance saved to a temporary directory
-  and named by the same relative path in every run, so that the config
-  echo is the same too.
+  `seconds_per_epoch` masked, for `train` (budget 10, 5 epochs) and
+  `trials` (budget 10, 3 trials, 5 epochs: the per-trial rows and the
+  aggregate line) on all six methods and `densek` (3 training samples,
+  2 epochs) on both learned methods, on the n=60 instance saved to a
+  temporary directory and named by the same relative path in every run,
+  so that the config echo is the same too.
 
 The instances are `gen_noisy_ssl(0.5, default_rng(7), ...)`: n=1000 (the
 default benchmark, 20 training epochs), the 20k instance (n=20000,
@@ -74,6 +75,7 @@ INSTANCES = {
 NARROW_DIMS = 8
 DENSEK_SAMPLES, DENSEK_EPOCHS, DENSEK_MAPS = 10, 2, 8
 CLI_RUNS = {"train": ["--budget", "10", "--epochs", "5"],
+            "trials": ["--budget", "10", "--trials", "3", "--epochs", "5"],
             "densek": ["--trials", "3", "--epochs", "2"]}
 TIMING = re.compile(rb'"seconds_per_epoch": [0-9eE+.\-]+')
 
@@ -141,7 +143,8 @@ def parts(sizes: list[int]):
                            Path(tmp) / "bundle")
         os.chdir(tmp)
         try:
-            for command, methods in (("train", training.METHODS), ("densek", densek.METHODS)):
+            for command, methods in (("train", training.METHODS), ("trials", training.METHODS),
+                                     ("densek", densek.METHODS)):
                 for method in methods:
                     out = io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 
@@ -41,8 +40,9 @@ def _log(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-# least value of each count flag outside `TrainConfig`, for the subcommands that have it
-_COUNT_FLOORS = {"trials": 1, "maps": 1, "budget": 1}
+# least value of each integer flag, for the subcommands that have it; --seed is
+# checked here for gen-noisy and gen-densek, which build no `TrainConfig`
+_COUNT_FLOORS = {"trials": 1, "maps": 1, "budget": 1, "seed": 0}
 
 
 def _check_counts(args: argparse.Namespace) -> None:
@@ -90,13 +90,6 @@ def _k_from(k_frac: float, n: int) -> int:
     return max(1, int(round(k_frac * n)))
 
 
-def _workers() -> int:
-    text = os.environ.get("HYPERGCN_THREADS", "1")
-    if not text.strip().isdigit() or int(text) < 1:
-        raise _UsageError(f"HYPERGCN_THREADS={text!r} is not a positive integer")
-    return int(text)
-
-
 def _quiet_divergence():
     """Turns off numpy's overflow and invalid-value warnings: a diverging
     run stops at the non-finite check in `nn` and reports itself as one
@@ -104,14 +97,14 @@ def _quiet_divergence():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _trials(args: argparse.Namespace, bundle: DatasetBundle, trials: int, workers: int = 1):
+def _trials(args: argparse.Namespace, bundle: DatasetBundle, trials: int):
     """`run_trials` with the flags' config and --budget. The split's DataError
     (a budget the classes cannot meet, or that leaves nothing to evaluate)
     is a usage error: the bundle has loaded, so it is valid."""
     with _quiet_divergence():
         try:
             return run_trials(bundle.hypergraph, bundle.features, bundle.labels, args.train_config,
-                              trials=trials, budget=args.budget, workers=workers)
+                              trials=trials, budget=args.budget)
         except DataError as exc:
             raise _UsageError(str(exc)) from None
 
@@ -144,7 +137,7 @@ def cmd_train(args) -> int:
 
 def cmd_trials(args) -> int:
     bundle = load_bundle(args.data)
-    result = _trials(args, bundle, args.trials, _workers())
+    result = _trials(args, bundle, args.trials)
     for t, report in enumerate(result.reports):
         row = report.to_dict()
         row["trial"] = t

@@ -13,7 +13,6 @@ masks, `nn.step` with the sample's loss function, Adam). Evaluation is
 from __future__ import annotations
 
 import operator
-import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial, reduce
@@ -53,12 +52,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("hidden", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} {value!r} is not an integer")
         # written so that a NaN fails every rule
         for name, holds, rule in (
                 ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
                 ("hidden", self.hidden >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
                 ("lr", self.lr > 0.0, "> 0"), ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
-                ("hlr_lambda", self.hlr_lambda >= 0.0, ">= 0")):
+                ("hlr_lambda", self.hlr_lambda >= 0.0, ">= 0"), ("seed", self.seed >= 0, ">= 0")):
             if not holds:
                 raise ValueError(f"{name} {getattr(self, name)} is not {rule}")
 
@@ -268,20 +271,6 @@ class TrialsResult:
     reports: list[TrainReport] = field(default_factory=list)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_trial(args) -> TrainReport:
-    h, x, labels, cfg, budget, trial_seed = args
-    streams = nn.rng_streams(trial_seed)
-    split = balanced_split_labels(labels, budget, streams.split)
-    return train_ssl(h, x, split, replace(cfg, seed=trial_seed))
-
-
 def run_trials(
     h: Hypergraph,
     x: np.ndarray,
@@ -289,26 +278,19 @@ def run_trials(
     cfg: TrainConfig,
     trials: int,
     budget: int,
-    workers: int = 1,
 ) -> TrialsResult:
     """Repeat train/evaluate over `trials` independent class-balanced
-    splits; trial t derives all its randomness from seed cfg.seed + t.
+    splits, in trial order; trial t derives all its randomness from seed
+    cfg.seed + t.
 
     Returns the mean and sample standard deviation of the test errors.
-    Trials run in parallel processes when workers > 1, at most one per
-    usable CPU; results are always collected in trial order.
     """
     if trials < 1:
         raise ValueError(f"trials {trials} < 1")
-    workers = min(workers, _usable_cpus())
-    jobs = [(h, x, labels, cfg, budget, cfg.seed + t) for t in range(trials)]
-    if workers > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_trial, jobs))
-    else:
-        reports = [_run_trial(job) for job in jobs]
+    reports = []
+    for seed in range(cfg.seed, cfg.seed + trials):
+        split = balanced_split_labels(labels, budget, nn.rng_streams(seed).split)
+        reports.append(train_ssl(h, x, split, replace(cfg, seed=seed)))
     errors = [r.test_error for r in reports]
     mean = float(np.mean(errors))
     std = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0

@@ -208,15 +208,35 @@ class TestBadInput:
         assert code == 2
         assert "data error: manifest.json: expected an object, got list" in err
 
-    def test_bad_thread_count_is_usage_error(self, capsys, dataset_dir, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "DATA", "--method", "mlp", "--budget", "4", "--epochs", "2"],
+        ["trials", "--data", "DATA", "--method", "mlp", "--budget", "4", "--epochs", "2",
+         "--trials", "2"],
+        ["densek", "--data", "DATA", "--method", "fast-hypergcn", "--trials", "2",
+         "--epochs", "2"],
+        ["densek", "--data", "DATA", "--method", "max-degree"],
+        ["gen-noisy", "--eta", "0.5", "--out", "OUT"],
+        ["gen-densek", "--vertices", "60", "--out", "OUT"]])
+    def test_negative_seed_is_usage_error(self, capsys, dataset_dir, tmp_path, argv):
+        # all but max-degree printed the config echo, then died in numpy with
+        # "expected non-negative integer"; max-degree ignored the seed
+        argv = [dataset_dir if a == "DATA" else str(tmp_path / "o") if a == "OUT" else a
+                for a in argv]
+        code, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+        assert (code, out) == (1, "")
+        usage = [line for line in err.splitlines() if line.startswith("usage error:")]
+        assert len(usage) == 1 and "seed" in usage[0]
+
+    def test_thread_count_variable_has_no_effect(self, capsys, dataset_dir, monkeypatch):
+        # trials once ran in a process pool sized by HYPERGCN_THREADS
+        argv = ["trials", "--data", dataset_dir, "--method", "mlp", "--budget", "4",
+                "--trials", "2", "--epochs", "2"]
+        code, plain, _ = run_cli(capsys, argv)
+        assert code == 0
         monkeypatch.setenv("HYPERGCN_THREADS", "abc")
-        code, _, err = run_cli(
-            capsys,
-            ["trials", "--data", dataset_dir, "--method", "mlp", "--budget", "4",
-             "--trials", "2", "--epochs", "2"],
-        )
-        assert code == 1
-        assert "usage error: HYPERGCN_THREADS" in err
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert mask_timing(out) == mask_timing(plain)
 
 
 class TestContracts:

@@ -133,7 +133,7 @@ class TestValidate:
         assert h.incidence is h.incidence
 
     def test_pickle_rebuilds_through_constructor(self):
-        # run_trials sends the hypergraph to worker processes
+        # unpickling re-runs the constructor's validation and freezes the arrays again
         h = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[2.0, 3.0])
         h.clique_pairs
         copy = pickle.loads(pickle.dumps(h))
