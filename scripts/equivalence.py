@@ -19,7 +19,8 @@ each, in order), then one line with the digest over all parts:
   error and counts (adjacency pairs, expansions, then the edge counts N,
   N_m and N_c) of all six methods, trial seed 0, on the instance's
   features and on the same instance drawn with 8 feature dims (narrower
-  than the hidden layer);
+  than the hidden layer); `ssl/<n>/dropout0/<method>`: the same as
+  `ssl/<n>/<method>` with dropout 0, so that no mask is drawn;
 * `densek/<method>`: the `train_densek` loss trace, Θ1 and Θ2 of
   `hypergcn` and `fast-hypergcn` (2 epochs, 8 maps) on 10 samples of
   the `densek-planted` shape (n uniform in 100..300, k = 3n/4,
@@ -92,9 +93,9 @@ def parts(sizes: list[int]):
         except (ValueError, FloatingPointError) as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    def ssl(bundle, budget, epochs, method):
+    def ssl(bundle, budget, epochs, method, dropout=0.5):
         split = dataio.balanced_split_labels(bundle.labels, budget, nn.rng_streams(0).split)
-        cfg = training.TrainConfig(method=method, epochs=epochs, seed=0)
+        cfg = training.TrainConfig(method=method, epochs=epochs, dropout=dropout, seed=0)
         report = training.train_ssl(bundle.hypergraph, bundle.features, split, cfg)
         counts = [report.adjacency_pairs, report.expansions, *report.edge_counts.values()]
         return [np.array(report.losses), np.array([report.test_error]), np.array(counts)]
@@ -118,6 +119,8 @@ def parts(sizes: list[int]):
             yield f"ssl/{n}/{method}", attempt(lambda: ssl(bundle, budget, epochs, method))
             yield (f"ssl/{n}/p{NARROW_DIMS}/{method}",
                    attempt(lambda: ssl(narrow, budget, epochs, method)))
+            yield (f"ssl/{n}/dropout0/{method}",
+                   attempt(lambda: ssl(bundle, budget, epochs, method, dropout=0.0)))
 
     rng = np.random.default_rng(7)
     drawn = [(densek.gen_sample(int(s), 3 * int(s) // 4, 0.75, rng), 3 * int(s) // 4)

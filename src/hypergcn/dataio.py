@@ -26,7 +26,7 @@ class DataError(ValueError):
     """Malformed or inconsistent dataset input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledSplit:
     """Labels over all vertices plus disjoint labelled / evaluation sets."""
 
@@ -35,7 +35,7 @@ class LabeledSplit:
     eval_idx: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetBundle:
     name: str
     hypergraph: Hypergraph
@@ -192,9 +192,11 @@ def balanced_split_labels(
     """Sample a class-balanced labelled set of `budget` vertices.
 
     Each class contributes exactly budget/q uniformly sampled vertices;
-    the evaluation set is the complement, and a budget that leaves it
-    empty raises DataError.
+    the evaluation set is the complement. A budget below 1, or one that
+    leaves the evaluation set empty, raises DataError.
     """
+    if budget < 1:
+        raise DataError(f"label budget {budget} is below 1")
     labels = np.asarray(labels, dtype=np.int64)
     q = int(labels.max()) + 1
     if budget % q != 0:

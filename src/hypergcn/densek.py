@@ -126,7 +126,7 @@ def gen_sample(
     return Hypergraph.from_edges(n, edges), target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityMaps:
     """M per-vertex probability columns in [0, 1]."""
 
@@ -182,7 +182,7 @@ def vertex_features(h: Hypergraph) -> np.ndarray:
     return np.column_stack([d / top, np.ones(h.n)])
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseKModel:
     """Trained probability-map emitter (two-layer mediator convolution)."""
 

@@ -57,7 +57,7 @@ _TILE = 2**17
 _BLOCK = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Accumulated symmetric weighted graph over n vertices: distinct
     pairs u[t] < v[t] of weight w[t], strictly increasing in u*n + v.

@@ -4,7 +4,7 @@ Vertices are dense 0-based integers. The m hyperedges are CSR arrays:
 hyperedge e is `indices[indptr[e]:indptr[e + 1]]` with weight `weights[e]`;
 duplicate hyperedges accumulate in every expansion. The constructor
 (which unpickling runs too) copies the arrays, marks them read-only and
-checks every invariant once (n >= 0; one finite positive weight per
+checks every invariant once (integer n >= 0; one finite positive weight per
 hyperedge; two or more sorted, distinct ids in [0, n) per hyperedge),
 naming each offending hyperedge in one ValueError. So an instance is
 valid, immutable and safe to share across threads. Two read-only
@@ -33,6 +33,8 @@ class Hypergraph:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, np.integer):
+            object.__setattr__(self, "n", int(self.n))
         raw = np.asarray(self.indices)
         for name, dtype in (("indptr", np.int64), ("indices", np.int64), ("weights", np.float64)):
             with np.errstate(invalid="ignore"):  # a non-finite id is reported below
@@ -50,7 +52,9 @@ class Hypergraph:
                 and ptr[-1] == ids.size and np.all(np.diff(ptr) >= 0)):
             return ["indptr must rise from 0 to len(indices); all arrays 1-D"]
         problems: list[str] = []
-        if self.n < 0:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            problems.append(f"vertex count {self.n} is not an integer")
+        elif self.n < 0:
             problems.append(f"vertex count {self.n} is negative")
         if w.size != self.m:
             problems.append(f"{w.size} weights for {self.m} hyperedges"
@@ -90,7 +94,7 @@ class Hypergraph:
         keep[1:] = (ids[1:] != ids[:-1]) | (row[1:] != row[:-1])
         indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=len(rows)))])
         w = np.ones(len(rows)) if weights is None else weights
-        return cls(n=int(n), indptr=indptr, indices=ids[keep], weights=w)
+        return cls(n=n, indptr=indptr, indices=ids[keep], weights=w)
 
     def __reduce__(self):
         return Hypergraph, (self.n, self.indptr, self.indices, self.weights)

@@ -16,8 +16,7 @@ forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
 on the logits, and pulls that back to Θ1 and Θ2 analytically; there is
 no autodiff. Θ1 and Θ2 are views of one flat vector (`Params`), which the
 adaptive-moment optimizer updates in one set of passes, with decoupled
-weight decay on Θ1 only. The module keeps no state: a buffer that steps
-reuse (`out`) is the caller's and lives for one training run.
+weight decay on Θ1 only. The module keeps no state.
 """
 
 from __future__ import annotations
@@ -114,19 +113,13 @@ def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
 
 
 def forward_hidden(
-    a1: NormalizedAdjacency,
-    x: np.ndarray,
-    theta1: np.ndarray,
-    mask1: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    a1: NormalizedAdjacency, x_in: np.ndarray, theta1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First convolution layer A1 · x_in · Θ1 on the input after dropout,
-    x_in, which goes into `out` if given (`out` may be `mask1` itself).
-    Returns (hidden, x_in, pre1). When x is narrower than the hidden layer,
-    the layer aggregates first, (A1 · x_in) · Θ1, and the x_in it returns
-    is A1 · x_in; else it computes A1 · (x_in · Θ1)."""
-    x_in = x if mask1 is None else np.multiply(x, mask1, out=out)
-    if x.shape[1] < theta1.shape[1]:
+    x_in. Returns (hidden, x_in, pre1). When x_in is narrower than the
+    hidden layer, the layer aggregates first, (A1 · x_in) · Θ1, and the
+    x_in it returns is A1 · x_in; else it computes A1 · (x_in · Θ1)."""
+    if x_in.shape[1] < theta1.shape[1]:
         x_in = spmm(a1, x_in)
         pre1 = x_in @ theta1
     else:
@@ -210,16 +203,15 @@ def forward(
     x: np.ndarray,
     theta1: np.ndarray,
     theta2: np.ndarray,
-    masks: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-    out: np.ndarray | None = None,
+    x_in: np.ndarray | None = None,
+    mask2: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple]:
     """Logits and the saved arguments of `backward_from_dlogits`. `graph`
     is called for layer 1, then layer 2, with the layer's input before
-    dropout; `masks` are the two inputs' dropout masks (None for none);
-    `out` goes to `forward_hidden`."""
-    mask1, mask2 = masks
+    dropout. Layer 1 convolves `x_in`, its input after dropout (`x` when
+    None); layer 2 applies its dropout mask `mask2` (None for none)."""
     a1 = graph(x, theta1)
-    hidden, x_in, pre1 = forward_hidden(a1, x, theta1, mask1, out)
+    hidden, x_in, pre1 = forward_hidden(a1, x if x_in is None else x_in, theta1)
     a2 = graph(hidden, theta2)
     logits, h_in = forward_logits(a2, hidden, theta2, mask2)
     return logits, (a1, a2, x_in, pre1, h_in, mask2, theta2)
@@ -230,16 +222,17 @@ def step(
     x: np.ndarray,
     theta1: np.ndarray,
     theta2: np.ndarray,
-    masks: tuple[np.ndarray | None, np.ndarray | None],
     loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    out: np.ndarray | None = None,
+    x_in: np.ndarray | None = None,
+    mask2: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and exact gradients of Θ1 and Θ2 for one `forward` pass.
+    """Loss and exact gradients of Θ1 and Θ2 for one `forward` pass, with
+    layer 1's input after dropout `x_in` and layer 2's mask `mask2`.
 
     `loss_fn(logits)` returns (loss, d loss / d logits); the step knows
     nothing else about the objective. Returns (loss, grad Θ1, grad Θ2).
     """
-    logits, saved = forward(graph, x, theta1, theta2, masks, out)
+    logits, saved = forward(graph, x, theta1, theta2, x_in, mask2)
     loss, dlogits = loss_fn(logits)
     return (loss, *backward_from_dlogits(dlogits, *saved))
 
@@ -261,7 +254,7 @@ class Params(NamedTuple):
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """Adaptive-moment optimizer state: the moments of `Params.flat`."""
 

@@ -60,8 +60,10 @@ class TrainConfig:
         for name, holds, rule in (
                 ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
                 ("hidden", self.hidden >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
-                ("lr", self.lr > 0.0, "> 0"), ("weight_decay", self.weight_decay >= 0.0, ">= 0"),
-                ("hlr_lambda", self.hlr_lambda >= 0.0, ">= 0"), ("seed", self.seed >= 0, ">= 0")):
+                ("lr", 0.0 < self.lr < np.inf, "finite and > 0"),
+                ("weight_decay", 0.0 <= self.weight_decay < np.inf, "finite and >= 0"),
+                ("hlr_lambda", 0.0 <= self.hlr_lambda < np.inf, "finite and >= 0"),
+                ("seed", self.seed >= 0, ">= 0")):
             if not holds:
                 raise ValueError(f"{name} {getattr(self, name)} is not {rule}")
 
@@ -117,18 +119,17 @@ def fit_step(
     buf: np.ndarray,
 ) -> float:
     """One optimizer step: draw the dropout masks from `rng` (layer 1's,
-    then layer 2's; none when `rate` is 0), run `nn.step` with `loss_fn`
-    and update `theta`'s one flat vector in place. Returns the loss. Layer
-    1's draw, mask and dropped input take turns in the first rows of `buf`,
-    the buffer that `fit` creates for one training run; nothing outlives
-    it."""
-    masks, x_in = (None, None), buf[: x.shape[0]]
+    then layer 2's; none when `rate` is 0), drop layer 1's input here, run
+    `nn.step` with `loss_fn` and update `theta`'s one flat vector in
+    place. Returns the loss. Layer 1's draw, mask and dropped input take
+    turns in the first rows of `buf`, the buffer that `fit` creates for
+    one training run; nothing outlives it."""
+    x_in, mask2 = x, None
     if rate > 0.0:
-        masks = (
-            nn.dropout_mask(x.shape, rate, rng, out=x_in),
-            nn.dropout_mask((x.shape[0], theta.theta1.shape[1]), rate, rng),
-        )
-    loss, g1, g2 = nn.step(graph, x, theta.theta1, theta.theta2, masks, loss_fn, out=x_in)
+        x_in = nn.dropout_mask(x.shape, rate, rng, out=buf[: x.shape[0]])
+        mask2 = nn.dropout_mask((x.shape[0], theta.theta1.shape[1]), rate, rng)
+        np.multiply(x, x_in, out=x_in)
+    loss, g1, g2 = nn.step(graph, x, theta.theta1, theta.theta2, loss_fn, x_in, mask2)
     nn.adam_step(theta, np.concatenate((g1, g2), axis=None), state)
     return loss
 

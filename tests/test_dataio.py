@@ -162,6 +162,12 @@ class TestBalancedSplit:
         with pytest.raises(DataError, match="not divisible"):
             balanced_split_labels(np.array([0, 1] * 10), 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_budget_below_one_rejected(self, budget):
+        # -2 failed inside numpy; 0 gave an empty labelled set
+        with pytest.raises(DataError, match="budget"):
+            balanced_split_labels(np.array([0, 1] * 10), budget, np.random.default_rng(0))
+
     def test_insufficient_class_rejected(self):
         labels = np.array([0] * 10 + [1])
         with pytest.raises(DataError, match="class 1 has 1 members"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hypergcn import dataio, densek, expansion
+from hypergcn import dataio, densek, expansion, nn
 from hypergcn.hypergraph import Hypergraph, size_counts
 from test_expansion import edges, extreme_pair, hypergraph_and_signal
 
@@ -106,6 +106,21 @@ class TestValidate:
         for indptr in ([], [1, 2], [0, 3], [0, 2, 1, 2]):
             with pytest.raises(ValueError, match="indptr"):
                 Hypergraph(3, indptr, [0, 1], np.ones(max(len(indptr) - 1, 0)))
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True],
+                             ids=["2.5", "3.0", "float64-3.0", "True"])
+    @pytest.mark.parametrize("build", [
+        lambda n: Hypergraph(n, [0, 3], [0, 1, 2], [1.0]),
+        lambda n: Hypergraph.from_edges(n, [(0, 1, 2)])], ids=["csr", "from_edges"])
+    def test_non_integer_vertex_count_rejected(self, build, n):
+        # a float count built, then failed in the expansions with a
+        # TypeError; from_edges truncated 2.5 to 2
+        with pytest.raises(ValueError, match="not an integer"):
+            build(n)
+
+    def test_numpy_integer_vertex_count_stored_as_int(self):
+        h = Hypergraph(np.int32(3), [0, 3], [0, 1, 2], [1.0])
+        assert type(h.n) is int and h == Hypergraph.from_edges(3, [(0, 1, 2)])
 
     def test_arrays_are_read_only_copies(self):
         indices = np.array([0, 1, 1, 2])
@@ -276,3 +291,21 @@ class TestEquality:
         a = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 2.0])
         b = Hypergraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 3.0])
         assert a != b and not a == b
+
+    @pytest.mark.parametrize("build", [
+        lambda: expansion.WeightedGraph(3, np.array([0, 1]), np.array([1, 2]), np.ones(2)),
+        lambda: dataio.LabeledSplit(np.array([0, 1, 0]), np.array([0, 1]), np.array([2])),
+        lambda: dataio.DatasetBundle("toy", Hypergraph.from_edges(3, [(0, 1, 2)]),
+                                     np.ones((3, 2)), np.array([0, 1, 0]), 2),
+        lambda: densek.ProbabilityMaps(np.full((3, 2), 0.5)),
+        lambda: densek.DenseKModel(np.ones((2, 3)), np.ones((3, 2)), "hypergcn"),
+        lambda: nn.AdamState(0.01, 0.0, np.zeros(3), np.zeros(3)),
+    ], ids=["WeightedGraph", "LabeledSplit", "DatasetBundle", "ProbabilityMaps",
+            "DenseKModel", "AdamState"])
+    def test_array_holders_compare_by_identity(self, build):
+        # the generated __eq__ compared arrays and raised, and no
+        # instance could be hashed
+        a, rebuilt = build(), build()
+        assert a == a
+        assert (a == rebuilt) is False
+        assert len({a, rebuilt}) == 2

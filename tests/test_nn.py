@@ -53,8 +53,7 @@ def forward_z(a, x, t1, t2):
 
 def ce_step(a, x, t1, t2, labels, mask):
     """(loss, grad Θ1, grad Θ2) of the masked cross-entropy."""
-    return step(constant_graph(a), x, t1, t2, (None, None),
-                partial(softmax_ce, labels=labels, mask=mask))
+    return step(constant_graph(a), x, t1, t2, partial(softmax_ce, labels=labels, mask=mask))
 
 
 def random_adjacency(rng, n):
@@ -128,7 +127,7 @@ class TestDropout:
     def test_eval_mode_is_identity(self):
         # without a mask (prediction) the layer input is x itself
         x = np.ones((3, 3))
-        _, out, _ = forward_hidden(NormalizedAdjacency.identity(3), x, np.eye(3), None)
+        _, out, _ = forward_hidden(NormalizedAdjacency.identity(3), x, np.eye(3))
         np.testing.assert_array_equal(out, x)
 
     def test_invalid_rate(self):
@@ -169,16 +168,6 @@ class TestDropout:
                 assert out is None or np.shares_memory(got, buf)
                 assert rng.random() == np.random.default_rng(7).random(
                     int(np.prod(shape)) + 1)[-1]
-
-    def test_dropped_input_into_its_own_mask(self):
-        # training writes layer 1's dropped input over its mask
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(9, 4))
-        mask = dropout_mask(x.shape, 0.5, rng)
-        want = x * mask
-        _, x_in, _ = forward_hidden(NormalizedAdjacency.identity(9), x, np.eye(4), mask, mask)
-        assert x_in is mask
-        assert x_in.tobytes() == want.tobytes()
 
 
 class TestSpmm:
@@ -269,8 +258,8 @@ class TestForward:
             calls.append((layer_input.copy(), weights))
             return a
 
-        logits, _ = forward(graph, x, t1, t2, masks)
-        hidden, _, _ = forward_hidden(a, x, t1, masks[0])
+        logits, _ = forward(graph, x, t1, t2, x * masks[0], masks[1])
+        hidden, _, _ = forward_hidden(a, x * masks[0], t1)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[0][0], x)
         assert calls[0][1] is t1

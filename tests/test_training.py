@@ -24,6 +24,7 @@ from hypergcn.nn import (
     AdamState,
     Params,
     constant_graph,
+    dropout_mask,
     forward,
     glorot_init,
     rng_streams,
@@ -222,7 +223,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("hidden", 0), ("epochs", -3), ("lr", -0.01), ("lr", 0.0), ("lr", float("nan")),
-        ("weight_decay", -5.0), ("hlr_lambda", -1.0), ("seed", -1)])
+        ("weight_decay", -5.0), ("hlr_lambda", -1.0), ("seed", -1), ("lr", float("inf")),
+        ("weight_decay", float("inf")), ("hlr_lambda", float("inf"))])
     def test_field_outside_its_range_rejected(self, name, value):
         # each trained silently: no hidden units, no epochs, a climbing
         # loss, or a penalty that rewards rough predictions; a negative
@@ -267,6 +269,20 @@ class TestFit:
         assert losses == [3.0, 3.0]
         assert seen == [1.0, 2.0, 6.0] * 2
         assert (theta.theta1.shape, theta.theta2.shape) == ((2, 5), (5, 4))
+
+    def test_dropped_input_into_its_own_mask(self):
+        # fit_step writes layer 1's dropped input over its mask, in the
+        # first rows of the run's buffer and nowhere else
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(9, 4))
+        theta = Params.of(glorot_init(4, 3, rng), glorot_init(3, 2, rng))
+        state = AdamState.for_params(theta, lr=0.01, weight_decay=0.0)
+        buf = np.full((12, 4), np.nan)
+        want = x * dropout_mask(x.shape, 0.5, np.random.default_rng(4))
+        fit_step(constant_graph(NormalizedAdjacency.identity(9)), x, theta, state,
+                 lambda logits: (0.0, np.zeros_like(logits)), 0.5, np.random.default_rng(4), buf)
+        assert buf[:9].tobytes() == want.tobytes()
+        assert np.isnan(buf[9:]).all()
 
 
 class TestProposition1Traces:
@@ -331,16 +347,16 @@ class TestHlr:
         t1 = glorot_init(3, 4, rng)
         t2 = glorot_init(4, 2, rng)
         loss_fn = partial(hlr_ce, labels=labels, mask=mask, lap=lap, lam=lam)
-        loss, g1, g2 = step(graph, x, t1, t2, (None, None), loss_fn)
+        loss, g1, g2 = step(graph, x, t1, t2, loss_fn)
         eps = 1e-6
         for theta, grad in ((t1, g1), (t2, g2)):
             fd = np.zeros_like(theta)
             for idx in np.ndindex(theta.shape):
                 orig = theta[idx]
                 theta[idx] = orig + eps
-                up = step(graph, x, t1, t2, (None, None), loss_fn)[0]
+                up = step(graph, x, t1, t2, loss_fn)[0]
                 theta[idx] = orig - eps
-                dn = step(graph, x, t1, t2, (None, None), loss_fn)[0]
+                dn = step(graph, x, t1, t2, loss_fn)[0]
                 theta[idx] = orig
                 fd[idx] = (up - dn) / (2 * eps)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
