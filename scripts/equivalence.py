@@ -34,7 +34,13 @@ each, in order), then one line with the digest over all parts:
   aggregate line) on all six methods and `densek` (3 training samples,
   2 epochs) on both learned methods, on the n=60 instance saved to a
   temporary directory and named by the same relative path in every run,
-  so that the config echo is the same too.
+  so that the config echo is the same too; `cli/diverge/<command>/<method>`:
+  the same for runs that diverge at `--lr 1e200`, `train` (budget 10,
+  5 epochs) on `hypergcn` and `one-hypergcn`, which stop at the layer
+  signal's check, and `fast-hypergcn`, which stops at the logits', and
+  `densek` (3 training samples, 2 epochs) on `hypergcn`;
+  `cli/train/budget-all`: `train --method mlp --budget 60`, which labels
+  every vertex and leaves nothing to evaluate.
 
 The instances are `gen_noisy_ssl(0.5, default_rng(7), ...)`: n=1000 (the
 default benchmark, 20 training epochs), the 20k instance (n=20000,
@@ -78,6 +84,14 @@ DENSEK_SAMPLES, DENSEK_EPOCHS, DENSEK_MAPS = 10, 2, 8
 CLI_RUNS = {"train": ["--budget", "10", "--epochs", "5"],
             "trials": ["--budget", "10", "--trials", "3", "--epochs", "5"],
             "densek": ["--trials", "3", "--epochs", "2"]}
+# part name -> argv, for runs that end in a usage error
+CLI_FAILURES = {
+    **{f"cli/diverge/train/{m}": ["train", "--method", m, *CLI_RUNS["train"], "--lr", "1e200"]
+       for m in ("hypergcn", "one-hypergcn", "fast-hypergcn")},
+    "cli/diverge/densek/hypergcn": ["densek", "--method", "hypergcn", *CLI_RUNS["densek"],
+                                    "--lr", "1e200"],
+    "cli/train/budget-all": ["train", "--method", "mlp", "--budget", "60"],
+}
 TIMING = re.compile(rb'"seconds_per_epoch": [0-9eE+.\-]+')
 
 
@@ -146,16 +160,17 @@ def parts(sizes: list[int]):
                            Path(tmp) / "bundle")
         os.chdir(tmp)
         try:
-            for command, methods in (("train", training.METHODS), ("trials", training.METHODS),
-                                     ("densek", densek.METHODS)):
-                for method in methods:
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                        code = cli.main([command, "--data", "bundle", "--method", method,
-                                         *CLI_RUNS[command]])
-                    text = TIMING.sub(b'"seconds_per_epoch": 0', out.getvalue().encode())
-                    yield (f"cli/{command}/{method}",
-                           [np.array([code]), np.frombuffer(text, dtype=np.uint8)])
+            runs = {f"cli/{command}/{method}": [command, "--method", method, *CLI_RUNS[command]]
+                    for command, methods in (("train", training.METHODS),
+                                             ("trials", training.METHODS),
+                                             ("densek", densek.METHODS))
+                    for method in methods}
+            for name, argv in {**runs, **CLI_FAILURES}.items():
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main([argv[0], "--data", "bundle", *argv[1:]])
+                text = TIMING.sub(b'"seconds_per_epoch": 0', out.getvalue().encode())
+                yield name, [np.array([code]), np.frombuffer(text, dtype=np.uint8)]
         finally:
             os.chdir(home)
 

@@ -92,8 +92,8 @@ def _k_from(k_frac: float, n: int) -> int:
 
 def _quiet_divergence():
     """Turns off numpy's overflow and invalid-value warnings: a diverging
-    run stops at the non-finite check in `nn` and reports itself as one
-    usage error, without the warnings its last steps raised."""
+    run stops at a non-finite check (a layer signal's or the logits') and
+    reports itself as one usage error, without the warnings its last steps raised."""
     return np.errstate(over="ignore", invalid="ignore")
 
 

@@ -28,11 +28,31 @@ class DataError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LabeledSplit:
-    """Labels over all vertices plus disjoint labelled / evaluation sets."""
+    """Labels over all vertices, a labelled set and an evaluation set, held
+    as read-only int64 copies. The constructor raises DataError unless
+    `labels` are 1-D non-negative whole numbers, and `train_idx` and
+    `eval_idx` non-empty 1-D whole numbers in [0, len(labels))."""
 
     labels: np.ndarray
     train_idx: np.ndarray
     eval_idx: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = np.size(self.labels)
+        for name, rule, empty in (("labels", "non-negative whole numbers", ""),
+                                  ("train_idx", "whole numbers", "labelled set"),
+                                  ("eval_idx", "whole numbers", "evaluation set")):
+            raw = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):  # a non-finite entry is not whole
+                arr = raw.astype(np.int64)
+            if raw.ndim != 1 or not np.array_equal(arr, raw) or not (empty or np.all(arr >= 0)):
+                raise DataError(f"{name} are not 1-D {rule}")
+            if empty and arr.size == 0:
+                raise DataError(f"empty {empty}")
+            if empty and not np.all((arr >= 0) & (arr < n)):
+                raise DataError(f"{name} has entries outside [0, {n})")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +212,8 @@ def balanced_split_labels(
     """Sample a class-balanced labelled set of `budget` vertices.
 
     Each class contributes exactly budget/q uniformly sampled vertices;
-    the evaluation set is the complement. A budget below 1, or one that
-    leaves the evaluation set empty, raises DataError.
+    the evaluation set is the complement, so the two are disjoint. A budget
+    below 1, or one that leaves the evaluation set empty, raises DataError.
     """
     if budget < 1:
         raise DataError(f"label budget {budget} is below 1")
@@ -212,8 +232,6 @@ def balanced_split_labels(
         chosen.append(rng.choice(members, size=per_class, replace=False))
     train_idx = np.sort(np.concatenate(chosen))
     eval_idx = np.setdiff1d(np.arange(labels.size), train_idx)
-    if eval_idx.size == 0:
-        raise DataError(f"label budget {budget} leaves no vertex to evaluate")
     return LabeledSplit(labels=labels, train_idx=train_idx, eval_idx=eval_idx)
 
 

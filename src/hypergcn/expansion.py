@@ -204,14 +204,15 @@ class NormalizedAdjacency:
 
 
 def as_signal(s: np.ndarray, n: int) -> np.ndarray:
-    """Coerce a per-vertex signal to a finite C-contiguous n x d float64 matrix."""
+    """Coerce a per-vertex signal to a C-contiguous n x d float64 matrix. A
+    non-finite signal, as a diverged network's, raises FloatingPointError."""
     arr = np.ascontiguousarray(s, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] != n:
         raise ValueError(f"signal shape {arr.shape} incompatible with n={n}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("signal contains non-finite entries")
+        raise FloatingPointError("signal contains non-finite entries")
     return arr
 
 

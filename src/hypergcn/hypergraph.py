@@ -106,6 +106,11 @@ class Hypergraph:
             np.array_equal(getattr(self, k), getattr(other, k))
             for k in ("indptr", "indices", "weights"))
 
+    def __hash__(self) -> int:
+        # equal arrays have equal bytes: the dtypes are fixed and no weight is -0.0 or NaN
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes(),
+                     self.weights.tobytes()))
+
     @property
     def m(self) -> int:
         return self.indptr.size - 1

@@ -73,10 +73,8 @@ def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def dropout_mask(
     shape: tuple[int, ...], rate: float, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Inverted-dropout mask: kept units are scaled by 1/(1-rate). The
-    uniform draw, then the mask, go into `out` if given."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
+    """Inverted-dropout mask for a `rate` in [0, 1), which `training.TrainConfig`
+    holds: kept units scale by 1/(1-rate). Draw, then mask, go into `out` if given."""
     draw = rng.random(shape, out=out)
     return np.multiply(draw >= rate, 1.0 / (1.0 - rate), out=draw)
 
@@ -93,15 +91,8 @@ def constant_graph(a: NormalizedAdjacency) -> Graph:
 def reexpanding_graph(expand: Callable[[np.ndarray], NormalizedAdjacency]) -> Graph:
     """HyperGCN's graph: `expand` of the layer input (before dropout)
     times the layer weights. A non-finite product, from a diverged
-    network, raises FloatingPointError."""
-
-    def graph(layer_input: np.ndarray, weights: np.ndarray) -> NormalizedAdjacency:
-        signal = layer_input @ weights
-        if not np.isfinite(signal).all():
-            raise FloatingPointError("non-finite layer signal")
-        return expand(signal)
-
-    return graph
+    network, raises FloatingPointError in `expansion.as_signal`."""
+    return lambda layer_input, weights: expand(layer_input @ weights)
 
 
 def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
@@ -135,9 +126,9 @@ def forward_logits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Second convolution layer up to the logits. Returns (logits, h_in).
 
-    Every forward pass, in training and at prediction, ends here, so this
-    is the one place that rejects a diverged network: any non-finite
-    logit raises FloatingPointError.
+    Every forward pass, in training and at prediction, ends here, so a
+    diverged network that `expansion.as_signal` has not rejected (in a
+    reexpanding graph) is rejected here: a non-finite logit raises FloatingPointError.
     """
     h_in = hidden if mask2 is None else hidden * mask2
     logits = spmm(a2, h_in @ theta2)
@@ -158,10 +149,8 @@ def softmax_ce(
     """Loss function for `step`: softmax cross-entropy averaged over the
     labelled set `mask`, from the logits by a fused log-softmax, and its
     gradient on the logits. `mask` is a multiset: a vertex listed twice
-    counts twice."""
+    counts twice. It is non-empty, a rule that `dataio.LabeledSplit` holds."""
     mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty labelled set")
     picked = np.asarray(labels)[mask]
     loss = float(-log_softmax_rows(logits[mask])[np.arange(mask.size), picked].mean())
     z = softmax_rows(logits)
@@ -237,7 +226,8 @@ def step(
     return (loss, *backward_from_dlogits(dlogits, *saved))
 
 
-class Params(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Params:
     """Θ1 and Θ2 as reshaped views of `flat`: Θ1's entries, then Θ2's."""
 
     flat: np.ndarray

@@ -206,20 +206,8 @@ def train_ssl(
         raise ValueError(f"feature rows {x.shape[0]} != vertex count {h.n}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite features")
-    if split.train_idx.size == 0:
-        raise ValueError("empty labelled set")
-    if split.eval_idx.size == 0:
-        raise ValueError("empty evaluation set")
-    labels = np.asarray(split.labels)
-    if labels.shape != (h.n,) or not np.all(np.isfinite(labels) & (labels >= 0)
-                                            & (labels == np.floor(labels))):
+    if split.labels.shape != (h.n,):  # the split holds its other rules
         raise ValueError(f"labels are not {h.n} non-negative whole numbers")
-    for name in ("train_idx", "eval_idx"):
-        idx = getattr(split, name)
-        if not np.all((idx >= 0) & (idx < h.n)):
-            raise ValueError(f"{name} has entries outside [0, {h.n})")
-
-    labels = labels.astype(np.int64)
     streams = nn.rng_streams(cfg.seed)
     edge_counts = dict(zip(("N", "N_m", "N_c"), size_counts(h)))
 
@@ -232,14 +220,14 @@ def train_ssl(
         return g
 
     graph = method_graph(cfg.method, h, x, streams.ties, built)
-    loss_fn = partial(nn.softmax_ce, labels=labels, mask=split.train_idx)
+    loss_fn = partial(nn.softmax_ce, labels=split.labels, mask=split.train_idx)
     if cfg.method == "mlp-hlr":
         lap = pair_laplacian(built(expand_mediators(h, x, streams.ties)))
-        loss_fn = partial(hlr_ce, labels=labels, mask=split.train_idx, lap=lap,
+        loss_fn = partial(hlr_ce, labels=split.labels, mask=split.train_idx, lap=lap,
                           lam=cfg.hlr_lambda)
 
     t0 = time.perf_counter()
-    theta, losses = fit([(x, graph, loss_fn)], int(labels.max()) + 1, cfg, streams)
+    theta, losses = fit([(x, graph, loss_fn)], int(split.labels.max()) + 1, cfg, streams)
     seconds_per_epoch = (time.perf_counter() - t0) / max(1, cfg.epochs)
 
     error = evaluate(nn.softmax_rows(nn.forward(graph, x, theta.theta1, theta.theta2)[0]), split)
@@ -257,8 +245,6 @@ def train_ssl(
 def evaluate(z: np.ndarray, split: LabeledSplit) -> float:
     """Percent misclassified on the evaluation set; argmax ties go to the
     lowest class index."""
-    if split.eval_idx.size == 0:
-        raise ValueError("empty evaluation set")
     preds = np.argmax(z, axis=1)
     wrong = preds[split.eval_idx] != split.labels[split.eval_idx]
     return float(100.0 * np.mean(wrong))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypergcn.dataio import (
     DataError,
     DatasetBundle,
+    LabeledSplit,
     balanced_split_labels,
     gen_noisy_ssl,
     load_bundle,
@@ -149,6 +150,36 @@ class TestLoadBundle:
         assert loaded.num_classes == q
 
 
+class TestLabeledSplit:
+    @pytest.mark.parametrize("labels, train_idx, eval_idx, problem", [
+        ([0, 1, -1], [0], [1], "labels are not 1-D non-negative whole numbers"),
+        ([0, 1, 0.5], [0], [1], "labels are not 1-D non-negative whole numbers"),
+        ([[0, 1, 0]], [0], [1], "labels are not 1-D non-negative whole numbers"),
+        ([0, 1, np.nan], [0], [1], "labels are not 1-D non-negative whole numbers"),
+        ([0, 1, 0], [], [1], "empty labelled set"),
+        ([0, 1, 0], [0], [], "empty evaluation set"),
+        ([0, 1, 0], [0, 3], [1], re.escape("train_idx has entries outside [0, 3)")),
+        ([0, 1, 0], [0], [-1], re.escape("eval_idx has entries outside [0, 3)")),
+        ([0, 1, 0], [0, 1.5], [2], "train_idx are not 1-D whole numbers"),
+    ], ids=["negative-label", "fractional-label", "2d-labels", "nan-label", "empty-train",
+            "empty-eval", "index-outside", "negative-index", "fractional-index"])
+    def test_rule_broken_rejected(self, labels, train_idx, eval_idx, problem):
+        # the split took each of these; train_ssl or evaluate, or nothing, rejected it later
+        with pytest.raises(DataError, match=problem):
+            LabeledSplit(np.array(labels), np.array(train_idx), np.array(eval_idx))
+
+    def test_arrays_are_read_only_int64_copies(self):
+        labels, train_idx = np.array([0.0, 1.0, 1.0]), [0, 2]
+        split = LabeledSplit(labels, np.array(train_idx, dtype=np.int32), np.array([1]))
+        for arr in (split.labels, split.train_idx, split.eval_idx):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert split.labels.tolist() == [0, 1, 1] and split.train_idx.tolist() == train_idx
+        labels[0] = 5.0
+        assert split.labels[0] == 0
+        with pytest.raises(ValueError, match="read-only"):
+            split.eval_idx[0] = 2
+
+
 class TestBalancedSplit:
     def test_exact_per_class_counts(self):
         rng = np.random.default_rng(0)
@@ -177,7 +208,7 @@ class TestBalancedSplit:
         # every vertex labelled: training used to run to the end and then
         # fail in evaluation
         labels = np.array([0, 1] * 6)
-        with pytest.raises(DataError, match="label budget 12 leaves no vertex to evaluate"):
+        with pytest.raises(DataError, match="empty evaluation set"):
             balanced_split_labels(labels, 12, np.random.default_rng(0))
         assert balanced_split_labels(labels, 10, np.random.default_rng(0)).eval_idx.size == 2
 

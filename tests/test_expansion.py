@@ -81,6 +81,18 @@ def pairs_close(a: dict, b: dict, tol=1e-12) -> bool:
 
 
 class TestExtremePair:
+    @pytest.mark.parametrize("search", [extreme_pairs, mediator_adjacency, expand_one_edge],
+                             ids=["extreme_pairs", "mediators", "one_edge"])
+    def test_non_finite_signal_raises_before_any_draw(self, search):
+        # a diverged network's layer signal: as_signal is its one check
+        h = Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)])
+        signal = np.array([[1.0, np.inf], [0.0, 1.0], [2.0, 0.0], [1.0, 1.0]])
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(FloatingPointError, match="signal"):
+            search(h, signal, rng)
+        assert rng.bit_generator.state == state
+
     def test_clear_maximum(self):
         h = Hypergraph.from_edges(3, [(0, 1, 2)])
         s = np.array([[0.0], [1.0], [5.0]])
@@ -214,7 +226,7 @@ class TestExtremePair:
             np.testing.assert_array_equal(got, want)
 
 
-class TestPaddedBands:
+class TestExtremePairsOverMixedSizes:
     """Hyperedges of mixed sizes in one block. The cases were written for
     the padded size bands that the pair list replaced, where a padding copy
     of a member could tie a hyperedge's farthest pair."""

@@ -199,7 +199,7 @@ class TestCliquePairs:
         assert edges(copy) == edges(h)
 
 
-class TestSizeGroups:
+class TestCliquePairsOverMixedSizes:
     """The pair list over the size mixes that the padded size bands, which
     it replaced, were tested on."""
 
@@ -300,8 +300,9 @@ class TestEquality:
         lambda: densek.ProbabilityMaps(np.full((3, 2), 0.5)),
         lambda: densek.DenseKModel(np.ones((2, 3)), np.ones((3, 2)), "hypergcn"),
         lambda: nn.AdamState(0.01, 0.0, np.zeros(3), np.zeros(3)),
+        lambda: nn.Params.of(np.ones((2, 3)), np.ones((3, 2))),
     ], ids=["WeightedGraph", "LabeledSplit", "DatasetBundle", "ProbabilityMaps",
-            "DenseKModel", "AdamState"])
+            "DenseKModel", "AdamState", "Params"])
     def test_array_holders_compare_by_identity(self, build):
         # the generated __eq__ compared arrays and raised, and no
         # instance could be hashed
@@ -309,3 +310,13 @@ class TestEquality:
         assert a == a
         assert (a == rebuilt) is False
         assert len({a, rebuilt}) == 2
+
+    def test_equal_hypergraphs_hash_alike(self):
+        # Hypergraph defined __eq__ without __hash__, so neither it nor a
+        # DenseKInstance holding it could be hashed
+        a = Hypergraph.from_edges(4, [(0, 1, 2), (2, 3)], weights=[1.5, 2.0])
+        b = Hypergraph.from_edges(4, [(3, 2), (2, 1, 0)][::-1], weights=[1.5, 2.0])
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert hash(pickle.loads(pickle.dumps(a))) == hash(a)
+        assert len({densek.DenseKInstance(a, 2), densek.DenseKInstance(b, 2)}) == 1
+        assert len({a, Hypergraph.from_edges(4, [(0, 1, 2), (2, 3)], weights=[1.5, 3.0])}) == 2

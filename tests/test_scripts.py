@@ -27,6 +27,7 @@ class TestEquivalenceScript:
         assert "60/picks/zero" in names and "densek/picks" in names
         assert "cli/train/mlp-hlr" in names and "cli/densek/fast-hypergcn" in names
         assert "cli/trials/hypergcn" in names and "ssl/60/dropout0/mlp" in names
+        assert "cli/diverge/train/one-hypergcn" in names
         assert all("sha256" in line for line in first[:-1])
         assert [line["part"] for line in again[:-1]] == names
         assert again[-1]["digest"] == first[-1]["digest"]

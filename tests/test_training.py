@@ -112,8 +112,8 @@ class TestTrainSsl:
         h, x, split = two_component_instance()
         steps = []
         monkeypatch.setattr(hypergcn.training, "fit_step", lambda *args: steps.append(0) or 0.0)
-        labelled_all = replace(split, train_idx=np.arange(4), eval_idx=np.arange(0))
         with pytest.raises(ValueError, match="empty evaluation set"):
+            labelled_all = replace(split, train_idx=np.arange(4), eval_idx=np.arange(0))
             train_ssl(h, x, labelled_all, TrainConfig(method="mlp", epochs=2))
         assert steps == []
 
@@ -124,9 +124,9 @@ class TestTrainSsl:
     ], ids=["negative-label", "five-labels", "index-outside"])
     def test_malformed_split_rejected(self, labels, train_idx, problem):
         h = Hypergraph.from_edges(6, [(0, 1, 2), (3, 4, 5), (2, 3)])
-        split = LabeledSplit(labels=np.array(labels), train_idx=np.array(train_idx),
-                             eval_idx=np.array([1, 4]))
         with pytest.raises(ValueError, match=problem):
+            split = LabeledSplit(labels=np.array(labels), train_idx=np.array(train_idx),
+                                 eval_idx=np.array([1, 4]))
             train_ssl(h, np.eye(6), split, TrainConfig(method="hgnn", epochs=2))
 
     def test_loss_trace_finite_and_recorded(self):
