@@ -1,6 +1,7 @@
 """Per-method training time and page faults per epoch at n=1000 and at n=20k.
 
     python3 scripts/epoch_times.py [--src DIR] [--sizes 1000 20000] [--methods M ...]
+                                   [--against DIR [--pairs N]]
 
 Times `train_ssl` for every method (or those given with `--methods`) on
 two fixed instances: the default noisy benchmark,
@@ -44,11 +45,28 @@ ms per `extreme_pairs` pass over the samples' input features (the
 first run builds each hypergraph's cached pair list).
 
 BLAS runs one thread. `--src` picks the source tree to import, so that
-two trees can be timed by one script.
+two trees can be timed by one script. `--sizes 60` adds a tiny instance
+(`gen_noisy_ssl(0.5, default_rng(7), n=60, pure=6, noisy=24,
+feat_dim=16)`, budget 10, 5 epochs) for smoke tests.
 
 Prints one JSON line per (n, method), per n for the search, per (n, rule),
 per (n, factored rule), per DkSH phase and per DkSH method, then one with
-the environment.
+the environment. Each line but the last carries `host_s`: the time of
+one pass of `bench/reference.py`'s kernel, the mean of its readings just
+before and just after the line's measurements, as `bench/run.py` reads
+the host's speed around each op. The kernel runs between lines, outside
+every timed or fault-counted region.
+
+`--against DIR` compares two trees: `--src` (the change) and DIR (the
+parent, another source tree). It runs this script on each, in a fresh
+process, for `--pairs` pairs (10), alternating which goes first (the
+parent in even pairs). Every timing (the fields that end in `_ms` or
+start with `ms_` or `us_`) is scaled to a host that runs the reference
+kernel in `NOMINAL_S`: reading · NOMINAL_S / host_s. It prints one JSON
+line per timing with both trees' medians, the median and range of the
+per-pair ratios (change over parent) and in how many pairs the change
+was lower, then one line holding them all, each with its per-pair
+readings, in the `epoch_times` shape of the `BENCH_*.json` files.
 """
 
 from __future__ import annotations
@@ -60,6 +78,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -69,10 +88,15 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from reference import NOMINAL_S, Reference  # noqa: E402
+
 REPEATS = 3
 PHASE_REPEATS = 11
+PAIRS = 10
 # n -> (gen_noisy_ssl keyword arguments, label budget, epochs)
 INSTANCES = {
+    60: ({"n": 60, "pure": 6, "noisy": 24, "feat_dim": 16}, 10, 5),
     1000: ({}, 100, 50),
     20000: ({"n": 20000, "pure": 2000, "noisy": 8000, "feat_dim": 64}, 2000, 10),
 }
@@ -176,19 +200,90 @@ def densek_phases(densek, expansion, samples, rng) -> list[dict]:
              "ms_per_pass": median_ms(search)}]
 
 
+# the fields of a line that name what it times, in the order they are named
+LABELS = ("n", "method", "phase", "rule", "factored", "densek_phase", "densek")
+
+
+def readings(stdout: str) -> tuple[dict[str, float], str]:
+    """One run's timings, each scaled by its line's `host_s` to a host that
+    runs the reference kernel in `NOMINAL_S`, keyed "<labels> <field>";
+    and the run's `src_sha256`."""
+    out, digest = {}, ""
+    for line in map(json.loads, stdout.splitlines()):
+        digest = line.get("src_sha256", digest)
+        name = " ".join(f"{k}={line[k]}" for k in LABELS if k in line)
+        for key, value in line.items():
+            if isinstance(value, float) and (key.endswith("_ms") or key.startswith(("ms_", "us_"))):
+                out[f"{name} {key}"] = value * NOMINAL_S / line["host_s"]
+    return out, digest
+
+
+def compare(trees: dict[str, Path], argv: list[str], pairs: int) -> dict:
+    """Run this script with `argv` on the "parent" and "change" source
+    trees in alternating fresh processes, `pairs` times each, and pair
+    their host-adjusted timings."""
+    runs = {"parent": [], "change": []}
+    digests = {}
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            out = subprocess.run([sys.executable, __file__, "--src", str(trees[side]), *argv],
+                                 capture_output=True, text=True, check=True).stdout
+            timings, digests[side] = readings(out)
+            runs[side].append(timings)
+    summary = {}
+    for name in runs["change"][0]:
+        parent = [r[name] for r in runs["parent"]]
+        change = [r[name] for r in runs["change"]]
+        ratios = [c / p for c, p in zip(change, parent) if p > 0]
+        summary[name] = {
+            "parent": [round(v, 4) for v in parent], "change": [round(v, 4) for v in change],
+            "parent_median": round(statistics.median(parent), 4),
+            "change_median": round(statistics.median(change), 4),
+            "ratio_median": round(statistics.median(ratios), 4) if ratios else None,
+            "ratio_range": [round(min(ratios), 4), round(max(ratios), 4)] if ratios else None,
+            "change_lower_pairs": f"{sum(c < p for c, p in zip(change, parent))}/{pairs}"}
+    return {"command": f"python3 scripts/epoch_times.py {' '.join(argv)} --src <tree>",
+            "protocol": f"{pairs} alternating pairs of fresh processes (even index: parent "
+                        f"first); every timing scaled by bench/reference.py's kernel read around "
+                        f"its line, to a host that runs it in {NOMINAL_S} s",
+            "src_sha256": digests, "summary": summary}
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src")
-    p.add_argument("--sizes", type=int, nargs="+", default=sorted(INSTANCES),
+    p.add_argument("--sizes", type=int, nargs="+", default=[1000, 20000],
                    choices=sorted(INSTANCES))
     p.add_argument("--methods", nargs="+", default=None,
                    help="methods to time (default: all of training.METHODS)")
+    p.add_argument("--against", type=Path, default=None,
+                   help="the parent's source tree: pair its timings with --src's")
+    p.add_argument("--pairs", type=int, default=PAIRS)
     args = p.parse_args()
+    if args.against is not None:
+        argv = ["--sizes", *map(str, args.sizes)] + (["--methods", *args.methods]
+                                                     if args.methods else [])
+        result = compare({"parent": args.against, "change": args.src}, argv, args.pairs)
+        for name, line in result["summary"].items():
+            print(json.dumps({"line": name, **{k: v for k, v in line.items()
+                                               if k not in ("parent", "change")}}), flush=True)
+        print(json.dumps({"epoch_times": result}))
+        return 0
     sys.path.insert(0, str(args.src.resolve()))
     import numpy as np
     import scipy
 
     from hypergcn import dataio, densek, expansion, nn, training
+
+    reference = Reference()
+    host = reference.sample()
+
+    def emit(line: dict) -> None:
+        """Print `line` with the reference kernel's time around it."""
+        nonlocal host
+        after = reference.sample()
+        line["host_s"], host = round((host + after) / 2, 6), after
+        print(json.dumps(line), flush=True)
 
     probe = StepProbe(training)
     for n in args.sizes:
@@ -203,23 +298,22 @@ def main() -> int:
                 runs.append(1e3 * training.train_ssl(bundle.hypergraph, bundle.features,
                                                      split, cfg).seconds_per_epoch)
                 faults.append(probe.faults_per_step())
-            print(json.dumps({"n": n, "method": method, "epochs": epochs,
-                              "ms_per_epoch": round(statistics.median(runs), 3),
-                              "runs_ms": [round(r, 3) for r in runs],
-                              "faults_per_epoch": [round(f, 1) for f in faults]}), flush=True)
-        print(json.dumps({"n": n, **search_times(expansion, bundle.hypergraph,
-                                                 np.random.default_rng(0)),
-                          "repeats": PHASE_REPEATS}), flush=True)
+            emit({"n": n, "method": method, "epochs": epochs,
+                  "ms_per_epoch": round(statistics.median(runs), 3),
+                  "runs_ms": [round(r, 3) for r in runs],
+                  "faults_per_epoch": [round(f, 1) for f in faults]})
+        emit({"n": n, **search_times(expansion, bundle.hypergraph, np.random.default_rng(0)),
+              "repeats": PHASE_REPEATS})
         for line in phase_times(expansion, nn, bundle.hypergraph, bundle.features,
                                 np.random.default_rng(0)):
-            print(json.dumps({"n": n, **line, "repeats": PHASE_REPEATS}), flush=True)
+            emit({"n": n, **line, "repeats": PHASE_REPEATS})
 
     rng = np.random.default_rng(7)
     samples = [densek.gen_sample(int(s), 3 * int(s) // 4, 0.75, rng)
                for s in rng.integers(100, 301, size=100)]
     if not args.methods or set(args.methods) & set(DENSEK_EPOCHS):
         for line in densek_phases(densek, expansion, samples, np.random.default_rng(0)):
-            print(json.dumps(line), flush=True)
+            emit(line)
     for method in DENSEK_EPOCHS:
         if args.methods and method not in args.methods:
             continue
@@ -229,9 +323,9 @@ def main() -> int:
             probe.reset()
             densek.train_densek(samples, cfg, maps=8)
             runs.append(1e6 * probe.seconds / len(probe.faults))
-        print(json.dumps({"densek": method, "samples": len(samples), "epochs": cfg.epochs,
-                          "us_per_step": round(statistics.median(runs), 1),
-                          "runs_us": [round(r, 1) for r in runs]}), flush=True)
+        emit({"densek": method, "samples": len(samples), "epochs": cfg.epochs,
+              "us_per_step": round(statistics.median(runs), 1),
+              "runs_us": [round(r, 1) for r in runs]})
 
     digest = hashlib.sha256()
     for path in sorted((args.src / "hypergcn").glob("*.py")):

@@ -152,25 +152,31 @@ def hindsight_bce(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, i
     softplus(l) = max(l, 0) + log1p(exp(-|l|)) is computed in place in one
     n x M array: it never overflows, and numpy runs these ufuncs in its
     vectorized loops, where `np.logaddexp(0, l)` runs a scalar one at
-    about 3x the cost. The two differ by at most 2 ulp per entry."""
-    t = np.reshape(target, (-1, 1))
+    about 3x the cost. The two differ by at most 2 ulp per entry. Its
+    two other temporaries, max(l, 0) and t l, share one n x M array."""
+    t = target if np.ndim(target) == 2 else np.reshape(target, (-1, 1))
     loss = np.abs(logits)
     np.negative(loss, out=loss)
     np.exp(loss, out=loss)
     np.log1p(loss, out=loss)
-    loss += np.maximum(logits, 0.0)
-    loss -= t * logits
-    per_map = loss.sum(axis=0) / logits.shape[0]
-    return per_map, int(np.argmin(per_map))
+    scratch = np.maximum(logits, 0.0)
+    loss += scratch
+    loss -= np.multiply(t, logits, out=scratch)
+    per_map = np.add.reduce(loss, axis=0)  # loss.sum(axis=0) without its wrapper
+    per_map /= logits.shape[0]
+    return per_map, int(per_map.argmin())
 
 
 def hindsight_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss function for `nn.step`: the smallest per-map binary
-    cross-entropy; only that best map receives gradient. `target` is the
-    0/1 labelling as an n x 1 float64 column."""
+    cross-entropy; only that best map receives gradient, computed in
+    place in its column of zeroed dlogits. `target` is the 0/1 labelling
+    as an n x 1 float64 column."""
     per_map, best = hindsight_bce(logits, target)
-    dlogits, col = np.zeros_like(logits), slice(best, best + 1)
-    dlogits[:, col] = (expit(logits[:, col]) - target) / logits.shape[0]
+    dlogits = np.zeros(logits.shape)
+    grad = expit(logits[:, best : best + 1], out=dlogits[:, best : best + 1])
+    grad -= target
+    grad /= logits.shape[0]
     return float(per_map[best]), dlogits
 
 

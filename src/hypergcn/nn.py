@@ -8,7 +8,9 @@ with optional inverted dropout on the input of each layer. Layer τ
 convolves over `graph(layer input, Θτ)`, a `Graph`, which
 `training.method_graph` gives for each method. Every product with an
 adjacency is `spmm`: by its CSR, or through the incidence matrix
-(`expansion.IncidenceFactors`) for a factored one. Layer 1 runs its
+(`expansion.IncidenceFactors`) for a factored one. A CSR product calls
+scipy's compiled kernel `csr_matvecs` directly, skipping scipy's Python
+dispatch, with a fallback to `a.matrix @ x` (see `spmm`). Layer 1 runs its
 sparse product on the narrower side: (A1 · X) · Θ1 when X has fewer
 columns than the hidden layer, else A1 · (X · Θ1). `forward` is the one
 forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
@@ -16,17 +18,19 @@ forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
 on the logits, and pulls that back to Θ1 and Θ2 analytically; there is
 no autodiff. Θ1 and Θ2 are views of one flat vector (`Params`), which the
 adaptive-moment optimizer updates in one set of passes, with decoupled
-weight decay on Θ1 only. The module keeps no state.
+weight decay on Θ1 only; `step` can write their gradients into another
+`Params`, so the optimizer reads them as one vector. The module keeps
+no state: the buffers a training run reuses are its caller's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expansion import NormalizedAdjacency
+from .expansion import NormalizedAdjacency, _csr_matmul
 
 
 class RngStreams(NamedTuple):
@@ -96,11 +100,16 @@ def reexpanding_graph(expand: Callable[[np.ndarray], NormalizedAdjacency]) -> Gr
 
 
 def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product A x, by the CSR or through the incidence
-    matrix for a factored adjacency."""
+    """Sparse-dense product A x, through the incidence matrix for a
+    factored adjacency, else by its CSR with scipy's compiled kernel
+    (`scipy.sparse._sparsetools.csr_matvecs`) called directly: the same
+    bits as `a.matrix @ x` without scipy's 4.6-5.6 µs of Python dispatch,
+    which at DkSH sizes is a third of a product. The kernel is private
+    API, so `a.matrix @ x` serves if it cannot be imported and for an
+    operand that is not float64 (`expansion._csr_matmul`)."""
     if a.n != x.shape[0]:
         raise ValueError(f"adjacency n={a.n} does not match x rows {x.shape[0]}")
-    return a.matrix @ x if a.factors is None else a.factors.product(x)
+    return _csr_matmul(a.matrix, x) if a.factors is None else a.factors.product(x)
 
 
 def forward_hidden(
@@ -132,7 +141,7 @@ def forward_logits(
     """
     h_in = hidden if mask2 is None else hidden * mask2
     logits = spmm(a2, h_in @ theta2)
-    if not np.isfinite(logits).all():
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):  # .all(), unwrapped
         raise FloatingPointError("non-finite logits in forward pass")
     return logits, h_in
 
@@ -170,20 +179,23 @@ def backward_from_dlogits(
     h_in: np.ndarray,
     mask2: np.ndarray | None,
     theta2: np.ndarray,
+    grad: Params | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of Θ1 and Θ2 given d(loss)/d(logits), from the forward
     pass's layer inputs after dropout (`x_in`, `h_in`), layer-1
     pre-activation `pre1` and layer-2 dropout mask. If `x_in` is narrower
     than the hidden layer it is A1 · x_in (see `forward_hidden`) and Θ1's
     gradient is x_inᵀ · dpre1; else it is x_inᵀ · (A1 · dpre1), the same
-    product as A1 is symmetric."""
+    product as A1 is symmetric. Given `grad`, the two gradients are
+    written into its Θ1 and Θ2 views and returned."""
     g2 = spmm(a2, dlogits)  # adjacency is symmetric
-    grad_theta2 = h_in.T @ g2
+    grad_theta2 = np.matmul(h_in.T, g2, out=None if grad is None else grad.theta2)
     dh_in = g2 @ theta2.T
-    dhidden = dh_in if mask2 is None else dh_in * mask2
-    dpre1 = dhidden * (pre1 > 0.0)
+    if mask2 is not None:
+        dh_in *= mask2
+    dpre1 = np.multiply(dh_in, pre1 > 0.0, out=dh_in)
     g1 = dpre1 if x_in.shape[1] < pre1.shape[1] else spmm(a1, dpre1)
-    grad_theta1 = x_in.T @ g1
+    grad_theta1 = np.matmul(x_in.T, g1, out=None if grad is None else grad.theta1)
     return grad_theta1, grad_theta2
 
 
@@ -214,16 +226,18 @@ def step(
     loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x_in: np.ndarray | None = None,
     mask2: np.ndarray | None = None,
+    grad: Params | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss and exact gradients of Θ1 and Θ2 for one `forward` pass, with
     layer 1's input after dropout `x_in` and layer 2's mask `mask2`.
 
     `loss_fn(logits)` returns (loss, d loss / d logits); the step knows
-    nothing else about the objective. Returns (loss, grad Θ1, grad Θ2).
+    nothing else about the objective. Returns (loss, grad Θ1, grad Θ2);
+    the gradients are `grad`'s views, overwritten, when it is given.
     """
     logits, saved = forward(graph, x, theta1, theta2, x_in, mask2)
     loss, dlogits = loss_fn(logits)
-    return (loss, *backward_from_dlogits(dlogits, *saved))
+    return (loss, *backward_from_dlogits(dlogits, *saved, grad=grad))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,13 +260,18 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass(eq=False)
 class AdamState:
-    """Adaptive-moment optimizer state: the moments of `Params.flat`."""
+    """Adaptive-moment optimizer state: the moments of `Params.flat`, and
+    two scratch vectors of their size that `adam_step` works in."""
 
     lr: float
     weight_decay: float
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2, self.m.size))
 
     @classmethod
     def for_params(cls, params: Params, lr: float, weight_decay: float) -> "AdamState":
@@ -262,19 +281,26 @@ class AdamState:
 def adam_step(params: Params, grad: np.ndarray, state: AdamState) -> None:
     """One in-place adaptive-moment update of `params.flat` from its flat
     gradient, then decoupled L2 shrinkage of Θ1 only; with zero gradients
-    and zero moments the parameters change only by that shrinkage."""
-    p, g, m, v, p1 = params.flat, grad, state.m, state.v, params.theta1
+    and zero moments the parameters change only by that shrinkage. Its
+    temporaries go into `state.scratch`, so it allocates no vector."""
+    p, g, m, v, k = params.flat, grad, state.m, state.v, params.theta1.size
     if p.shape != g.shape:
         raise ValueError(f"parameter shape {p.shape} != grad shape {g.shape}")
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
+    t, u = state.scratch
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=t)
     v *= b2
-    v += (1.0 - b2) * np.square(g)
-    update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    p -= state.lr * update
+    v += np.multiply(1.0 - b2, np.square(g, out=t), out=t)
+    # update = (m / bc1) / (sqrt(v / bc2) + eps), then p -= lr * update
+    np.divide(m, bc1, out=t)
+    np.divide(v, bc2, out=u)
+    np.sqrt(u, out=u)
+    u += ADAM_EPS
+    t /= u
+    p -= np.multiply(state.lr, t, out=t)
     if state.weight_decay:
-        p1 -= state.lr * state.weight_decay * p1
+        p[:k] -= np.multiply(state.lr * state.weight_decay, p[:k], out=t[:k])

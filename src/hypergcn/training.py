@@ -117,20 +117,28 @@ def fit_step(
     rate: float,
     rng: np.random.Generator,
     buf: np.ndarray,
+    hbuf: np.ndarray | None = None,
+    grad: nn.Params | None = None,
 ) -> float:
     """One optimizer step: draw the dropout masks from `rng` (layer 1's,
     then layer 2's; none when `rate` is 0), drop layer 1's input here, run
     `nn.step` with `loss_fn` and update `theta`'s one flat vector in
     place. Returns the loss. Layer 1's draw, mask and dropped input take
-    turns in the first rows of `buf`, the buffer that `fit` creates for
-    one training run; nothing outlives it."""
-    x_in, mask2 = x, None
+    turns in the first rows of `buf`, and layer 2's mask goes into the
+    first rows of `hbuf`; the two gradients go into `grad`, a `Params` of
+    Θ's shapes, so Adam reads them as one flat vector. `fit` creates the
+    three for one training run; a step given None for `hbuf` or `grad`
+    allocates its own."""
+    x_in, mask2, n = x, None, x.shape[0]
     if rate > 0.0:
-        x_in = nn.dropout_mask(x.shape, rate, rng, out=buf[: x.shape[0]])
-        mask2 = nn.dropout_mask((x.shape[0], theta.theta1.shape[1]), rate, rng)
+        x_in = nn.dropout_mask(x.shape, rate, rng, out=buf[:n])
+        mask2 = nn.dropout_mask((n, theta.theta1.shape[1]), rate, rng,
+                                out=None if hbuf is None else hbuf[:n])
         np.multiply(x, x_in, out=x_in)
-    loss, g1, g2 = nn.step(graph, x, theta.theta1, theta.theta2, loss_fn, x_in, mask2)
-    nn.adam_step(theta, np.concatenate((g1, g2), axis=None), state)
+    if grad is None:
+        grad = nn.Params.of(theta.theta1, theta.theta2)
+    loss = nn.step(graph, x, theta.theta1, theta.theta2, loss_fn, x_in, mask2, grad)[0]
+    nn.adam_step(theta, grad.flat, state)
     return loss
 
 
@@ -142,18 +150,24 @@ def fit(
 ) -> tuple[nn.Params, list[float]]:
     """Train the network on `samples`, (input, graph, loss function)
     triples of one input width, with Glorot Θ1 and Θ2 (`outputs` columns)
-    from `streams.init`, one Adam state and one dropout buffer sized to
-    the largest sample. An epoch is one `fit_step` per sample, in order.
-    Returns Θ and each epoch's mean loss, summed from its first step's so
-    that one sample's loss keeps its bits, -0.0 included."""
+    from `streams.init` and one Adam state. An epoch is one `fit_step` per
+    sample, in order. The run's buffers last the whole run and are sized
+    to the largest sample: layer 1's dropout buffer (n x input width),
+    layer 2's mask buffer (n x hidden), the flat gradient and Adam's
+    scratch (`nn.AdamState`). Returns Θ and each epoch's mean loss, summed
+    from its first step's so that one sample's loss keeps its bits, -0.0
+    included."""
     p = samples[0][0].shape[1]
     theta = nn.Params.of(nn.glorot_init(p, cfg.hidden, streams.init),
                          nn.glorot_init(cfg.hidden, outputs, streams.init))
     state = nn.AdamState.for_params(theta, cfg.lr, cfg.weight_decay)
-    buf = np.empty((max(x.shape[0] for x, _, _ in samples), p))
+    rows = max(x.shape[0] for x, _, _ in samples)
+    buf, hbuf = np.empty((rows, p)), np.empty((rows, cfg.hidden))
+    grad = nn.Params.of(theta.theta1, theta.theta2)
     losses: list[float] = []
     for _ in range(cfg.epochs):
-        epoch = [fit_step(graph, x, theta, state, loss_fn, cfg.dropout, streams.dropout, buf)
+        epoch = [fit_step(graph, x, theta, state, loss_fn, cfg.dropout, streams.dropout, buf,
+                          hbuf, grad)
                  for x, graph, loss_fn in samples]
         losses.append(reduce(operator.add, epoch) / len(epoch))
     return theta, losses

@@ -660,6 +660,22 @@ class TestFactoredAdjacency:
             np.testing.assert_allclose(m.data, csr.matrix.data, rtol=1e-13, atol=0)
             assert factored.pair_count == csr.pair_count
 
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_signal(), st.integers(0, 2**31))
+    def test_pair_count_is_the_expansions(self, hs, seed):
+        # duplicate and overlapping hyperedges emit some pairs more than once
+        h, s = hs
+        assert clique_adjacency(h).pair_count == expand_clique(h).pair_count
+        assert (mediator_adjacency(h, s, np.random.default_rng(seed)).pair_count
+                == expand_mediators(h, s, np.random.default_rng(seed)).pair_count)
+
+    def test_pair_count_sums_no_weights(self, monkeypatch):
+        # the count sorts the pair keys; it builds no weighted expansion
+        h = Hypergraph.from_edges(5, [(0, 1, 2), (1, 2, 3), (0, 1, 2), (2, 3, 4)])
+        monkeypatch.setattr(expansion, "_accumulate", None)
+        assert clique_adjacency(h).pair_count == 7
+        assert mediator_adjacency(h, np.arange(5.0), np.random.default_rng(0)).pair_count == 7
+
     def test_pairs_alone_build_no_incidence(self):
         # the degrees are computed on the first product, not by pair emission
         for expand in (lambda h: expand_mediators(h, np.arange(4.0), np.random.default_rng(0)),

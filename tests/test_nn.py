@@ -1,11 +1,23 @@
+import contextlib
 import math
+import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypergcn import nn
-from hypergcn.expansion import NormalizedAdjacency, expand_mediators, normalize
+from hypergcn import expansion, nn
+from hypergcn.expansion import (
+    NormalizedAdjacency,
+    clique_adjacency,
+    expand_mediators,
+    mediator_adjacency,
+    normalize,
+)
 from hypergcn.hypergraph import Hypergraph
 from hypergcn.nn import (
     ADAM_BETA1,
@@ -196,6 +208,70 @@ class TestSpmm:
         a = NormalizedAdjacency.identity(3)
         with pytest.raises(ValueError):
             spmm(a, np.ones((4, 2)))
+
+
+# signed zeros, subnormals and ordinary values
+BIT_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def csr_operand(draw):
+    """A CSR n x n (n >= 1, some rows empty) and an n x k operand (k in
+    1..9) laid out C- or Fortran-ordered, sliced or transposed."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(1, 9))
+    rows = [sorted(draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)))
+            for _ in range(n)]
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    data = np.array(draw(st.lists(BIT_VALUES, min_size=indices.size, max_size=indices.size)))
+    mat = sp.csr_array((data, indices, np.cumsum([0] + [len(r) for r in rows])), shape=(n, n))
+    values = np.array(draw(st.lists(BIT_VALUES, min_size=4 * n * k, max_size=4 * n * k)))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "transposed"]))
+    x = {"C": lambda: values[: n * k].reshape(n, k),
+         "F": lambda: np.asfortranarray(values[: n * k].reshape(n, k)),
+         "sliced": lambda: values.reshape(2 * n, 2 * k)[1::2, ::2],
+         "transposed": lambda: values[: n * k].reshape(k, n).T}[layout]()
+    return mat, x
+
+
+def no_kernel():
+    """Patch scipy's CSR kernels out of reach, as if their import had failed."""
+    return mock.patch.multiple(expansion, _matvec=None, _matvecs=None)
+
+
+class TestSpmmKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(csr_operand(), st.booleans())
+    def test_bits_equal_scipy_product(self, case, kernel):
+        mat, x = case
+        want = mat @ x
+        with contextlib.nullcontext() if kernel else no_kernel():
+            got = spmm(NormalizedAdjacency(mat.shape[0], csr=mat), x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k, kernel", [(1, "_matvec"), (2, "_matvecs"), (9, "_matvecs")])
+    def test_float64_products_call_the_kernel(self, k, kernel):
+        a = normalize(expand_mediators(*small_instance(), np.random.default_rng(0)))
+        x = np.random.default_rng(1).normal(size=(a.n, k))
+        with mock.patch.object(expansion, kernel, wraps=getattr(expansion, kernel)) as called:
+            spmm(a, x)
+            spmm(a, x.astype(np.float32))  # not float64: scipy's own product
+        assert called.call_count == 1
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_factored_products_keep_their_bits_without_the_kernel(self, cols):
+        h, s = small_instance()
+        x = np.random.default_rng(2).normal(size=(h.n, cols))
+        for a in (clique_adjacency(h), mediator_adjacency(h, s, np.random.default_rng(0))):
+            with_kernel = spmm(a, x)
+            with no_kernel():
+                assert spmm(a, x).tobytes() == with_kernel.tobytes()
+
+
+def small_instance():
+    """A 7-vertex hypergraph with overlapping hyperedges and a signal on it."""
+    h = Hypergraph.from_edges(7, [(0, 1, 2, 3), (2, 3, 4), (4, 5, 6), (0, 6), (1, 3, 5, 6)])
+    return h, np.random.default_rng(3).normal(size=(7, 2))
 
 
 class TestForward:
@@ -479,6 +555,22 @@ class TestAdam:
             assert params.theta2.tobytes() == ref[1].tobytes()
             assert state.m.tobytes() == b"".join(x.tobytes() for x in m)
             assert state.v.tobytes() == b"".join(x.tobytes() for x in v)
+
+
+    def test_step_allocates_no_parameter_sized_vector(self):
+        # the moments' temporaries live in the state's scratch vectors
+        rng = np.random.default_rng(23)
+        params = Params.of(rng.normal(size=(400, 100)), rng.normal(size=(100, 10)))
+        state = AdamState.for_params(params, lr=0.01, weight_decay=5e-4)
+        g = rng.normal(size=params.flat.size)
+        adam_step(params, g, state)
+        tracemalloc.start()
+        try:
+            adam_step(params, g, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes / 4
 
 
 class TestRngStreams:

@@ -109,6 +109,37 @@ class TestEpochTimesPhases:
         assert lines[0]["us_per_call"] > 0 and lines[1]["ms_per_pass"] > 0
 
 
+class TestEpochTimesAgainst:
+    def test_readings_scale_each_timing_by_its_lines_host(self):
+        epoch_times = load_epoch_times()
+        nominal = epoch_times.NOMINAL_S
+        stdout = "\n".join(json.dumps(line) for line in (
+            {"n": 60, "method": "mlp", "epochs": 5, "ms_per_epoch": 3.0, "runs_ms": [3.0],
+             "faults_per_epoch": [0.0], "host_s": 2 * nominal},
+            {"densek": "hypergcn", "samples": 3, "us_per_step": 10.0, "host_s": nominal / 2},
+            {"src_sha256": "abc", "python": "3"}))
+        timings, digest = epoch_times.readings(stdout)
+        assert timings == {"n=60 method=mlp ms_per_epoch": 1.5,
+                           "densek=hypergcn us_per_step": 20.0}
+        assert digest == "abc"
+
+    def test_a_tree_against_itself(self):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "epoch_times.py"), "--sizes", "60",
+             "--methods", "mlp", "--against", str(ROOT / "src"), "--pairs", "2"],
+            capture_output=True, text=True, timeout=300, check=True)
+        lines = [json.loads(line) for line in out.stdout.splitlines()]
+        result = lines[-1]["epoch_times"]
+        names = [line["line"] for line in lines[:-1]]
+        assert "n=60 method=mlp ms_per_epoch" in names
+        assert "n=60 phase=extreme_pairs search32_ms" in names
+        assert names == list(result["summary"])
+        assert result["src_sha256"]["parent"] == result["src_sha256"]["change"]
+        ms = result["summary"]["n=60 method=mlp ms_per_epoch"]
+        assert len(ms["parent"]) == len(ms["change"]) == 2
+        assert ms["ratio_median"] > 0 and ms["change_lower_pairs"] in ("0/2", "1/2", "2/2")
+
+
 class TestStepProbe:
     def test_a_probe_on_training_counts_every_densek_step(self, monkeypatch):
         epoch_times = load_epoch_times()

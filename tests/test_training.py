@@ -18,6 +18,7 @@ from hypergcn.expansion import (
     expand_clique,
     expand_mediators,
     expand_one_edge,
+    normalize,
 )
 from hypergcn.hypergraph import Hypergraph
 from hypergcn.nn import (
@@ -284,6 +285,45 @@ class TestFit:
         assert buf[:9].tobytes() == want.tobytes()
         assert np.isnan(buf[9:]).all()
 
+    def test_layer2_mask_into_its_run_buffer(self):
+        # layer 2's mask goes into the first rows of its own run buffer and
+        # nowhere else, drawn after layer 1's from the same stream
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(9, 4))
+        theta = Params.of(glorot_init(4, 3, rng), glorot_init(3, 2, rng))
+        state = AdamState.for_params(theta, lr=0.01, weight_decay=0.0)
+        buf, hbuf = np.empty((12, 4)), np.full((12, 3), np.nan)
+        draws = np.random.default_rng(4)
+        dropout_mask(x.shape, 0.5, draws)
+        want = dropout_mask((9, 3), 0.5, draws)
+        fit_step(constant_graph(NormalizedAdjacency.identity(9)), x, theta, state,
+                 lambda logits: (0.0, np.zeros_like(logits)), 0.5, np.random.default_rng(4), buf,
+                 hbuf)
+        assert hbuf[:9].tobytes() == want.tobytes()
+        assert np.isnan(hbuf[9:]).all()
+
+    def test_run_buffers_change_no_bits(self):
+        # a step with the run's mask and gradient buffers, stale from an
+        # earlier step, updates Θ and Adam's moments as one that allocates
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(30, 5))
+        loss_fn = partial(softmax_ce, labels=rng.integers(0, 3, 30), mask=np.arange(8))
+        graph = constant_graph(normalize(expand_mediators(
+            Hypergraph.from_edges(30, [rng.choice(30, 4, replace=False) for _ in range(12)]),
+            x, np.random.default_rng(0))))
+        init = (glorot_init(5, 6, rng), glorot_init(6, 3, rng))
+        runs = []
+        for buffered in (False, True):
+            theta = Params.of(*init)
+            state = AdamState.for_params(theta, lr=0.01, weight_decay=5e-4)
+            bufs = (np.full((40, 6), np.nan), Params.of(np.full((5, 6), np.nan),
+                                                         np.full((6, 3), np.nan)))
+            draws = np.random.default_rng(5)
+            losses = [fit_step(graph, x, theta, state, loss_fn, 0.5, draws, np.empty((30, 5)),
+                               *(bufs if buffered else ())) for _ in range(4)]
+            runs.append((losses, theta.flat.tobytes(), state.m.tobytes(), state.v.tobytes()))
+        assert runs[0] == runs[1]
+
 
 class TestProposition1Traces:
     def test_hgnn_and_hypergcn_identical_on_max_size_three(self):
@@ -519,3 +559,36 @@ class TestAllocationStable:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes / 4
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_layer2_mask_allocates_no_hidden_sized_array(self, monkeypatch, buffered):
+        # layer 2's draw and mask live in the run's buffer; the mask still
+        # allocates the draw's threshold, one byte per entry. Without the
+        # buffer the draw is a new n x hidden array
+        rng = np.random.default_rng(10)
+        n, p, hidden = 200, 3, 500
+        x = rng.normal(size=(n, p))
+        theta = Params.of(glorot_init(p, hidden, rng), glorot_init(hidden, 2, rng))
+        state = AdamState.for_params(theta, lr=0.01, weight_decay=5e-4)
+        loss_fn = partial(softmax_ce, labels=rng.integers(0, 2, n), mask=np.arange(10))
+        graph = constant_graph(NormalizedAdjacency.identity(n))
+        bufs = (np.empty((n, p)), np.empty((n, hidden)) if buffered else None)
+        fit_step(graph, x, theta, state, loss_fn, 0.5, rng, *bufs)
+        peaks = []
+
+        def measured(*args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            mask = dropout_mask(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return mask
+
+        monkeypatch.setattr(hypergcn.nn, "dropout_mask", measured)
+        tracemalloc.start()
+        try:
+            fit_step(graph, x, theta, state, loss_fn, 0.5, rng, *bufs)
+        finally:
+            tracemalloc.stop()
+        mask_bytes = n * hidden * 8
+        assert len(peaks) == 2
+        assert peaks[1] < mask_bytes / 4 if buffered else peaks[1] >= mask_bytes
