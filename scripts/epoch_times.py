@@ -21,7 +21,9 @@ in a process that no earlier run has warmed.
 
 After the methods of each n it times `extreme_pairs` on n x 32 and n x 2
 normal signals, the widths that a `hypergcn` epoch searches (hidden
-layer and classes), median ms of `PHASE_REPEATS` calls, in one line.
+layer and classes), and on the instance's features (`feature_dims`: 256
+at n=1000, 64 at n=20k), the one search of `fast-hypergcn` and
+`mlp-hlr`, median ms of `PHASE_REPEATS` calls, in one line.
 Then it times the expansion phases on that
 instance's features, one line per rule (one-edge, mediators, clique):
 the rule's expansion with the extreme-pair result held fixed (computed
@@ -140,13 +142,16 @@ def median_ms(run) -> float:
     return round(statistics.median(times), 3)
 
 
-def search_times(expansion, h, rng) -> dict:
+def search_times(expansion, h, x, rng) -> dict:
     """ms per `extreme_pairs` call on n x 32 and n x 2 normal signals,
-    drawn once from `rng`, which also draws the ties."""
+    drawn once from `rng`, which also draws the ties, and on the
+    features `x`."""
     out = {"phase": "extreme_pairs"}
     for k in (32, 2):
         y = rng.normal(size=(h.n, k))
         out[f"search{k}_ms"] = median_ms(lambda: expansion.extreme_pairs(h, y, rng))
+    out["feature_dims"] = x.shape[1]
+    out["search_features_ms"] = median_ms(lambda: expansion.extreme_pairs(h, x, rng))
     return out
 
 
@@ -302,7 +307,8 @@ def main() -> int:
                   "ms_per_epoch": round(statistics.median(runs), 3),
                   "runs_ms": [round(r, 3) for r in runs],
                   "faults_per_epoch": [round(f, 1) for f in faults]})
-        emit({"n": n, **search_times(expansion, bundle.hypergraph, np.random.default_rng(0)),
+        emit({"n": n, **search_times(expansion, bundle.hypergraph, bundle.features,
+                                     np.random.default_rng(0)),
               "repeats": PHASE_REPEATS})
         for line in phase_times(expansion, nn, bundle.hypergraph, bundle.features,
                                 np.random.default_rng(0)):

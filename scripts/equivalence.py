@@ -12,9 +12,18 @@ each, in order), then one line with the digest over all parts:
   mediators and clique expansions (unit self-loops), on the instance's
   features with tie rng `default_rng(3)`; `<n>/unit/<rule>/csr`: the
   normalized CSR indptr, indices and data;
-* `<n>/picks/zero`: the `extreme_pairs` result on the instance's features
-  zeroed, where every pair of every hyperedge ties, with tie rng
-  `default_rng(3)`, so that the draws alone decide each pick;
+* `<n>/picks/<kind>`: the `extreme_pairs` result, with tie rng
+  `default_rng(3)`, on the instance's features made into a signal of each
+  `PICK_KINDS` kind (`pick_signal`, its own draws from `default_rng(5)`),
+  the signals that could make `extreme_pairs`' float32 screen change a
+  pick: `zero`, where every pair of every hyperedge ties, so that the
+  draws alone decide each pick; `rounded`; `ulp`, rounded entries each
+  left as they are or moved 1 ulp; `ulp32`, rounded entries moved by up
+  to a float32 ulp; `duplicated`, every row a copy of one of the first
+  n/3; `subnormal`, half the entries rounded and made subnormal;
+  `mixed-scale`, the columns scaled to max |s| 2^200 or 2^-200; and the
+  features times 2^150, 2^-150 (inside the screen's window), 2^250 and
+  2^-250 (outside it);
 * `ssl/<n>/<method>` and `ssl/<n>/p8/<method>`: `train_ssl` losses, test
   error and counts (adjacency pairs, expansions, then the edge counts N,
   N_m and N_c) of all six methods, trial seed 0, on the instance's
@@ -80,6 +89,8 @@ INSTANCES = {
     20000: ({"n": 20000, "pure": 2000, "noisy": 8000, "feat_dim": 64}, 2000, 2),
 }
 NARROW_DIMS = 8
+PICK_KINDS = ("zero", "rounded", "ulp", "ulp32", "duplicated", "subnormal", "mixed-scale",
+              "2^150", "2^-150", "2^250", "2^-250")
 DENSEK_SAMPLES, DENSEK_EPOCHS, DENSEK_MAPS = 10, 2, 8
 CLI_RUNS = {"train": ["--budget", "10", "--epochs", "5"],
             "trials": ["--budget", "10", "--trials", "3", "--epochs", "5"],
@@ -125,8 +136,9 @@ def parts(sizes: list[int]):
             g = expand()
             yield f"{n}/unit/{rule}", [g.u, g.v, g.w]
             yield f"{n}/unit/{rule}/csr", attempt(lambda: csr(expansion.normalize(g)))
-        yield f"{n}/picks/zero", [expansion.extreme_pairs(h, np.zeros_like(x),
-                                                          np.random.default_rng(3))]
+        for kind in PICK_KINDS:
+            s = pick_signal(x, kind, np.random.default_rng(5))
+            yield f"{n}/picks/{kind}", [expansion.extreme_pairs(h, s, np.random.default_rng(3))]
         narrow = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7),
                                       **{**kwargs, "feat_dim": NARROW_DIMS})
         for method in training.METHODS:
@@ -173,6 +185,27 @@ def parts(sizes: list[int]):
                 yield name, [np.array([code]), np.frombuffer(text, dtype=np.uint8)]
         finally:
             os.chdir(home)
+
+
+def pick_signal(x, kind: str, rng):
+    """The features `x` made into a signal of one `PICK_KINDS` kind."""
+    import numpy as np
+
+    rounded = np.round(x)
+    if kind == "ulp":
+        step = rng.integers(-1, 2, size=x.shape)
+        return np.where(step == 0, rounded, np.nextafter(rounded, np.copysign(np.inf, step)))
+    if kind == "ulp32":
+        return rounded * (1.0 + rng.integers(-2, 3, size=x.shape) * 2.0**-25)
+    if kind == "duplicated":
+        return x[rng.integers(0, max(1, x.shape[0] // 3), size=x.shape[0])]
+    if kind == "subnormal":
+        return np.where(rng.random(x.shape) < 0.5, rounded * 2.0**-1072, x)
+    if kind == "mixed-scale":
+        return np.ldexp(x / np.abs(x).max(), np.where(rng.random(x.shape[1]) < 0.5, 200, -200))
+    if kind.startswith("2^"):
+        return np.ldexp(x, int(kind[2:]))
+    return {"zero": np.zeros_like(x), "rounded": rounded}[kind]
 
 
 def csr(a) -> list:

@@ -15,7 +15,14 @@ and scales the result symmetrically for use in graph convolutions.
 once, over `Hypergraph.clique_pairs`: the cached flat list of every
 hyperedge's pairs, in hyperedge order, which `expand_clique` emits too.
 Hyperedges of every size share its blocks and tiles, so the search's
-fixed costs are paid per block, not per hyperedge size.
+fixed costs are paid per block, not per hyperedge size. A large search
+first screens every pair in float32: the signal scaled by the power of
+two that puts max |s| in [1/2, 1), half the bytes per row. It keeps the
+pairs within a slack of their hyperedge's screened maximum, a slack
+proven to keep every pair at the float64 maximum (`_screen` derives it),
+and the float64 search then runs over those alone, so the picks are the
+same, draw for draw. Small searches, and signals whose max |s| lies
+outside [2^-200, 2^200], are searched in float64 alone.
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
@@ -56,11 +63,16 @@ _F64 = np.dtype(np.float64)
 
 # extreme_pairs computes distances in tiles of at most _TILE values (two
 # gathers of signal rows, differenced in place, and their distances):
-# 1 MB, so a tile stays in a 4 MiB L2 cache instead of streaming from DRAM
+# 1 MB in float64 (0.5 MB in the float32 screen), so a tile stays in a
+# 4 MiB L2 cache instead of streaming from DRAM
 _TILE = 2**17
 # ... and picks among ties once per block of at most _BLOCK distances, so
 # the pick's fixed per-call cost is spread over many small tiles
 _BLOCK = 2**20
+# ... and screens a search in float32 first (`_screen`) only if it has at
+# least _SCREEN pairs: below that, the screen's fixed costs outweigh the
+# bytes it saves
+_SCREEN = 2**14
 
 
 def _csr_matmul(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
@@ -279,34 +291,141 @@ def extreme_pairs(
     values of temporaries, so memory does not grow with the signal's
     width; a block adds its distances, its hyperedges' maxima repeated
     per pair, and the tied positions.
+
+    A search over at least `_SCREEN` pairs, on a signal of width d <=
+    2^22 with max |s| in [2^-200, 2^200], first screens every pair in
+    float32, in the same blocks and tiles (`_screen`): a pair is a
+    candidate if its screened distance is at least its hyperedge's
+    screened maximum less a slack of twice the worst-case error of both
+    distances, so every pair at a hyperedge's float64 maximum is one. A
+    hyperedge with one candidate has a unique maximum, its pick; the
+    search above runs over the others' candidates alone, in pair order
+    and with their own draws, so every pick is the same, draw for draw.
+    The screen adds a float32 copy of the signal and, per block, its
+    float32 distances and floors and a 1 B mask per pair. Every other search
+    takes every pair: a small one (a DkSH sample's, at most ~3,000 pairs),
+    where the screen's fixed costs outweigh what it saves; one outside the
+    window, where float64 distances can overflow to inf or underflow into
+    ties that the scaled screen would separate; and one whose screen keeps
+    more than half its pairs (many ties, as equal rows make), where the
+    candidate lists would cost more than they save.
     """
     s = as_signal(signal, h.n)
-    out = np.empty((h.m, 2), dtype=np.int64)
     draws = rng.random(h.m)
     ptr, a, b = h.clique_pairs
-    count = np.diff(ptr)
-    tile = max(1, _TILE // (2 * s.shape[1] + 1))  # pairs per tile
-    lo = 0
-    while lo < h.m:
-        # hyperedges lo..hi-1 hold pairs p0..p1-1
-        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _BLOCK, "right")) - 1)
+    cand = _screen(s, ptr, a, b)
+    if cand is None:
+        return _search(s, ptr, a, b, draws)
+    cptr = np.searchsorted(cand, ptr)  # hyperedge e's candidates: cand[cptr[e]:cptr[e+1]]
+    k = np.diff(cptr)
+    # a hyperedge's first candidate, its pick if it is the only one: then
+    # its float64 maximum is unique
+    first = cand[cptr[:-1]]
+    out = np.column_stack([a[first], b[first]])
+    multi = k > 1
+    if multi.any():
+        sub = cand[np.repeat(multi, k)]
+        out[multi] = _search(s, np.concatenate([[0], np.cumsum(k[multi])]), a[sub], b[sub],
+                             draws[multi])
+    return out
+
+
+def _search(s: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray,
+            draws: np.ndarray) -> np.ndarray:
+    """The extreme pair of each hyperedge of the pair list (ptr, a, b),
+    hyperedge e's pairs at a[ptr[e]:ptr[e+1]], b[...], ties drawn by
+    draws[e]: `extreme_pairs`' search over every listed pair."""
+    out = np.empty((ptr.size - 1, 2), dtype=np.int64)
+    for lo, hi in _blocks(ptr):
         p0, p1 = ptr[lo], ptr[hi]
-        vals = np.empty(p1 - p0)
-        for t in range(p0, p1, tile):
-            u = min(t + tile, p1)
-            diff = np.take(s, a[t:u], axis=0)  # (pairs, d)
-            diff -= np.take(s, b[t:u], axis=0)
-            np.einsum("pk,pk->p", diff, diff, out=vals[t - p0 : u - p0])
+        vals = _distances(s, a[p0:p1], b[p0:p1], np.empty(p1 - p0))
         starts = ptr[lo:hi] - p0
-        top = np.repeat(np.maximum.reduceat(vals, starts), count[lo:hi])
+        top = np.repeat(np.maximum.reduceat(vals, starts), np.diff(ptr[lo : hi + 1]))
         tied = np.flatnonzero(vals == top)
         first = np.searchsorted(tied, starts)  # each hyperedge's first tied pair
         k = np.diff(first, append=tied.size)
         rank = np.minimum((draws[lo:hi] * k).astype(np.int64), k - 1)
         pick = p0 + tied[first + rank]
         out[lo:hi, 0], out[lo:hi, 1] = a[pick], b[pick]
-        lo = hi
     return out
+
+
+def _blocks(ptr: np.ndarray):
+    """(lo, hi) for consecutive runs of whole hyperedges lo..hi-1 that
+    hold at most `_BLOCK` of the pair list's pairs, or one hyperedge."""
+    lo, m = 0, ptr.size - 1
+    while lo < m:
+        hi = max(lo + 1, int(np.searchsorted(ptr, ptr[lo] + _BLOCK, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _distances(x: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[t] = ‖x[a[t]] - x[b[t]]‖², a tile of pairs at a time: two row
+    gathers, differenced in place, then each row's sum of squares."""
+    tile = max(1, _TILE // (2 * x.shape[1] + 1))  # pairs per tile
+    for t in range(0, out.size, tile):
+        diff = np.take(x, a[t : t + tile], axis=0)  # (pairs, d)
+        diff -= np.take(x, b[t : t + tile], axis=0)
+        np.einsum("pk,pk->p", diff, diff, out=out[t : t + tile])
+    return out
+
+
+def _screen(s: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Positions, ascending, of the candidate pairs of the pair list
+    (ptr, a, b): each hyperedge's pairs whose float32 screened distance is
+    at least its screened maximum less `slack`. None if the screen does
+    not apply: fewer than `_SCREEN` pairs, a signal wider than 2^22 or
+    with max |s| outside [2^-200, 2^200], or candidates that are more
+    than half the pairs, too many for their lists to save time or memory.
+
+    The screen scales s by 2^-e, where peak = max |s| = f·2^e with f in
+    [1/2, 1) (`np.frexp`), so every scaled entry x has |x| < 1, and rounds
+    it to float32; it fills each block's distances D' as `_search` does,
+    in the same tiles. In scaled units, with u = 2^-24, the exact
+    squared distance D = Σ_k t_k², t = x_a - x_b, is at most 4d, and:
+
+    * each entry, scaled in float64 (exact but for at most 2^-1075 of
+      underflow) and rounded to float32, is off by at most u|x| + 2^-149,
+      and the rounded difference δ' of two by |δ' - t| <= β, with
+      β = 2u + 2^-148 + u(2 + 2u + 2^-148) <= 4.01u; so the squares are
+      off by Σ_k |δ'_k² - t_k²| <= dβ(4 + β) <= 16.05du;
+    * summing the d squares, in any order, with or without FMA (or in
+      higher precision, then rounded), adds at most γ_d Σ δ'_k² + d·2^-150,
+      γ_d = du/(1 - du), and Σ δ'_k² <= d(2 + β)²;
+
+    so |D' - D| <= ε32 = 16.05du + 4.01d²u/(1 - du) + d·2^-150, which is
+    below 5.4d(d + 4)u for d <= 2^22 (du <= 1/4). The float64 value V of
+    `_search`, scaled by the exact 2^-2e, is off from D by at most
+    ε64 = (d + 2)2^-52·4d for its rounding, plus d·2^-676 for underflow:
+    inside the window 2^-2e <= 2^398, no square overflows and each loses
+    at most 2^-1074. If pair p ties a hyperedge's float64 maximum, then
+    for every pair q of it
+    D'_q - D'_p <= (D_q - D_p) + 2ε32 <= (V_q - V_p) + 2ε32 + 2ε64
+    <= 2ε32 + 2ε64 < slack = 16d(d + 4)u + 2^-100, so p is a candidate.
+    The floor, top - slack, is formed in float64 (off by at most
+    4d·2^-53, inside the slack's margin) and rounded to float32: no
+    float32 value at or above the float64 floor falls below the rounded
+    one.
+    """
+    d = s.shape[1]
+    if ptr[-1] < _SCREEN or d > 2**22:
+        return None
+    peak = max(s.max(initial=0.0), -s.min(initial=0.0))  # max |s|, with no |s| array
+    if not 2.0**-200 <= peak <= 2.0**200:
+        return None
+    x = np.empty(s.shape, dtype=np.float32)
+    np.multiply(s, np.ldexp(1.0, -np.frexp(peak)[1]), out=x, casting="same_kind")
+    slack = 16 * d * (d + 4) * 2.0**-24 + 2.0**-100
+    masks = []
+    for lo, hi in _blocks(ptr):
+        p0, p1 = ptr[lo], ptr[hi]
+        vals = _distances(x, a[p0:p1], b[p0:p1], np.empty(p1 - p0, dtype=np.float32))
+        top = np.maximum.reduceat(vals, ptr[lo:hi] - p0)
+        floor = np.subtract(top, slack, dtype=np.float64).astype(np.float32)
+        masks.append(vals >= np.repeat(floor, np.diff(ptr[lo : hi + 1])))
+    keep = np.concatenate(masks)  # 1 B per pair; positions would take 8 B per candidate
+    return np.flatnonzero(keep) if 2 * np.count_nonzero(keep) <= keep.size else None
 
 
 def _pair_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

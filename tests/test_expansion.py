@@ -542,6 +542,170 @@ class TestTiling:
         assert [tuple(p) for p in got.tolist()] == want
 
 
+# the signal kinds the float32 screen must not change a pick on: ties, near
+# ties at float64 and at float32 resolution, underflow, and scales inside
+# (2^±150) and outside (2^±250, 2^520, 2^-540) its window
+SCREEN_KINDS = ("normal", "rounded", "zero", "ulp64", "ulp32", "duplicated", "subnormal",
+                "mixed-scale", "2^150", "2^-150", "2^250", "2^-250", "2^520", "2^-540")
+
+
+def adversarial(x, kind, rng):
+    """The normal n x d signal `x` made into a signal of one `SCREEN_KINDS` kind."""
+    rounded = np.round(x)
+    if kind == "ulp64":  # rounded rows, each entry equal or 1 ulp apart
+        step = rng.integers(-1, 2, size=x.shape)
+        return np.where(step == 0, rounded, np.nextafter(rounded, np.copysign(np.inf, step)))
+    if kind == "ulp32":  # rounded rows moved by up to a float32 ulp, which the cast scrambles
+        return rounded * (1.0 + rng.integers(-2, 3, size=x.shape) * 2.0**-25)
+    if kind == "duplicated":
+        return x[rng.integers(0, max(1, x.shape[0] // 3), size=x.shape[0])]
+    if kind == "subnormal":  # about half the entries subnormal, or every one
+        tiny = rng.random() < 0.5 or rng.random(x.shape) < 0.5
+        return np.where(tiny, rounded * 2.0**-1072, x)
+    if kind == "mixed-scale":  # columns at 2^200 and 2^-200, max |s| = 2^200 exactly
+        cols = np.where(rng.random(x.shape[1]) < 0.5, 200, -200)
+        return np.ldexp(x / max(np.abs(x).max(), 1e-300), cols)
+    if kind.startswith("2^"):
+        return np.ldexp(x, int(kind[2:]))
+    return {"normal": x, "rounded": rounded, "zero": np.zeros_like(x)}[kind]
+
+
+@st.composite
+def screen_case(draw):
+    """A hypergraph and an adversarial signal of width 1, 2, 3, 8 or 32."""
+    n = draw(st.integers(2, 40))
+    edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 30), unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    x = rng.normal(size=(n, draw(st.sampled_from([1, 2, 3, 8, 32]))))
+    return Hypergraph.from_edges(n, edges), adversarial(x, draw(st.sampled_from(SCREEN_KINDS)), rng)
+
+
+def screened_search(h, s, seed, screen=True, **consts):
+    """`extreme_pairs` with the float32 screen forced on (every search of
+    at least one pair) or off, and the module constants `consts` set."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expansion, "_SCREEN", 1 if screen else 2**62)
+        for name, value in consts.items():
+            mp.setattr(expansion, name, value)
+        return extreme_pairs(h, s, np.random.default_rng(seed))
+
+
+def screen_results(monkeypatch) -> list:
+    """Every `expansion._screen` result from now on, in call order."""
+    results, screen = [], expansion._screen
+    monkeypatch.setattr(expansion, "_screen",
+                        lambda *args: results.append(screen(*args)) or results[-1])
+    return results
+
+
+class TestScreen:
+    @pytest.mark.parametrize("screen, consts", [(True, {}), (True, {"_TILE": 20, "_BLOCK": 9}),
+                                                (False, {})], ids=["screened", "small", "off"])
+    @settings(max_examples=80, deadline=None)
+    @given(case=screen_case(), seed=st.integers(0, 2**31))
+    def test_matches_sequential_calls(self, screen, consts, case, seed):
+        h, s = case
+        scalar_rng = np.random.default_rng(seed)
+        want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+        got = screened_search(h, s, seed, screen, **consts)
+        assert [tuple(p) for p in got.tolist()] == want
+
+    def test_screen_keeps_few_pairs_of_a_normal_signal(self, monkeypatch):
+        # the screen runs, drops most pairs, and returns the search's array
+        rng = np.random.default_rng(8)
+        h = Hypergraph.from_edges(300, [rng.choice(300, size=20, replace=False)
+                                        for _ in range(60)])
+        s = rng.normal(size=(300, 32))
+        kept = screen_results(monkeypatch)
+        got = screened_search(h, s, 3)
+        assert len(kept) == 1 and h.m <= kept[0].size < h.clique_pairs[0][-1] // 10
+        want = screened_search(h, s, 3, screen=False)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.int64 and got.shape == (h.m, 2) and got.flags.c_contiguous
+
+    def test_float32_misorder_keeps_the_float64_maximum(self):
+        # entries ±1 moved by k·2^-25: the float64 maximum is the unique
+        # pair (0, 1), but in float32, where the moves round to 0 or
+        # ±2^-24, pair (1, 2) screens higher; the slack must keep (0, 1)
+        base = np.array([[1, -1, -1], [0, -1, 0], [1, 0, 0], [1, -1, 0]])
+        k = np.array([[2, 0, -2], [0, 0, 0], [-1, 0, 0], [-1, -1, 0]])
+        quad = base * (1.0 + k * 2.0**-25)
+        iu, ju = np.triu_indices(4, k=1)
+        x32 = (quad / 2).astype(np.float32)  # scaled as the screen scales it
+        d64 = ((quad[iu] - quad[ju]) ** 2).sum(1)
+        d32 = ((x32[iu] - x32[ju]) ** 2).sum(1)
+        assert np.flatnonzero(d64 == d64.max()).tolist() == [0]
+        assert d32.argmax() == 3 and d32[0] < d32[3]
+        s = np.concatenate([quad * 2.0**e for e in range(-3, 1)])
+        h = Hypergraph.from_edges(s.shape[0], np.arange(s.shape[0]).reshape(-1, 4))
+        for screen in (True, False):
+            assert screened_search(h, s, 0, screen).tolist() == [
+                [4 * e, 4 * e + 1] for e in range(h.m)]
+
+    @pytest.mark.parametrize("scale", [None, -1072, -250, 250, 520])
+    def test_outside_the_window_every_pair_is_searched(self, scale, monkeypatch):
+        # max |s| zero, subnormal, below 2^-200 or above 2^200 (at 2^520
+        # every float64 distance overflows to inf, so all pairs tie)
+        rng = np.random.default_rng(9)
+        h = random_hypergraph(rng, n_max=30, m_max=10, size_range=(3, 8))
+        x = np.round(rng.normal(size=(h.n, 3)))
+        s = np.zeros_like(x) if scale is None else np.ldexp(x, scale)
+        screened = screen_results(monkeypatch)
+        scalar_rng = np.random.default_rng(0)
+        want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+        assert [tuple(p) for p in screened_search(h, s, 0).tolist()] == want
+        assert screened == [None]
+
+    @pytest.mark.parametrize("screen", [True, False], ids=["screened", "off"])
+    def test_zero_width_signal_ties_every_pair(self, screen):
+        h = Hypergraph.from_edges(6, [(0, 1, 2, 3), (2, 4), (1, 3, 4, 5)])
+        s = np.empty((6, 0))
+        for seed in range(10):
+            scalar_rng = np.random.default_rng(seed)
+            want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+            assert [tuple(p) for p in screened_search(h, s, seed, screen).tolist()] == want
+        picks = {tuple(screened_search(h, s, seed, screen)[0]) for seed in range(40)}
+        assert picks == set(itertools.combinations(range(4), 2))
+
+    @pytest.mark.parametrize("screen", [True, False], ids=["screened", "off"])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_hyperedges(self, screen, n):
+        h = Hypergraph(n, [0], [], [])
+        got = screened_search(h, np.ones((n, 3)), 0, screen)
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("equal_rows", [False, True], ids=["normal", "equal-rows"])
+    def test_screened_working_set_adds_at_most_the_float32_distances(self, equal_rows):
+        # the 400 x size-20, 256-dim search of test_working_set_bounded:
+        # one block of 76,000 pairs, whose float32 distances take 304,000 B;
+        # with equal rows every pair ties, so the screen keeps every pair
+        rng = np.random.default_rng(4)
+        h = Hypergraph.from_edges(
+            1000, [rng.choice(1000, size=20, replace=False) for _ in range(400)]
+        )
+        s = np.ones((1000, 256)) if equal_rows else rng.normal(size=(1000, 256))
+        h.clique_pairs  # built before either peak is traced
+
+        def peak(screen):
+            return traced_peak(h, s, lambda *args: screened_search(h, s, 0, screen))
+
+        off = peak(False)
+        assert peak(True) <= off + 4 * h.clique_pairs[0][-1]
+
+    def test_a_screen_that_keeps_most_pairs_gives_way(self, monkeypatch):
+        # equal rows inside the window: every pair is a candidate, so the
+        # search runs over the pair list itself
+        h = Hypergraph.from_edges(8, [(0, 1, 2, 3, 4), (3, 5, 6, 7)])
+        s = np.full((8, 2), 3.0)
+        screened = screen_results(monkeypatch)
+        for seed in range(5):
+            scalar_rng = np.random.default_rng(seed)
+            want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+            assert [tuple(p) for p in screened_search(h, s, seed).tolist()] == want
+        assert screened == [None] * 5
+
+
 class TestDictOracle:
     @settings(max_examples=150, deadline=None)
     @given(hypergraph_and_signal(), st.integers(0, 2**31))

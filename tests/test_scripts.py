@@ -25,6 +25,10 @@ class TestEquivalenceScript:
         names = [line["part"] for line in first[:-1]]
         assert "60/unit/clique/csr" in names and "densek/hypergcn" in names
         assert "60/picks/zero" in names and "densek/picks" in names
+        assert [name for name in names if name.startswith("60/picks/")] == [
+            f"60/picks/{kind}" for kind in ("zero", "rounded", "ulp", "ulp32", "duplicated",
+                                            "subnormal", "mixed-scale", "2^150", "2^-150",
+                                            "2^250", "2^-250")]
         assert "cli/train/mlp-hlr" in names and "cli/densek/fast-hypergcn" in names
         assert "cli/trials/hypergcn" in names and "ssl/60/dropout0/mlp" in names
         assert "cli/diverge/train/one-hypergcn" in names
@@ -90,10 +94,13 @@ class TestEpochTimesPhases:
 
         bundle = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
                                       feat_dim=16)
-        line = epoch_times.search_times(expansion, bundle.hypergraph, np.random.default_rng(0))
-        assert set(line) == {"phase", "search32_ms", "search2_ms"}
-        assert line["phase"] == "extreme_pairs"
+        line = epoch_times.search_times(expansion, bundle.hypergraph, bundle.features,
+                                        np.random.default_rng(0))
+        assert set(line) == {"phase", "search32_ms", "search2_ms", "feature_dims",
+                             "search_features_ms"}
+        assert line["phase"] == "extreme_pairs" and line["feature_dims"] == 16
         assert line["search32_ms"] > 0 and line["search2_ms"] > 0
+        assert line["search_features_ms"] > 0
 
     def test_a_line_per_densek_phase(self):
         epoch_times = load_epoch_times()
@@ -133,6 +140,7 @@ class TestEpochTimesAgainst:
         names = [line["line"] for line in lines[:-1]]
         assert "n=60 method=mlp ms_per_epoch" in names
         assert "n=60 phase=extreme_pairs search32_ms" in names
+        assert "n=60 phase=extreme_pairs search_features_ms" in names
         assert names == list(result["summary"])
         assert result["src_sha256"]["parent"] == result["src_sha256"]["change"]
         ms = result["summary"]["n=60 method=mlp ms_per_epoch"]
