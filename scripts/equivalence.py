@@ -21,9 +21,10 @@ each, in order), then one line with the digest over all parts:
   left as they are or moved 1 ulp; `ulp32`, rounded entries moved by up
   to a float32 ulp; `duplicated`, every row a copy of one of the first
   n/3; `subnormal`, half the entries rounded and made subnormal;
+  `subnormal-all`, every entry so (max |s| below the screen's window);
   `mixed-scale`, the columns scaled to max |s| 2^200 or 2^-200; and the
-  features times 2^150, 2^-150 (inside the screen's window), 2^250 and
-  2^-250 (outside it);
+  features times 2^150, 2^-150 (inside the window), 2^250 and 2^-250
+  (outside it);
 * `ssl/<n>/<method>` and `ssl/<n>/p8/<method>`: `train_ssl` losses, test
   error and counts (adjacency pairs, expansions, then the edge counts N,
   N_m and N_c) of all six methods, trial seed 0, on the instance's
@@ -89,8 +90,8 @@ INSTANCES = {
     20000: ({"n": 20000, "pure": 2000, "noisy": 8000, "feat_dim": 64}, 2000, 2),
 }
 NARROW_DIMS = 8
-PICK_KINDS = ("zero", "rounded", "ulp", "ulp32", "duplicated", "subnormal", "mixed-scale",
-              "2^150", "2^-150", "2^250", "2^-250")
+PICK_KINDS = ("zero", "rounded", "ulp", "ulp32", "duplicated", "subnormal", "subnormal-all",
+              "mixed-scale", "2^150", "2^-150", "2^250", "2^-250")
 DENSEK_SAMPLES, DENSEK_EPOCHS, DENSEK_MAPS = 10, 2, 8
 CLI_RUNS = {"train": ["--budget", "10", "--epochs", "5"],
             "trials": ["--budget", "10", "--trials", "3", "--epochs", "5"],
@@ -188,24 +189,28 @@ def parts(sizes: list[int]):
 
 
 def pick_signal(x, kind: str, rng):
-    """The features `x` made into a signal of one `PICK_KINDS` kind."""
+    """The features `x` made into a signal of one kind: `normal` (x itself),
+    one of `PICK_KINDS`, or `2^<k>` for any k. `tests/test_expansion.py`
+    draws its screen cases from here too."""
     import numpy as np
 
     rounded = np.round(x)
-    if kind == "ulp":
+    if kind == "ulp":  # rounded entries, each left as it is or moved 1 ulp
         step = rng.integers(-1, 2, size=x.shape)
         return np.where(step == 0, rounded, np.nextafter(rounded, np.copysign(np.inf, step)))
-    if kind == "ulp32":
+    if kind == "ulp32":  # rounded entries moved by up to a float32 ulp, which the cast scrambles
         return rounded * (1.0 + rng.integers(-2, 3, size=x.shape) * 2.0**-25)
     if kind == "duplicated":
         return x[rng.integers(0, max(1, x.shape[0] // 3), size=x.shape[0])]
-    if kind == "subnormal":
-        return np.where(rng.random(x.shape) < 0.5, rounded * 2.0**-1072, x)
-    if kind == "mixed-scale":
-        return np.ldexp(x / np.abs(x).max(), np.where(rng.random(x.shape[1]) < 0.5, 200, -200))
+    if kind.startswith("subnormal"):  # half the entries rounded and made subnormal, or all
+        tiny = kind == "subnormal-all" or rng.random(x.shape) < 0.5
+        return np.where(tiny, rounded * 2.0**-1072, x)
+    if kind == "mixed-scale":  # columns at max |s| 2^200 or 2^-200
+        cols = np.where(rng.random(x.shape[1]) < 0.5, 200, -200)
+        return np.ldexp(x / np.abs(x).max(initial=1e-300), cols)
     if kind.startswith("2^"):
         return np.ldexp(x, int(kind[2:]))
-    return {"zero": np.zeros_like(x), "rounded": rounded}[kind]
+    return {"normal": x, "zero": np.zeros_like(x), "rounded": rounded}[kind]
 
 
 def csr(a) -> list:

@@ -16,13 +16,14 @@ once, over `Hypergraph.clique_pairs`: the cached flat list of every
 hyperedge's pairs, in hyperedge order, which `expand_clique` emits too.
 Hyperedges of every size share its blocks and tiles, so the search's
 fixed costs are paid per block, not per hyperedge size. A large search
-first screens every pair in float32: the signal scaled by the power of
-two that puts max |s| in [1/2, 1), half the bytes per row. It keeps the
-pairs within a slack of their hyperedge's screened maximum, a slack
-proven to keep every pair at the float64 maximum (`_screen` derives it),
-and the float64 search then runs over those alone, so the picks are the
-same, draw for draw. Small searches, and signals whose max |s| lies
-outside [2^-200, 2^200], are searched in float64 alone.
+over a signal at least 8 wide first screens each block in float32: the
+signal scaled by the power of two that puts max |s| in [1/2, 1), half
+the bytes per row. It keeps the pairs within a slack of their
+hyperedge's screened maximum, a slack proven to keep every pair at the
+float64 maximum (`_screen` derives it), and the float64 search then runs
+over those alone, so the picks are the same, draw for draw. Small or
+narrow searches, and signals whose max |s| lies outside
+[2^-200, 2^200], are searched in float64 alone.
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
@@ -70,9 +71,14 @@ _TILE = 2**17
 # the pick's fixed per-call cost is spread over many small tiles
 _BLOCK = 2**20
 # ... and screens a search in float32 first (`_screen`) only if it has at
-# least _SCREEN pairs: below that, the screen's fixed costs outweigh the
-# bytes it saves
-_SCREEN = 2**14
+# least _SCREEN pairs over a signal at least _SCREEN_WIDTH wide. Timed in
+# one process on 2 vCPUs, screen forced on against off, over hypergraphs
+# of hyperedge size 3, 5 or 20 and normal signals, the screened search
+# took 0.29-1.00 of the float64 search's time at widths 8-64 from 2^13
+# pairs on (75 cases), but 0.31-1.36 at 2^12 pairs, and at widths 2-6
+# 0.72-1.44 (median 0.99) at every count from 2^13 to 2^17 pairs
+_SCREEN = 2**13
+_SCREEN_WIDTH = 8
 
 
 def _csr_matmul(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
@@ -292,57 +298,60 @@ def extreme_pairs(
     width; a block adds its distances, its hyperedges' maxima repeated
     per pair, and the tied positions.
 
-    A search over at least `_SCREEN` pairs, on a signal of width d <=
-    2^22 with max |s| in [2^-200, 2^200], first screens every pair in
-    float32, in the same blocks and tiles (`_screen`): a pair is a
-    candidate if its screened distance is at least its hyperedge's
-    screened maximum less a slack of twice the worst-case error of both
-    distances, so every pair at a hyperedge's float64 maximum is one. A
-    hyperedge with one candidate has a unique maximum, its pick; the
-    search above runs over the others' candidates alone, in pair order
-    and with their own draws, so every pick is the same, draw for draw.
-    The screen adds a float32 copy of the signal and, per block, its
-    float32 distances and floors and a 1 B mask per pair. Every other search
-    takes every pair: a small one (a DkSH sample's, at most ~3,000 pairs),
-    where the screen's fixed costs outweigh what it saves; one outside the
-    window, where float64 distances can overflow to inf or underflow into
-    ties that the scaled screen would separate; and one whose screen keeps
-    more than half its pairs (many ties, as equal rows make), where the
-    candidate lists would cost more than they save.
+    A search over at least `_SCREEN` pairs, on a signal of width d in
+    [`_SCREEN_WIDTH`, 2^22] with max |s| in [2^-200, 2^200], screens each
+    block in float32 first, in the same tiles (`_scaled`, `_screen`): a
+    pair is a candidate if its screened distance is at least its
+    hyperedge's screened maximum less a slack of twice the worst-case
+    error of both distances, so every pair at a hyperedge's float64
+    maximum is one. A hyperedge with one candidate has a unique maximum,
+    its pick; the block's search runs over the others' candidates alone,
+    in pair order and with their own draws, so every pick is the same,
+    draw for draw. A block whose screen would keep more than half its
+    pairs (many ties, as equal rows make, or fewer than two pairs per
+    hyperedge) is searched whole. The screen adds a float32 copy of the
+    signal for the search; its other arrays (float32 distances and floors
+    and a 1 B mask per pair, the candidates' positions and pairs) are the
+    block's, so memory still does not grow with the search. Every other
+    search takes every pair: a small or narrow one, where the screen does
+    not pay (`_SCREEN`), and one outside the window, where float64
+    distances can overflow to inf or underflow into ties that the scaled
+    screen would separate.
     """
     s = as_signal(signal, h.n)
     draws = rng.random(h.m)
     ptr, a, b = h.clique_pairs
-    cand = _screen(s, ptr, a, b)
-    if cand is None:
-        return _search(s, ptr, a, b, draws)
-    cptr = np.searchsorted(cand, ptr)  # hyperedge e's candidates: cand[cptr[e]:cptr[e+1]]
-    k = np.diff(cptr)
-    # a hyperedge's first candidate, its pick if it is the only one: then
-    # its float64 maximum is unique
-    first = cand[cptr[:-1]]
-    out = np.column_stack([a[first], b[first]])
-    multi = k > 1
-    if multi.any():
-        sub = cand[np.repeat(multi, k)]
-        out[multi] = _search(s, np.concatenate([[0], np.cumsum(k[multi])]), a[sub], b[sub],
-                             draws[multi])
-    return out
+    return _search(s, ptr, a, b, draws, _scaled(s, ptr))
 
 
 def _search(s: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray,
-            draws: np.ndarray) -> np.ndarray:
+            draws: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     """The extreme pair of each hyperedge of the pair list (ptr, a, b),
     hyperedge e's pairs at a[ptr[e]:ptr[e+1]], b[...], ties drawn by
-    draws[e]: `extreme_pairs`' search over every listed pair."""
+    draws[e]: `extreme_pairs`' search, block by block. Given the float32
+    screen signal `x`, each block is screened first (`_screen`): a
+    hyperedge with one candidate takes it, and the search runs over the
+    others' candidates alone."""
     out = np.empty((ptr.size - 1, 2), dtype=np.int64)
     for lo, hi in _blocks(ptr):
         p0, p1 = ptr[lo], ptr[hi]
+        bptr = ptr[lo : hi + 1] - p0
+        cand = None if x is None else _screen(x, bptr, a[p0:p1], b[p0:p1])
+        if cand is not None:
+            cptr = np.searchsorted(cand, bptr)  # hyperedge e's candidates: cand[cptr[e]:cptr[e+1]]
+            k = np.diff(cptr)
+            first = p0 + cand[cptr[:-1]]  # the pick of a hyperedge with one candidate
+            out[lo:hi, 0], out[lo:hi, 1] = a[first], b[first]
+            multi = k > 1
+            if multi.any():
+                sub = p0 + cand[np.repeat(multi, k)]
+                out[lo:hi][multi] = _search(s, np.concatenate([[0], np.cumsum(k[multi])]),
+                                            a[sub], b[sub], draws[lo:hi][multi])
+            continue
         vals = _distances(s, a[p0:p1], b[p0:p1], np.empty(p1 - p0))
-        starts = ptr[lo:hi] - p0
-        top = np.repeat(np.maximum.reduceat(vals, starts), np.diff(ptr[lo : hi + 1]))
+        top = np.repeat(np.maximum.reduceat(vals, bptr[:-1]), np.diff(bptr))
         tied = np.flatnonzero(vals == top)
-        first = np.searchsorted(tied, starts)  # each hyperedge's first tied pair
+        first = np.searchsorted(tied, bptr[:-1])  # each hyperedge's first tied pair
         k = np.diff(first, append=tied.size)
         rank = np.minimum((draws[lo:hi] * k).astype(np.int64), k - 1)
         pick = p0 + tied[first + rank]
@@ -371,19 +380,32 @@ def _distances(x: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> 
     return out
 
 
-def _screen(s: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Positions, ascending, of the candidate pairs of the pair list
-    (ptr, a, b): each hyperedge's pairs whose float32 screened distance is
-    at least its screened maximum less `slack`. None if the screen does
-    not apply: fewer than `_SCREEN` pairs, a signal wider than 2^22 or
-    with max |s| outside [2^-200, 2^200], or candidates that are more
-    than half the pairs, too many for their lists to save time or memory.
+def _scaled(s: np.ndarray, ptr: np.ndarray) -> np.ndarray | None:
+    """The float32 screen signal of a search over the pair list `ptr`: s
+    scaled by 2^-e, where max |s| = f·2^e with f in [1/2, 1) (`np.frexp`),
+    so every scaled entry has |x| < 1, and rounded to float32. None if the
+    screen does not apply: fewer than `_SCREEN` pairs, a width outside
+    [`_SCREEN_WIDTH`, 2^22], or max |s| outside [2^-200, 2^200]."""
+    if ptr[-1] < _SCREEN or not _SCREEN_WIDTH <= s.shape[1] <= 2**22:
+        return None
+    peak = max(s.max(initial=0.0), -s.min(initial=0.0))  # max |s|, with no |s| array
+    if not 2.0**-200 <= peak <= 2.0**200:
+        return None
+    x = np.empty(s.shape, dtype=np.float32)
+    return np.multiply(s, np.ldexp(1.0, -np.frexp(peak)[1]), out=x, casting="same_kind")
 
-    The screen scales s by 2^-e, where peak = max |s| = f·2^e with f in
-    [1/2, 1) (`np.frexp`), so every scaled entry x has |x| < 1, and rounds
-    it to float32; it fills each block's distances D' as `_search` does,
-    in the same tiles. In scaled units, with u = 2^-24, the exact
-    squared distance D = Σ_k t_k², t = x_a - x_b, is at most 4d, and:
+
+def _screen(x: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Positions, ascending, of the candidate pairs of one block's pair
+    list (ptr, a, b): each hyperedge's pairs whose float32 distance over
+    the screen signal `x` (`_scaled`) is at least its screened maximum
+    less `slack`. None if the candidates would be more than half the
+    pairs, too many for their list to save time or memory: certainly so,
+    with no float32 pass made, if the block has fewer than two pairs per
+    hyperedge, as every hyperedge keeps a candidate.
+
+    In scaled units, with u = 2^-24 and d the width, the exact squared
+    distance D = Σ_k t_k², t = x_a - x_b, is at most 4d, and:
 
     * each entry, scaled in float64 (exact but for at most 2^-1075 of
       underflow) and rounded to float32, is off by at most u|x| + 2^-149,
@@ -408,24 +430,15 @@ def _screen(s: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
     float32 value at or above the float64 floor falls below the rounded
     one.
     """
-    d = s.shape[1]
-    if ptr[-1] < _SCREEN or d > 2**22:
+    if 2 * (ptr.size - 1) > ptr[-1]:
         return None
-    peak = max(s.max(initial=0.0), -s.min(initial=0.0))  # max |s|, with no |s| array
-    if not 2.0**-200 <= peak <= 2.0**200:
-        return None
-    x = np.empty(s.shape, dtype=np.float32)
-    np.multiply(s, np.ldexp(1.0, -np.frexp(peak)[1]), out=x, casting="same_kind")
+    d = x.shape[1]
     slack = 16 * d * (d + 4) * 2.0**-24 + 2.0**-100
-    masks = []
-    for lo, hi in _blocks(ptr):
-        p0, p1 = ptr[lo], ptr[hi]
-        vals = _distances(x, a[p0:p1], b[p0:p1], np.empty(p1 - p0, dtype=np.float32))
-        top = np.maximum.reduceat(vals, ptr[lo:hi] - p0)
-        floor = np.subtract(top, slack, dtype=np.float64).astype(np.float32)
-        masks.append(vals >= np.repeat(floor, np.diff(ptr[lo : hi + 1])))
-    keep = np.concatenate(masks)  # 1 B per pair; positions would take 8 B per candidate
-    return np.flatnonzero(keep) if 2 * np.count_nonzero(keep) <= keep.size else None
+    vals = _distances(x, a, b, np.empty(ptr[-1], dtype=np.float32))
+    floor = np.subtract(np.maximum.reduceat(vals, ptr[:-1]), slack, dtype=np.float64)
+    floor = floor.astype(np.float32)
+    cand = np.flatnonzero(vals >= np.repeat(floor, np.diff(ptr)))
+    return cand if 2 * cand.size <= vals.size else None
 
 
 def _pair_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

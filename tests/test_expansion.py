@@ -1,6 +1,10 @@
+import importlib.util
 import itertools
 import math
+import os
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -542,32 +546,23 @@ class TestTiling:
         assert [tuple(p) for p in got.tolist()] == want
 
 
+def load_equivalence():
+    """`scripts/equivalence.py` as a module, for its signal kinds; the BLAS
+    thread pins it sets on import are undone."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "equivalence.py"
+    spec = importlib.util.spec_from_file_location("equivalence", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
 # the signal kinds the float32 screen must not change a pick on: ties, near
 # ties at float64 and at float32 resolution, underflow, and scales inside
 # (2^±150) and outside (2^±250, 2^520, 2^-540) its window
-SCREEN_KINDS = ("normal", "rounded", "zero", "ulp64", "ulp32", "duplicated", "subnormal",
-                "mixed-scale", "2^150", "2^-150", "2^250", "2^-250", "2^520", "2^-540")
-
-
-def adversarial(x, kind, rng):
-    """The normal n x d signal `x` made into a signal of one `SCREEN_KINDS` kind."""
-    rounded = np.round(x)
-    if kind == "ulp64":  # rounded rows, each entry equal or 1 ulp apart
-        step = rng.integers(-1, 2, size=x.shape)
-        return np.where(step == 0, rounded, np.nextafter(rounded, np.copysign(np.inf, step)))
-    if kind == "ulp32":  # rounded rows moved by up to a float32 ulp, which the cast scrambles
-        return rounded * (1.0 + rng.integers(-2, 3, size=x.shape) * 2.0**-25)
-    if kind == "duplicated":
-        return x[rng.integers(0, max(1, x.shape[0] // 3), size=x.shape[0])]
-    if kind == "subnormal":  # about half the entries subnormal, or every one
-        tiny = rng.random() < 0.5 or rng.random(x.shape) < 0.5
-        return np.where(tiny, rounded * 2.0**-1072, x)
-    if kind == "mixed-scale":  # columns at 2^200 and 2^-200, max |s| = 2^200 exactly
-        cols = np.where(rng.random(x.shape[1]) < 0.5, 200, -200)
-        return np.ldexp(x / max(np.abs(x).max(), 1e-300), cols)
-    if kind.startswith("2^"):
-        return np.ldexp(x, int(kind[2:]))
-    return {"normal": x, "rounded": rounded, "zero": np.zeros_like(x)}[kind]
+equivalence = load_equivalence()
+SCREEN_KINDS = ("normal", *equivalence.PICK_KINDS, "2^520", "2^-540")
+adversarial = equivalence.pick_signal
 
 
 @st.composite
@@ -578,25 +573,38 @@ def screen_case(draw):
     edges = draw(st.lists(edge, min_size=1, max_size=8))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     x = rng.normal(size=(n, draw(st.sampled_from([1, 2, 3, 8, 32]))))
-    return Hypergraph.from_edges(n, edges), adversarial(x, draw(st.sampled_from(SCREEN_KINDS)), rng)
+    kind = draw(st.sampled_from(SCREEN_KINDS))
+    return Hypergraph.from_edges(n, edges), adversarial(x, kind, rng)
 
 
 def screened_search(h, s, seed, screen=True, **consts):
-    """`extreme_pairs` with the float32 screen forced on (every search of
-    at least one pair) or off, and the module constants `consts` set."""
+    """`extreme_pairs` with the float32 screen forced on (every search, at
+    any width; a block of fewer than two pairs per hyperedge still skips
+    it) or off, and the module constants `consts` set."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expansion, "_SCREEN", 1 if screen else 2**62)
+        mp.setattr(expansion, "_SCREEN_WIDTH", 1)
         for name, value in consts.items():
             mp.setattr(expansion, name, value)
         return extreme_pairs(h, s, np.random.default_rng(seed))
 
 
 def screen_results(monkeypatch) -> list:
-    """Every `expansion._screen` result from now on, in call order."""
+    """Every `expansion._screen` result from now on, one per screened
+    block, in call order."""
     results, screen = [], expansion._screen
     monkeypatch.setattr(expansion, "_screen",
                         lambda *args: results.append(screen(*args)) or results[-1])
     return results
+
+
+def distance_dtypes(monkeypatch) -> list:
+    """The dtype of every `expansion._distances` call from now on, in call
+    order: float32 for a block's screen, float64 for a float64 search."""
+    dtypes, distances = [], expansion._distances
+    monkeypatch.setattr(expansion, "_distances",
+                        lambda x, a, b, out: dtypes.append(out.dtype) or distances(x, a, b, out))
+    return dtypes
 
 
 class TestScreen:
@@ -651,11 +659,50 @@ class TestScreen:
         h = random_hypergraph(rng, n_max=30, m_max=10, size_range=(3, 8))
         x = np.round(rng.normal(size=(h.n, 3)))
         s = np.zeros_like(x) if scale is None else np.ldexp(x, scale)
-        screened = screen_results(monkeypatch)
         scalar_rng = np.random.default_rng(0)
         want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+        dtypes = distance_dtypes(monkeypatch)
         assert [tuple(p) for p in screened_search(h, s, 0).tolist()] == want
-        assert screened == [None]
+        assert dtypes == [np.float64]
+
+    @pytest.mark.parametrize("case", ["size-2", "narrow", "small", "screened"])
+    def test_searches_the_screen_cannot_pay_for_skip_it(self, case, monkeypatch):
+        # at the module's own cuts: a search of size-2 hyperedges (one pair
+        # each, so every pair would be a candidate), one narrower than
+        # _SCREEN_WIDTH, and one under _SCREEN pairs run no float32 pass;
+        # a wide enough one of at least _SCREEN pairs does
+        rng = np.random.default_rng(6)
+        n, size, width = 3000, 20, expansion._SCREEN_WIDTH
+        pairs = {"size-2": expansion._SCREEN, "small": expansion._SCREEN - 1}.get(
+            case, 2 * expansion._SCREEN)
+        if case == "size-2":
+            size = 2
+        if case == "narrow":
+            width -= 1
+        per = size * (size - 1) // 2
+        m = pairs // per if case == "small" else -(-pairs // per)
+        h = Hypergraph.from_edges(n, [rng.choice(n, size=size, replace=False)
+                                      for _ in range(m)])
+        s = rng.normal(size=(n, width))
+        assert (h.clique_pairs[0][-1] >= expansion._SCREEN) == (case != "small")
+        dtypes = distance_dtypes(monkeypatch)
+        got = extreme_pairs(h, s, np.random.default_rng(0))
+        assert (np.float32 in dtypes) == (case == "screened")
+        np.testing.assert_array_equal(got, screened_search(h, s, 0, screen=False))
+
+    def test_blocks_of_size_2_hyperedges_skip_the_screen(self, monkeypatch):
+        # blocks of 5 size-20 hyperedges are screened; the blocks of the
+        # size-2 hyperedges after them are searched in float64 alone
+        rng = np.random.default_rng(7)
+        edges = ([rng.choice(500, size=20, replace=False) for _ in range(30)]
+                 + [rng.choice(500, size=2, replace=False) for _ in range(3000)])
+        h = Hypergraph.from_edges(500, edges)
+        s = rng.normal(size=(500, 8))
+        want = screened_search(h, s, 1, screen=False, _BLOCK=1000)
+        dtypes = distance_dtypes(monkeypatch)
+        got = screened_search(h, s, 1, _BLOCK=1000)
+        np.testing.assert_array_equal(got, want)
+        assert dtypes.count(np.float32) == 6 and dtypes[-3:] == [np.float64] * 3
 
     @pytest.mark.parametrize("screen", [True, False], ids=["screened", "off"])
     def test_zero_width_signal_ties_every_pair(self, screen):
@@ -675,23 +722,33 @@ class TestScreen:
         got = screened_search(h, np.ones((n, 3)), 0, screen)
         assert got.shape == (0, 2) and got.dtype == np.int64
 
-    @pytest.mark.parametrize("equal_rows", [False, True], ids=["normal", "equal-rows"])
-    def test_screened_working_set_adds_at_most_the_float32_distances(self, equal_rows):
-        # the 400 x size-20, 256-dim search of test_working_set_bounded:
-        # one block of 76,000 pairs, whose float32 distances take 304,000 B;
-        # with equal rows every pair ties, so the screen keeps every pair
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "equal-rows"])
+    @pytest.mark.parametrize("size, width, block", [(20, 256, None), (40, 8, 2**13)],
+                             ids=["one-block", "many-blocks"])
+    def test_screened_working_set_adds_at_most_the_float32_arrays(self, size, width, block,
+                                                                  kind):
+        # one-block: the 400 x size-20, 256-dim search of
+        # test_working_set_bounded, 76,000 pairs; many-blocks: 400 x size-40
+        # at 8 dims, 312,000 pairs in 39 blocks, in tiles small enough that
+        # 1 B per pair of the whole search would show. The screen adds its
+        # float32 signal (4 B per entry) and at most 4 B per pair of one
+        # block: its other arrays are the block's. With equal rows every
+        # pair ties, the screen keeps every pair, and each block is
+        # searched whole
         rng = np.random.default_rng(4)
         h = Hypergraph.from_edges(
-            1000, [rng.choice(1000, size=20, replace=False) for _ in range(400)]
+            1000, [rng.choice(1000, size=size, replace=False) for _ in range(400)]
         )
-        s = np.ones((1000, 256)) if equal_rows else rng.normal(size=(1000, 256))
-        h.clique_pairs  # built before either peak is traced
+        x = rng.normal(size=(1000, width))
+        s = {"normal": x, "rounded": np.round(x), "equal-rows": np.ones_like(x)}[kind]
+        pairs = h.clique_pairs[0][-1]  # built before either peak is traced
+        consts = {} if block is None else {"_BLOCK": block, "_TILE": 2**12}
 
         def peak(screen):
-            return traced_peak(h, s, lambda *args: screened_search(h, s, 0, screen))
+            return traced_peak(h, s, lambda *args: screened_search(h, s, 0, screen, **consts))
 
         off = peak(False)
-        assert peak(True) <= off + 4 * h.clique_pairs[0][-1]
+        assert peak(True) <= off + 4 * s.size + 4 * min(pairs, block or pairs)
 
     def test_a_screen_that_keeps_most_pairs_gives_way(self, monkeypatch):
         # equal rows inside the window: every pair is a candidate, so the

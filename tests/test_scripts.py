@@ -27,8 +27,8 @@ class TestEquivalenceScript:
         assert "60/picks/zero" in names and "densek/picks" in names
         assert [name for name in names if name.startswith("60/picks/")] == [
             f"60/picks/{kind}" for kind in ("zero", "rounded", "ulp", "ulp32", "duplicated",
-                                            "subnormal", "mixed-scale", "2^150", "2^-150",
-                                            "2^250", "2^-250")]
+                                            "subnormal", "subnormal-all", "mixed-scale", "2^150",
+                                            "2^-150", "2^250", "2^-250")]
         assert "cli/train/mlp-hlr" in names and "cli/densek/fast-hypergcn" in names
         assert "cli/trials/hypergcn" in names and "ssl/60/dropout0/mlp" in names
         assert "cli/diverge/train/one-hypergcn" in names
