@@ -98,14 +98,22 @@ def _parse_features(path: Path) -> np.ndarray:
             feats = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError:
         # slow path: locate the offending line for the error message
+        width = None
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            for tok in line.split(","):
+            if not line.strip():
+                continue  # loadtxt skips blank lines
+            toks = line.split(",")
+            for tok in toks:
                 try:
                     float(tok)
                 except ValueError:
                     raise DataError(
                         f"{path.name} line {lineno}: bad value {tok.strip()!r}"
                     ) from None
+            width = width or len(toks)
+            if len(toks) != width:
+                raise DataError(
+                    f"{path.name} line {lineno}: {len(toks)} values, expected {width}")
         raise DataError(f"{path.name}: inconsistent row lengths") from None
     if feats.shape[0] == 0:
         raise DataError(f"{path.name}: no rows")

@@ -147,28 +147,27 @@ class ProbabilityMaps:
 def hindsight_bce(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-map binary cross-entropy, softplus(l) - t l averaged over the
     vertices, and the index of the best map. `target` is the 0/1
-    labelling as a vector or an n x 1 column.
+    labelling as an n x 1 column.
 
     softplus(l) = max(l, 0) + log1p(exp(-|l|)) is computed in place in one
     n x M array: it never overflows, and numpy runs these ufuncs in its
     vectorized loops, where `np.logaddexp(0, l)` runs a scalar one at
     about 3x the cost. The two differ by at most 2 ulp per entry. Its
     two other temporaries, max(l, 0) and t l, share one n x M array."""
-    t = target if np.ndim(target) == 2 else np.reshape(target, (-1, 1))
     loss = np.abs(logits)
     np.negative(loss, out=loss)
     np.exp(loss, out=loss)
     np.log1p(loss, out=loss)
     scratch = np.maximum(logits, 0.0)
     loss += scratch
-    loss -= np.multiply(t, logits, out=scratch)
+    loss -= np.multiply(target, logits, out=scratch)
     per_map = np.add.reduce(loss, axis=0)  # loss.sum(axis=0) without its wrapper
     per_map /= logits.shape[0]
     return per_map, int(per_map.argmin())
 
 
 def hindsight_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss function for `nn.step`: the smallest per-map binary
+    """Loss function for `training.fit_step`: the smallest per-map binary
     cross-entropy; only that best map receives gradient, computed in
     place in its column of zeroed dlogits. `target` is the 0/1 labelling
     as an n x 1 float64 column."""

@@ -13,14 +13,16 @@ scipy's compiled kernel `csr_matvecs` directly, skipping scipy's Python
 dispatch, with a fallback to `a.matrix @ x` (see `spmm`). Layer 1 runs its
 sparse product on the narrower side: (A1 · X) · Θ1 when X has fewer
 columns than the hidden layer, else A1 · (X · Θ1). `forward` is the one
-forward pass; `step` runs it, asks a loss function (`softmax_ce` here,
-`training.hlr_ce`, `densek.hindsight_loss`) for the loss and its gradient
-on the logits, and pulls that back to Θ1 and Θ2 analytically; there is
-no autodiff. Θ1 and Θ2 are views of one flat vector (`Params`), which the
-adaptive-moment optimizer updates in one set of passes, with decoupled
-weight decay on Θ1 only; `step` can write their gradients into another
-`Params`, so the optimizer reads them as one vector. The module keeps
-no state: the buffers a training run reuses are its caller's.
+forward pass; a loss function (`softmax_ce` here, `training.hlr_ce`,
+`densek.hindsight_loss`) gives the loss and its gradient on the logits,
+and `backward_from_dlogits` pulls that back to Θ1 and Θ2 analytically;
+there is no autodiff. `training.fit_step` chains the three into one
+training step. Θ1 and Θ2 are views of one flat vector (`Params`), which
+the adaptive-moment optimizer updates in one set of passes, with
+decoupled weight decay on Θ1 only; the backward pass writes their
+gradients into another `Params`, so the optimizer reads them as one
+vector. The module keeps no state: the buffers a training run reuses
+are its caller's.
 """
 
 from __future__ import annotations
@@ -155,12 +157,12 @@ def softmax_vjp(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
 def softmax_ce(
     logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Loss function for `step`: softmax cross-entropy averaged over the
-    labelled set `mask`, from the logits by a fused log-softmax, and its
-    gradient on the logits. `mask` is a multiset: a vertex listed twice
-    counts twice. It is non-empty, a rule that `dataio.LabeledSplit` holds."""
-    mask = np.asarray(mask, dtype=np.int64)
-    picked = np.asarray(labels)[mask]
+    """Loss function for `training.fit_step`: softmax cross-entropy
+    averaged over the labelled set `mask`, from the logits by a fused
+    log-softmax, and its gradient on the logits. `labels` and `mask` are
+    int64 arrays and `mask` is non-empty, rules that `dataio.LabeledSplit`
+    holds. `mask` is a multiset: a vertex listed twice counts twice."""
+    picked = labels[mask]
     loss = float(-log_softmax_rows(logits[mask])[np.arange(mask.size), picked].mean())
     z = softmax_rows(logits)
     dlogits = np.zeros_like(z)
@@ -179,23 +181,23 @@ def backward_from_dlogits(
     h_in: np.ndarray,
     mask2: np.ndarray | None,
     theta2: np.ndarray,
-    grad: Params | None = None,
+    grad: Params,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of Θ1 and Θ2 given d(loss)/d(logits), from the forward
     pass's layer inputs after dropout (`x_in`, `h_in`), layer-1
     pre-activation `pre1` and layer-2 dropout mask. If `x_in` is narrower
     than the hidden layer it is A1 · x_in (see `forward_hidden`) and Θ1's
     gradient is x_inᵀ · dpre1; else it is x_inᵀ · (A1 · dpre1), the same
-    product as A1 is symmetric. Given `grad`, the two gradients are
-    written into its Θ1 and Θ2 views and returned."""
+    product as A1 is symmetric. The two gradients are written into
+    `grad`'s Θ1 and Θ2 views, which are returned."""
     g2 = spmm(a2, dlogits)  # adjacency is symmetric
-    grad_theta2 = np.matmul(h_in.T, g2, out=None if grad is None else grad.theta2)
+    grad_theta2 = np.matmul(h_in.T, g2, out=grad.theta2)
     dh_in = g2 @ theta2.T
     if mask2 is not None:
         dh_in *= mask2
     dpre1 = np.multiply(dh_in, pre1 > 0.0, out=dh_in)
     g1 = dpre1 if x_in.shape[1] < pre1.shape[1] else spmm(a1, dpre1)
-    grad_theta1 = np.matmul(x_in.T, g1, out=None if grad is None else grad.theta1)
+    grad_theta1 = np.matmul(x_in.T, g1, out=grad.theta1)
     return grad_theta1, grad_theta2
 
 
@@ -216,28 +218,6 @@ def forward(
     a2 = graph(hidden, theta2)
     logits, h_in = forward_logits(a2, hidden, theta2, mask2)
     return logits, (a1, a2, x_in, pre1, h_in, mask2, theta2)
-
-
-def step(
-    graph: Graph,
-    x: np.ndarray,
-    theta1: np.ndarray,
-    theta2: np.ndarray,
-    loss_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x_in: np.ndarray | None = None,
-    mask2: np.ndarray | None = None,
-    grad: Params | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss and exact gradients of Θ1 and Θ2 for one `forward` pass, with
-    layer 1's input after dropout `x_in` and layer 2's mask `mask2`.
-
-    `loss_fn(logits)` returns (loss, d loss / d logits); the step knows
-    nothing else about the objective. Returns (loss, grad Θ1, grad Θ2);
-    the gradients are `grad`'s views, overwritten, when it is given.
-    """
-    logits, saved = forward(graph, x, theta1, theta2, x_in, mask2)
-    loss, dlogits = loss_fn(logits)
-    return (loss, *backward_from_dlogits(dlogits, *saved, grad=grad))
 
 
 @dataclass(frozen=True, eq=False)

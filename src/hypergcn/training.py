@@ -6,8 +6,8 @@ Every method trains the same two-layer network for a fixed number of
 epochs with the adaptive-moment optimizer; there is no early stopping.
 `fit` is the one training loop, over one sample here and over the DkSH
 solver's samples in `densek`; a step of it is a `fit_step` (dropout
-masks, `nn.step` with the sample's loss function, Adam). Evaluation is
-`nn.forward` without dropout.
+masks, `nn.forward`, the sample's loss function, the backward pass,
+Adam). Evaluation is `nn.forward` without dropout.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def hlr_ce(
     lap: sp.csr_array,
     lam: float,
 ) -> tuple[float, np.ndarray]:
-    """Loss function for `nn.step` under MLP-HLR: softmax cross-entropy
+    """Loss function for `fit_step` under MLP-HLR: softmax cross-entropy
     plus lam * sum_uv w_uv ||Z_u - Z_v||^2, written with the pair
     Laplacian `lap`, on Z = softmax(logits). The penalty's gradient
     flows through the softmax."""
@@ -117,27 +117,26 @@ def fit_step(
     rate: float,
     rng: np.random.Generator,
     buf: np.ndarray,
-    hbuf: np.ndarray | None = None,
-    grad: nn.Params | None = None,
+    hbuf: np.ndarray,
+    grad: nn.Params,
 ) -> float:
     """One optimizer step: draw the dropout masks from `rng` (layer 1's,
     then layer 2's; none when `rate` is 0), drop layer 1's input here, run
-    `nn.step` with `loss_fn` and update `theta`'s one flat vector in
-    place. Returns the loss. Layer 1's draw, mask and dropped input take
-    turns in the first rows of `buf`, and layer 2's mask goes into the
-    first rows of `hbuf`; the two gradients go into `grad`, a `Params` of
-    Θ's shapes, so Adam reads them as one flat vector. `fit` creates the
-    three for one training run; a step given None for `hbuf` or `grad`
-    allocates its own."""
+    `nn.forward`, ask `loss_fn(logits)` for (loss, d loss / d logits),
+    pull that back to Θ1 and Θ2 (`nn.backward_from_dlogits`) and update
+    `theta`'s one flat vector in place (`nn.adam_step`). Returns the loss.
+    Layer 1's draw, mask and dropped input take turns in the first rows of
+    `buf`, and layer 2's mask goes into the first rows of `hbuf`; the two
+    gradients go into `grad`, a `Params` of Θ's shapes, so Adam reads them
+    as one flat vector. `fit` creates the three for one training run."""
     x_in, mask2, n = x, None, x.shape[0]
     if rate > 0.0:
         x_in = nn.dropout_mask(x.shape, rate, rng, out=buf[:n])
-        mask2 = nn.dropout_mask((n, theta.theta1.shape[1]), rate, rng,
-                                out=None if hbuf is None else hbuf[:n])
+        mask2 = nn.dropout_mask((n, theta.theta1.shape[1]), rate, rng, out=hbuf[:n])
         np.multiply(x, x_in, out=x_in)
-    if grad is None:
-        grad = nn.Params.of(theta.theta1, theta.theta2)
-    loss = nn.step(graph, x, theta.theta1, theta.theta2, loss_fn, x_in, mask2, grad)[0]
+    logits, saved = nn.forward(graph, x, theta.theta1, theta.theta2, x_in, mask2)
+    loss, dlogits = loss_fn(logits)
+    nn.backward_from_dlogits(dlogits, *saved, grad)
     nn.adam_step(theta, grad.flat, state)
     return loss
 
@@ -194,6 +193,8 @@ def method_graph(method: str, h: Hypergraph, x: np.ndarray, ties: np.random.Gene
       off-diagonal entries against the 2N incidence entries a product reads.
     * ``mlp``, ``mlp-hlr``: the identity. MLP-HLR's loss adds a penalty over
       the mediator graph of `x` (CSR), which `train_ssl` builds.
+
+    Any other method raises ValueError.
     """
     if method == "hypergcn":
         return nn.reexpanding_graph(lambda signal: built(mediator_adjacency(h, signal, ties)))
@@ -204,15 +205,15 @@ def method_graph(method: str, h: Hypergraph, x: np.ndarray, ties: np.random.Gene
         return nn.constant_graph(normalize(built(expand_mediators(h, x, ties))))
     if method == "hgnn":
         return nn.constant_graph(built(clique_adjacency(h)))
-    return nn.constant_graph(NormalizedAdjacency.identity(h.n))
+    if method in ("mlp", "mlp-hlr"):
+        return nn.constant_graph(NormalizedAdjacency.identity(h.n))
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def train_ssl(
     h: Hypergraph, x: np.ndarray, split: LabeledSplit, cfg: TrainConfig
 ) -> TrainReport:
     """Train one method on one split and report the evaluation error."""
-    if cfg.method not in METHODS:
-        raise ValueError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features of shape {x.shape} are not n x p")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergcn.cli import main
 from hypergcn.dataio import (
     DataError,
     DatasetBundle,
@@ -68,6 +69,20 @@ class TestLoadBundle:
         write_dataset(tmp_path, "0 1\n", "1,0\n0,oops\n", "0\n1\n")
         with pytest.raises(DataError, match=r"features\.csv line 2"):
             load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("features, line", [("1,0\n0\n1,1\n", 2), ("1,0\n\n0\n", 3)],
+                             ids=["short-row", "after-blank-line"])
+    def test_ragged_feature_rows_name_line(self, tmp_path, capsys, features, line):
+        # failed with "inconsistent row lengths" and no line; a blank line,
+        # which loadtxt skips, was named as a bad value
+        write_dataset(tmp_path, "0 1\n", features, "0\n1\n0\n")
+        message = f"features.csv line {line}: 1 values, expected 2"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_bundle(tmp_path)
+        assert main(["validate", "--data", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and "config" in json.loads(out)  # the echo only
+        assert message in err
 
     def test_vertex_out_of_range_names_line(self, tmp_path):
         write_dataset(tmp_path, "0 1\n0 7\n", "1,0\n0,1\n", "0\n1\n")

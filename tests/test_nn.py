@@ -26,6 +26,7 @@ from hypergcn.nn import (
     AdamState,
     Params,
     adam_step,
+    backward_from_dlogits,
     constant_graph,
     dropout_mask,
     forward,
@@ -40,7 +41,6 @@ from hypergcn.nn import (
     softmax_rows,
     softmax_vjp,
     spmm,
-    step,
 )
 
 
@@ -61,6 +61,14 @@ def loss_ce(z, labels, mask):
 def forward_z(a, x, t1, t2):
     """Row-softmax output of the two-layer network without dropout."""
     return softmax_rows(forward(constant_graph(a), x, t1, t2)[0])
+
+
+def step(graph, x, t1, t2, loss_fn):
+    """(loss, grad Θ1, grad Θ2) of one forward and backward pass without
+    dropout: `training.fit_step`'s gradients, before its optimizer update."""
+    logits, saved = forward(graph, x, t1, t2)
+    loss, dlogits = loss_fn(logits)
+    return (loss, *backward_from_dlogits(dlogits, *saved, Params.of(t1, t2)))
 
 
 def ce_step(a, x, t1, t2, labels, mask):
