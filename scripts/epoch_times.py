@@ -33,7 +33,7 @@ CSR on 32 and on 2 columns, medians of `PHASE_REPEATS` (11) runs in ms.
 One more line per factored rule (mediators, clique) gives the same for
 the incidence-factored adjacencies: the build and its degrees
 (`mediator_adjacency` with the same stub, `clique_adjacency`, then
-`.factors.dinv`) and `nn.spmm` on 32 and on 2 columns.
+`.dinv`) and `nn.spmm` on 32 and on 2 columns.
 
 Then it times the DkSH solver's optimizer step (`training.fit_step`, µs per
 call; for hypergcn it includes the per-layer re-expansion) for
@@ -178,7 +178,7 @@ def phase_times(expansion, nn, h, x, rng) -> list[dict]:
                            for k, y in cols.items()}})
         for rule, build in factored.items():
             a = build()
-            out.append({"factored": rule, "build_ms": median_ms(lambda: build().factors.dinv),
+            out.append({"factored": rule, "build_ms": median_ms(lambda: build().dinv),
                         **{f"spmm{k}_ms": median_ms(lambda: nn.spmm(a, y))
                            for k, y in cols.items()}})
     finally:

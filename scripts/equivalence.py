@@ -25,6 +25,11 @@ each, in order), then one line with the digest over all parts:
   `mixed-scale`, the columns scaled to max |s| 2^200 or 2^-200; and the
   features times 2^150, 2^-150 (inside the window), 2^250 and 2^-250
   (outside it);
+* `<n>/spmm/<form>/<cols>`: `nn.spmm` of each form of adjacency with an
+  n x cols operand of normal draws from `default_rng(9)`, for cols 1, 2
+  and 32 (`SPMM_COLS`): `identity`, `normalize` of the `one-edge`,
+  `mediators` and `clique` expansions (CSR), and the factored
+  `clique_adjacency` and `mediator_adjacency` (tie rng `default_rng(3)`);
 * `ssl/<n>/<method>` and `ssl/<n>/p8/<method>`: `train_ssl` losses, test
   error and counts (adjacency pairs, expansions, then the edge counts N,
   N_m and N_c) of all six methods, trial seed 0, on the instance's
@@ -90,6 +95,7 @@ INSTANCES = {
     20000: ({"n": 20000, "pure": 2000, "noisy": 8000, "feat_dim": 64}, 2000, 2),
 }
 NARROW_DIMS = 8
+SPMM_COLS = (1, 2, 32)
 PICK_KINDS = ("zero", "rounded", "ulp", "ulp32", "duplicated", "subnormal", "subnormal-all",
               "mixed-scale", "2^150", "2^-150", "2^250", "2^-250")
 DENSEK_SAMPLES, DENSEK_EPOCHS, DENSEK_MAPS = 10, 2, 8
@@ -140,6 +146,17 @@ def parts(sizes: list[int]):
         for kind in PICK_KINDS:
             s = pick_signal(x, kind, np.random.default_rng(5))
             yield f"{n}/picks/{kind}", [expansion.extreme_pairs(h, s, np.random.default_rng(3))]
+        forms = {"identity": lambda: expansion.NormalizedAdjacency.identity(h.n),
+                 **{rule: lambda expand=expand: expansion.normalize(expand())
+                    for rule, expand in rules.items()},
+                 "clique_adjacency": lambda: expansion.clique_adjacency(h),
+                 "mediator_adjacency": lambda: expansion.mediator_adjacency(
+                     h, x, np.random.default_rng(3))}
+        for form, build in forms.items():
+            a = build()
+            for cols in SPMM_COLS:
+                operand = np.random.default_rng(9).normal(size=(h.n, cols))
+                yield f"{n}/spmm/{form}/{cols}", attempt(lambda: [nn.spmm(a, operand)])
         narrow = dataio.gen_noisy_ssl(0.5, np.random.default_rng(7),
                                       **{**kwargs, "feat_dim": NARROW_DIMS})
         for method in training.METHODS:

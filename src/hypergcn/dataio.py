@@ -30,8 +30,8 @@ class DataError(ValueError):
 class LabeledSplit:
     """Labels over all vertices, a labelled set and an evaluation set, held
     as read-only int64 copies. The constructor raises DataError unless
-    `labels` are 1-D non-negative whole numbers, and `train_idx` and
-    `eval_idx` non-empty 1-D whole numbers in [0, len(labels))."""
+    `labels` are non-empty 1-D non-negative whole numbers, and `train_idx`
+    and `eval_idx` non-empty 1-D whole numbers in [0, len(labels))."""
 
     labels: np.ndarray
     train_idx: np.ndarray
@@ -39,20 +39,27 @@ class LabeledSplit:
 
     def __post_init__(self) -> None:
         n = np.size(self.labels)
-        for name, rule, empty in (("labels", "non-negative whole numbers", ""),
-                                  ("train_idx", "whole numbers", "labelled set"),
-                                  ("eval_idx", "whole numbers", "evaluation set")):
-            raw = np.asarray(getattr(self, name))
-            with np.errstate(invalid="ignore"):  # a non-finite entry is not whole
-                arr = raw.astype(np.int64)
-            if raw.ndim != 1 or not np.array_equal(arr, raw) or not (empty or np.all(arr >= 0)):
-                raise DataError(f"{name} are not 1-D {rule}")
-            if empty and arr.size == 0:
-                raise DataError(f"empty {empty}")
-            if empty and not np.all((arr >= 0) & (arr < n)):
-                raise DataError(f"{name} has entries outside [0, {n})")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("labels", "train_idx", "eval_idx"):
+            object.__setattr__(self, name, self._checked(name, getattr(self, name), n))
+
+    @staticmethod
+    def _checked(name: str, values, n: int = 0) -> np.ndarray:
+        """`values` as field `name`, a read-only int64 copy, if they keep its
+        rule; else DataError."""
+        rule, empty = {"labels": ("non-negative whole numbers", "labels"),
+                       "train_idx": ("whole numbers", "labelled set"),
+                       "eval_idx": ("whole numbers", "evaluation set")}[name]
+        index, raw = name != "labels", np.asarray(values)
+        with np.errstate(invalid="ignore"):  # a non-finite entry is not whole
+            arr = raw.astype(np.int64)
+        if raw.ndim != 1 or not np.array_equal(arr, raw) or not (index or np.all(arr >= 0)):
+            raise DataError(f"{name} are not 1-D {rule}")
+        if arr.size == 0:
+            raise DataError(f"empty {empty}")
+        if index and not np.all((arr >= 0) & (arr < n)):
+            raise DataError(f"{name} has entries outside [0, {n})")
+        arr.setflags(write=False)
+        return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +228,12 @@ def balanced_split_labels(
 
     Each class contributes exactly budget/q uniformly sampled vertices;
     the evaluation set is the complement, so the two are disjoint. A budget
-    below 1, or one that leaves the evaluation set empty, raises DataError.
+    below 1, or one that leaves the evaluation set empty, raises DataError,
+    as do labels that break `LabeledSplit`'s rule, before any draw.
     """
     if budget < 1:
         raise DataError(f"label budget {budget} is below 1")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = LabeledSplit._checked("labels", labels)
     q = int(labels.max()) + 1
     if budget % q != 0:
         raise DataError(f"label budget {budget} not divisible by {q} classes")

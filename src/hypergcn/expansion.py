@@ -37,13 +37,15 @@ ascending, then upper neighbours ascending) and its degree adds the unit
 loop last, so both depend on the graph alone, and every result is a
 fixed function of the hypergraph, the signal and the draws.
 
-The clique and mediator graphs are sums of one small structured matrix
-per hyperedge. `IncidenceFactors` defines both: one coefficient per
-hyperedge (and the extreme pairs, for mediators), from which it emits
-the pairs (`expand_*`) or multiplies by the normalized adjacency through
-the incidence matrices (`*_adjacency`, `nn.spmm`); the CSR is built
-only if `matrix` is read. Which method convolves with which form,
-and why, is `training.method_graph`'s to say.
+A normalized adjacency (`Adjacency`) has two forms, each with its `n`,
+CSR `matrix`, `pair_count` and `product(x)`, which `nn.spmm` calls:
+the CSR `NormalizedAdjacency` that `normalize` builds, and the
+`IncidenceFactors` of a clique or mediator graph (`*_adjacency`), one
+coefficient per hyperedge (and its extreme pair, for mediators). Those
+emit their pairs (`expand_*`) or multiply through the incidence
+matrices, and build the CSR only if `matrix` is read. Every CSR product
+calls scipy's compiled kernel directly (`_csr_matmul`). Which method
+convolves with which form, and why, is `training.method_graph`'s to say.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ import scipy.sparse as sp
 
 from .hypergraph import Hypergraph
 
-try:  # scipy's compiled CSR products: private API, so `_csr_matmul` works without them
-    from scipy.sparse._sparsetools import csr_matvec as _matvec, csr_matvecs as _matvecs
+try:  # scipy's compiled CSR product: private API, so `_csr_matmul` works without it
+    from scipy.sparse._sparsetools import csr_matvecs as _matvecs
 except ImportError:
-    _matvec = _matvecs = None
+    _matvecs = None
 _F64 = np.dtype(np.float64)
 
 # extreme_pairs computes distances in tiles of at most _TILE values (two
@@ -83,22 +85,21 @@ _SCREEN_WIDTH = 8
 
 def _csr_matmul(a: sp.csr_array, x: np.ndarray) -> np.ndarray:
     """`a @ x` for a CSR `a` and a dense `x`, bit for bit: scipy's own
-    compiled kernel (`csr_matvec` for a vector or one column, else
-    `csr_matvecs`), called as scipy calls it, into a zeroed result with
-    `x` made C-contiguous. Called directly because scipy's Python
-    dispatch costs 4.6-5.6 µs per call: a DkSH training step makes three
-    CSR products on n ≈ 200, and a `densek-planted` op 15,000. Anything
-    else (no kernel to import, a non-float64 operand, a shape mismatch,
-    another format) goes through `a @ x`, so a bad operand fails there."""
+    compiled kernel `csr_matvecs`, with one vector for a 1-D `x`, into a
+    zeroed result with `x` made C-contiguous. For one column it adds the
+    same products in the same order as scipy's `csr_matvec`, which `@`
+    runs there, so one kernel serves every width. Called directly because
+    scipy's Python dispatch costs 4.6-5.6 µs per call: a DkSH training
+    step makes three CSR products on n ≈ 200, and a `densek-planted` op
+    15,000. Anything else (no kernel to import, a non-float64 operand, a
+    shape mismatch, another format) goes through `a @ x`, so a bad
+    operand fails there."""
     shape, k = a.shape, x.shape[1:]
     if (_matvecs is None or type(x) is not np.ndarray or x.dtype != _F64 or len(k) > 1
             or a.format != "csr" or a.data.dtype != _F64 or x.shape[0] != shape[1]):
         return a @ x
     out = np.zeros(shape[:1] + k)
-    if not k or k[0] == 1:
-        _matvec(*shape, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
-    else:
-        _matvecs(*shape, *k, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    _matvecs(*shape, k[0] if k else 1, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
     return out
 
 
@@ -136,14 +137,24 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class IncidenceFactors:
-    """The pair weights W = Σ_e c_e B_e of a clique or mediator expansion
-    of `h`, where B_e is the 0/1 pattern of hyperedge e's pairs: its
-    clique when `ext` is None, else its mediator graph around extreme
-    pair ext[e]; `coef` holds c_e."""
+    """The factored normalized adjacency D̃^{-1/2} (W + I) D̃^{-1/2} of a
+    clique or mediator expansion of `h`, W = Σ_e c_e B_e, where B_e is the
+    0/1 pattern of hyperedge e's pairs: its clique when `ext` is None,
+    else its mediator graph around extreme pair ext[e]; `coef` holds c_e.
+    It multiplies through the incidence matrices; its CSR `matrix` is
+    built from its pairs on first read."""
 
     h: Hypergraph
     coef: np.ndarray
     ext: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.h.n
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_array:
+        return normalize(self.pairs()).matrix
 
     @functools.cached_property
     def dinv(self) -> np.ndarray:
@@ -236,30 +247,28 @@ class IncidenceFactors:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
-    """Symmetrically normalized adjacency D̃^{-1/2} Ã D̃^{-1/2}: a CSR
-    (`csr`), or factored through the incidence matrix (`factors`), in
-    which case `matrix` builds the CSR from the expansion on first read."""
+    """Symmetrically normalized adjacency D̃^{-1/2} Ã D̃^{-1/2} as a CSR."""
 
     n: int
-    csr: sp.csr_array | None = None
-    factors: IncidenceFactors | None = None
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_array:
-        return self.csr if self.factors is None else normalize(self.factors.pairs()).matrix
+    matrix: sp.csr_array
 
     @property
     def pair_count(self) -> int:
-        """Distinct vertex pairs joined: the CSR's off-diagonal entries,
-        halved, or the pairs of the expansion the factors stand for."""
-        return ((self.csr.nnz - self.n) // 2 if self.factors is None
-                else self.factors.pair_count)
+        """Distinct vertex pairs joined: the off-diagonal entries, halved."""
+        return (self.matrix.nnz - self.n) // 2
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        return _csr_matmul(self.matrix, x)
 
     @classmethod
     def identity(cls, n: int) -> "NormalizedAdjacency":
         """Normalized adjacency of the loops-only graph; turns the
         convolution into a plain MLP layer."""
-        return cls(n=n, csr=sp.eye_array(n, format="csr", dtype=np.float64))
+        return cls(n, sp.eye_array(n, format="csr", dtype=np.float64))
+
+
+# A normalized adjacency in either form
+Adjacency = NormalizedAdjacency | IncidenceFactors
 
 
 def as_signal(s: np.ndarray, n: int) -> np.ndarray:
@@ -469,13 +478,13 @@ def expand_mediators(h: Hypergraph, signal: np.ndarray, rng: np.random.Generator
     Emits max(1, 2|e|-3) distinct pairs per hyperedge; the per-hyperedge
     weight mass always sums to w(e).
     """
-    return mediator_adjacency(h, signal, rng).factors.pairs()
+    return mediator_adjacency(h, signal, rng).pairs()
 
 
 def expand_clique(h: Hypergraph) -> WeightedGraph:
     """`clique_adjacency`'s pairs: each hyperedge's clique, every pair
     weighted 2 w(e)/(|e| (|e|-1)). Signal-independent."""
-    return clique_adjacency(h).factors.pairs()
+    return clique_adjacency(h).pairs()
 
 
 def normalize(g: WeightedGraph) -> NormalizedAdjacency:
@@ -495,19 +504,17 @@ def normalize(g: WeightedGraph) -> NormalizedAdjacency:
     # one product of the two scalings, so A[u, v] and A[v, u] round alike
     scaled = vals * (dinv[rows] * dinv[cols])
     mat = sp.coo_array((scaled, (rows, cols)), shape=(g.n, g.n)).tocsr()
-    return NormalizedAdjacency(n=g.n, csr=mat)
+    return NormalizedAdjacency(g.n, mat)
 
 
 def mediator_adjacency(h: Hypergraph, signal: np.ndarray,
-                       rng: np.random.Generator) -> NormalizedAdjacency:
+                       rng: np.random.Generator) -> IncidenceFactors:
     """`normalize(expand_mediators(h, signal, rng))`, factored: c_e =
     w(e)/(2|e|-3) around the extreme pairs of `signal`, ties drawn from `rng`."""
-    return NormalizedAdjacency(h.n, factors=IncidenceFactors(
-        h, h.weights / (2 * h.edge_sizes() - 3), extreme_pairs(h, signal, rng)))
+    return IncidenceFactors(h, h.weights / (2 * h.edge_sizes() - 3), extreme_pairs(h, signal, rng))
 
 
-def clique_adjacency(h: Hypergraph) -> NormalizedAdjacency:
+def clique_adjacency(h: Hypergraph) -> IncidenceFactors:
     """`normalize(expand_clique(h))`, factored: c_e = 2w(e)/(|e|(|e|-1))."""
     sizes = h.edge_sizes()
-    return NormalizedAdjacency(h.n, factors=IncidenceFactors(
-        h, 2.0 * h.weights / (sizes * (sizes - 1))))
+    return IncidenceFactors(h, 2.0 * h.weights / (sizes * (sizes - 1)))

@@ -7,22 +7,19 @@ Dense matrices are float64 numpy arrays. The network computes the logits
 with optional inverted dropout on the input of each layer. Layer τ
 convolves over `graph(layer input, Θτ)`, a `Graph`, which
 `training.method_graph` gives for each method. Every product with an
-adjacency is `spmm`: by its CSR, or through the incidence matrix
-(`expansion.IncidenceFactors`) for a factored one. A CSR product calls
-scipy's compiled kernel `csr_matvecs` directly, skipping scipy's Python
-dispatch, with a fallback to `a.matrix @ x` (see `spmm`). Layer 1 runs its
-sparse product on the narrower side: (A1 · X) · Θ1 when X has fewer
-columns than the hidden layer, else A1 · (X · Θ1). `forward` is the one
-forward pass; a loss function (`softmax_ce` here, `training.hlr_ce`,
-`densek.hindsight_loss`) gives the loss and its gradient on the logits,
-and `backward_from_dlogits` pulls that back to Θ1 and Θ2 analytically;
-there is no autodiff. `training.fit_step` chains the three into one
-training step. Θ1 and Θ2 are views of one flat vector (`Params`), which
-the adaptive-moment optimizer updates in one set of passes, with
-decoupled weight decay on Θ1 only; the backward pass writes their
-gradients into another `Params`, so the optimizer reads them as one
-vector. The module keeps no state: the buffers a training run reuses
-are its caller's.
+adjacency, in either of its forms (`expansion.Adjacency`), is `spmm`.
+Layer 1 runs its sparse product on the narrower side: (A1 · X) · Θ1
+when X has fewer columns than the hidden layer, else A1 · (X · Θ1).
+`forward` is the one forward pass; a loss function (`softmax_ce` here,
+`training.hlr_ce`, `densek.hindsight_loss`) gives the loss and its
+gradient on the logits, and `backward_from_dlogits` pulls that back to
+Θ1 and Θ2 analytically; there is no autodiff. `training.fit_step`
+chains the three into one training step. Θ1 and Θ2 are views of one
+flat vector (`Params`), which the adaptive-moment optimizer updates in
+one set of passes, with decoupled weight decay on Θ1 only; the backward
+pass writes their gradients into another `Params`, so the optimizer
+reads them as one vector. The module keeps no state: the buffers a
+training run reuses are its caller's.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .expansion import NormalizedAdjacency, _csr_matmul
+from .expansion import Adjacency
 
 
 class RngStreams(NamedTuple):
@@ -86,36 +83,30 @@ def dropout_mask(
 
 
 # A layer's adjacency as a function of (layer input, layer weights)
-Graph = Callable[[np.ndarray, np.ndarray], NormalizedAdjacency]
+Graph = Callable[[np.ndarray, np.ndarray], Adjacency]
 
 
-def constant_graph(a: NormalizedAdjacency) -> Graph:
+def constant_graph(a: Adjacency) -> Graph:
     """The graph of a method with one adjacency for every layer."""
     return lambda layer_input, weights: a
 
 
-def reexpanding_graph(expand: Callable[[np.ndarray], NormalizedAdjacency]) -> Graph:
+def reexpanding_graph(expand: Callable[[np.ndarray], Adjacency]) -> Graph:
     """HyperGCN's graph: `expand` of the layer input (before dropout)
     times the layer weights. A non-finite product, from a diverged
     network, raises FloatingPointError in `expansion.as_signal`."""
     return lambda layer_input, weights: expand(layer_input @ weights)
 
 
-def spmm(a: NormalizedAdjacency, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product A x, through the incidence matrix for a
-    factored adjacency, else by its CSR with scipy's compiled kernel
-    (`scipy.sparse._sparsetools.csr_matvecs`) called directly: the same
-    bits as `a.matrix @ x` without scipy's 4.6-5.6 µs of Python dispatch,
-    which at DkSH sizes is a third of a product. The kernel is private
-    API, so `a.matrix @ x` serves if it cannot be imported and for an
-    operand that is not float64 (`expansion._csr_matmul`)."""
+def spmm(a: Adjacency, x: np.ndarray) -> np.ndarray:
+    """Sparse-dense product A x, as the adjacency's form computes it."""
     if a.n != x.shape[0]:
         raise ValueError(f"adjacency n={a.n} does not match x rows {x.shape[0]}")
-    return _csr_matmul(a.matrix, x) if a.factors is None else a.factors.product(x)
+    return a.product(x)
 
 
 def forward_hidden(
-    a1: NormalizedAdjacency, x_in: np.ndarray, theta1: np.ndarray
+    a1: Adjacency, x_in: np.ndarray, theta1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First convolution layer A1 · x_in · Θ1 on the input after dropout,
     x_in. Returns (hidden, x_in, pre1). When x_in is narrower than the
@@ -130,7 +121,7 @@ def forward_hidden(
 
 
 def forward_logits(
-    a2: NormalizedAdjacency,
+    a2: Adjacency,
     hidden: np.ndarray,
     theta2: np.ndarray,
     mask2: np.ndarray | None = None,
@@ -174,8 +165,8 @@ def softmax_ce(
 
 def backward_from_dlogits(
     dlogits: np.ndarray,
-    a1: NormalizedAdjacency,
-    a2: NormalizedAdjacency,
+    a1: Adjacency,
+    a2: Adjacency,
     x_in: np.ndarray,
     pre1: np.ndarray,
     h_in: np.ndarray,

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from . import nn
 from .dataio import LabeledSplit, balanced_split_labels
 from .expansion import (
+    IncidenceFactors,
     NormalizedAdjacency,
     WeightedGraph,
     clique_adjacency,
@@ -176,9 +177,9 @@ def method_graph(method: str, h: Hypergraph, x: np.ndarray, ties: np.random.Gene
                  built: Callable = lambda g: g) -> nn.Graph:
     """The graph `method` convolves with on `h` and features `x`; extreme-pair
     ties come from `ties`. `built` is called on each expansion as it is
-    built (a `WeightedGraph`, or a factored `NormalizedAdjacency`) and
-    returns it. A factored adjacency multiplies through the incidence
-    matrix (`expansion.IncidenceFactors`), skipping its CSR.
+    built (a `WeightedGraph`, or a factored adjacency, `IncidenceFactors`)
+    and returns it. A factored adjacency multiplies through the incidence
+    matrix, skipping its CSR.
 
     * ``hypergcn``: the mediator graph of each layer's signal (input times
       weights), rebuilt per call. Factored: each is used for two products
@@ -228,7 +229,7 @@ def train_ssl(
 
     expansions = adjacency_pairs = 0
 
-    def built(g: WeightedGraph | NormalizedAdjacency):
+    def built(g: WeightedGraph | IncidenceFactors):
         nonlocal expansions, adjacency_pairs
         expansions += 1
         adjacency_pairs = adjacency_pairs or g.pair_count

@@ -171,13 +171,14 @@ class TestLabeledSplit:
         ([0, 1, 0.5], [0], [1], "labels are not 1-D non-negative whole numbers"),
         ([[0, 1, 0]], [0], [1], "labels are not 1-D non-negative whole numbers"),
         ([0, 1, np.nan], [0], [1], "labels are not 1-D non-negative whole numbers"),
+        ([], [0], [1], "empty labels"),
         ([0, 1, 0], [], [1], "empty labelled set"),
         ([0, 1, 0], [0], [], "empty evaluation set"),
         ([0, 1, 0], [0, 3], [1], re.escape("train_idx has entries outside [0, 3)")),
         ([0, 1, 0], [0], [-1], re.escape("eval_idx has entries outside [0, 3)")),
         ([0, 1, 0], [0, 1.5], [2], "train_idx are not 1-D whole numbers"),
-    ], ids=["negative-label", "fractional-label", "2d-labels", "nan-label", "empty-train",
-            "empty-eval", "index-outside", "negative-index", "fractional-index"])
+    ], ids=["negative-label", "fractional-label", "2d-labels", "nan-label", "empty-labels",
+            "empty-train", "empty-eval", "index-outside", "negative-index", "fractional-index"])
     def test_rule_broken_rejected(self, labels, train_idx, eval_idx, problem):
         # the split took each of these; train_ssl or evaluate, or nothing, rejected it later
         with pytest.raises(DataError, match=problem):
@@ -213,6 +214,18 @@ class TestBalancedSplit:
         # -2 failed inside numpy; 0 gave an empty labelled set
         with pytest.raises(DataError, match="budget"):
             balanced_split_labels(np.array([0, 1] * 10), budget, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("labels, problem", [
+        ([0.5, 0.7, 1.2, 1.9, 0.1, 1.0], "labels are not 1-D non-negative whole numbers"),
+        ([], "empty labels"),
+    ], ids=["fractional", "empty"])
+    def test_labels_breaking_the_split_rule_rejected(self, labels, problem):
+        # fractional labels were truncated to [0, 0, 1, 1, 0, 1] and drawn
+        # from; empty ones failed inside numpy's maximum
+        rng = np.random.default_rng(0)
+        with pytest.raises(DataError, match=problem):
+            balanced_split_labels(np.array(labels), 2, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was made
 
     def test_insufficient_class_rejected(self):
         labels = np.array([0] * 10 + [1])

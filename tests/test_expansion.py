@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hypergcn import expansion
 from hypergcn.expansion import (
+    IncidenceFactors,
     NormalizedAdjacency,
     WeightedGraph,
     as_signal,
@@ -870,7 +871,8 @@ class TestFactoredAdjacency:
              normalize(expand_mediators(h, s, np.random.default_rng(seed)))),
             (clique_adjacency(h), normalize(expand_clique(h))),
         ):
-            assert factored.factors is not None and csr.factors is None
+            assert isinstance(factored, IncidenceFactors)
+            assert isinstance(csr, NormalizedAdjacency)
             want = spmm(csr, x)
             scale = np.abs(want).max()
             assert np.abs(spmm(factored, x) - want).max() <= 1e-13 * scale
@@ -910,3 +912,9 @@ class TestFactoredAdjacency:
         assert a.pair_count == 5  # counted from the factors' expansion
         assert "matrix" not in vars(a)
         assert a.matrix is a.matrix
+
+
+class TestCsrAdjacency:
+    def test_a_matrix_is_required(self):
+        with pytest.raises(TypeError):
+            NormalizedAdjacency(3)

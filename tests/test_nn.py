@@ -225,7 +225,8 @@ BIT_VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315]) | 
 @st.composite
 def csr_operand(draw):
     """A CSR n x n (n >= 1, some rows empty) and an n x k operand (k in
-    1..9) laid out C- or Fortran-ordered, sliced or transposed."""
+    1..9) laid out C- or Fortran-ordered, sliced or transposed, or a
+    vector of n."""
     n, k = draw(st.integers(1, 10)), draw(st.integers(1, 9))
     rows = [sorted(draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True)))
             for _ in range(n)]
@@ -233,17 +234,18 @@ def csr_operand(draw):
     data = np.array(draw(st.lists(BIT_VALUES, min_size=indices.size, max_size=indices.size)))
     mat = sp.csr_array((data, indices, np.cumsum([0] + [len(r) for r in rows])), shape=(n, n))
     values = np.array(draw(st.lists(BIT_VALUES, min_size=4 * n * k, max_size=4 * n * k)))
-    layout = draw(st.sampled_from(["C", "F", "sliced", "transposed"]))
+    layout = draw(st.sampled_from(["C", "F", "sliced", "transposed", "vector"]))
     x = {"C": lambda: values[: n * k].reshape(n, k),
          "F": lambda: np.asfortranarray(values[: n * k].reshape(n, k)),
          "sliced": lambda: values.reshape(2 * n, 2 * k)[1::2, ::2],
-         "transposed": lambda: values[: n * k].reshape(k, n).T}[layout]()
+         "transposed": lambda: values[: n * k].reshape(k, n).T,
+         "vector": lambda: values[:n]}[layout]()
     return mat, x
 
 
 def no_kernel():
-    """Patch scipy's CSR kernels out of reach, as if their import had failed."""
-    return mock.patch.multiple(expansion, _matvec=None, _matvecs=None)
+    """Patch scipy's CSR kernel out of reach, as if its import had failed."""
+    return mock.patch.object(expansion, "_matvecs", None)
 
 
 class TestSpmmKernel:
@@ -253,11 +255,11 @@ class TestSpmmKernel:
         mat, x = case
         want = mat @ x
         with contextlib.nullcontext() if kernel else no_kernel():
-            got = spmm(NormalizedAdjacency(mat.shape[0], csr=mat), x)
+            got = spmm(NormalizedAdjacency(mat.shape[0], mat), x)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("k, kernel", [(1, "_matvec"), (2, "_matvecs"), (9, "_matvecs")])
+    @pytest.mark.parametrize("k, kernel", [(1, "_matvecs"), (2, "_matvecs"), (9, "_matvecs")])
     def test_float64_products_call_the_kernel(self, k, kernel):
         a = normalize(expand_mediators(*small_instance(), np.random.default_rng(0)))
         x = np.random.default_rng(1).normal(size=(a.n, k))

@@ -29,6 +29,11 @@ class TestEquivalenceScript:
             f"60/picks/{kind}" for kind in ("zero", "rounded", "ulp", "ulp32", "duplicated",
                                             "subnormal", "subnormal-all", "mixed-scale", "2^150",
                                             "2^-150", "2^250", "2^-250")]
+        assert [name for name in names if name.startswith("60/spmm/")] == [
+            f"60/spmm/{form}/{cols}"
+            for form in ("identity", "one-edge", "mediators", "clique", "clique_adjacency",
+                         "mediator_adjacency")
+            for cols in (1, 2, 32)]
         assert "cli/train/mlp-hlr" in names and "cli/densek/fast-hypergcn" in names
         assert "cli/trials/hypergcn" in names and "ssl/60/dropout0/mlp" in names
         assert "cli/diverge/train/one-hypergcn" in names
