@@ -24,7 +24,11 @@ each, in order), then one line with the digest over all parts:
   `subnormal-all`, every entry so (max |s| below the screen's window);
   `mixed-scale`, the columns scaled to max |s| 2^200 or 2^-200; and the
   features times 2^150, 2^-150 (inside the window), 2^250 and 2^-250
-  (outside it);
+  (outside it); `<n>/picks/w2/<kind>` and `<n>/picks/w32/<kind>`: the
+  same on an n x 2 and an n x 32 normal signal drawn from
+  `default_rng(11)` (`PICK_WIDTHS`), the widths of a `hypergcn` epoch's
+  class-wide and hidden-layer searches, whose distances run other
+  kernels than the feature width's;
 * `<n>/spmm/<form>/<cols>`: `nn.spmm` of each form of adjacency with an
   n x cols operand of normal draws from `default_rng(9)`, for cols 1, 2
   and 32 (`SPMM_COLS`): `identity`, `normalize` of the `one-edge`,
@@ -96,6 +100,7 @@ INSTANCES = {
 }
 NARROW_DIMS = 8
 SPMM_COLS = (1, 2, 32)
+PICK_WIDTHS = (2, 32)
 PICK_KINDS = ("zero", "rounded", "ulp", "ulp32", "duplicated", "subnormal", "subnormal-all",
               "mixed-scale", "2^150", "2^-150", "2^250", "2^-250")
 DENSEK_SAMPLES, DENSEK_EPOCHS, DENSEK_MAPS = 10, 2, 8
@@ -146,6 +151,12 @@ def parts(sizes: list[int]):
         for kind in PICK_KINDS:
             s = pick_signal(x, kind, np.random.default_rng(5))
             yield f"{n}/picks/{kind}", [expansion.extreme_pairs(h, s, np.random.default_rng(3))]
+        for width in PICK_WIDTHS:
+            y = np.random.default_rng(11).normal(size=(h.n, width))
+            for kind in PICK_KINDS:
+                s = pick_signal(y, kind, np.random.default_rng(5))
+                yield (f"{n}/picks/w{width}/{kind}",
+                       [expansion.extreme_pairs(h, s, np.random.default_rng(3))])
         forms = {"identity": lambda: expansion.NormalizedAdjacency.identity(h.n),
                  **{rule: lambda expand=expand: expansion.normalize(expand())
                     for rule, expand in rules.items()},

@@ -23,7 +23,9 @@ hyperedge's screened maximum, a slack proven to keep every pair at the
 float64 maximum (`_screen` derives it), and the float64 search then runs
 over those alone, so the picks are the same, draw for draw. Small or
 narrow searches, and signals whose max |s| lies outside
-[2^-200, 2^200], are searched in float64 alone.
+[2^-200, 2^200], are searched in float64 alone. At width 2 the float64
+distances are summed by one BLAS product with a ones vector, not by
+numpy's per-row loop, with the same bits (`_distances`).
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
@@ -380,12 +382,25 @@ def _blocks(ptr: np.ndarray):
 
 def _distances(x: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[t] = ‖x[a[t]] - x[b[t]]‖², a tile of pairs at a time: two row
-    gathers, differenced in place, then each row's sum of squares."""
-    tile = max(1, _TILE // (2 * x.shape[1] + 1))  # pairs per tile
+    gathers, differenced in place, then each row's sum of squares. numpy
+    sums a short row in a scalar loop per row, so a float64 tile of width
+    2 is squared in place and its rows summed by one BLAS product with a
+    ones vector: a distance is then one rounded addition of two squares,
+    so every order gives `einsum`'s bits. Other rows go through `einsum`,
+    whose order is numpy's own. Either way a sum of squares overflows to
+    inf or underflows silently, whatever numpy's error state."""
+    d = x.shape[1]
+    tile = max(1, _TILE // (2 * d + 1))  # pairs per tile
+    rowsum = x.dtype == _F64 and d == 2
+    ones = np.ones(d)
     for t in range(0, out.size, tile):
         diff = np.take(x, a[t : t + tile], axis=0)  # (pairs, d)
         diff -= np.take(x, b[t : t + tile], axis=0)
-        np.einsum("pk,pk->p", diff, diff, out=out[t : t + tile])
+        if rowsum:
+            with np.errstate(over="ignore", under="ignore"):  # as einsum is
+                np.matmul(np.square(diff, out=diff), ones, out=out[t : t + tile])
+        else:
+            np.einsum("pk,pk->p", diff, diff, out=out[t : t + tile])
     return out
 
 

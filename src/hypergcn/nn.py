@@ -55,15 +55,28 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """`x.max(axis=1, keepdims=True)` taken column by column: numpy reduces
+    a short row in a scalar loop per row, and a maximum is exact, so any
+    order gives the same values. Only the sign of a tie between -0 and +0
+    can differ, and subtracting either leaves zeros that `exp` maps to 1."""
+    top = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(top, x[:, j : j + 1], out=top)
+    return top
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction stability."""
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Row-wise softmax with max-subtraction stability (`_row_max`). The
+    row sums stay numpy's, whose order matters from 3 classes on."""
+    shifted = x - _row_max(x)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
 def log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
+    """Row-wise log-softmax, shifted and summed as `softmax_rows` is."""
+    shifted = x - _row_max(x)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 

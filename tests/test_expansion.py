@@ -764,6 +764,44 @@ class TestScreen:
         assert screened == [None] * 5
 
 
+def einsum_distances(x, a, b):
+    """The reference kernel: ‖x[a[t]] - x[b[t]]‖² of every pair by einsum."""
+    diff = x[a] - x[b]
+    return np.einsum("pk,pk->p", diff, diff)
+
+
+class TestDistanceKernels:
+    @pytest.mark.parametrize("kind", ["normal", "signed-zeros", "subnormal", "overflow",
+                                      *equivalence.PICK_KINDS])
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("tile", [7, None])
+    def test_float64_narrow_rows_equal_einsum_bit_for_bit(self, width, kind, tile, monkeypatch):
+        # width 2 sums each row's two squares with one BLAS product, width 1
+        # keeps einsum; either way every bit is einsum's, whatever `out`
+        # held before (a BLAS product must not scale it by 0), and an
+        # overflow to inf or an underflow stays as silent as einsum's, even
+        # where numpy is set to raise
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(300, width))
+        if kind == "signed-zeros":
+            x = np.where(rng.random(x.shape) < 0.5, np.copysign(0.0, x), x)
+        elif kind == "subnormal":
+            x = x * 2.0**-1070
+        elif kind == "overflow":  # squares from about 1e307 up, some past the largest float
+            x = x * 1.3e154
+        else:
+            x = adversarial(x, kind, rng)
+        a, b = rng.integers(0, x.shape[0], size=(2, 5000))
+        if tile is not None:
+            monkeypatch.setattr(expansion, "_TILE", tile)
+        with np.errstate(all="raise"):
+            got = expansion._distances(x, a, b, np.full(a.size, np.nan))
+        want = einsum_distances(x, a, b)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        if kind == "overflow":
+            assert np.isinf(want).any() and np.isfinite(want).any()
+
+
 class TestDictOracle:
     @settings(max_examples=150, deadline=None)
     @given(hypergraph_and_signal(), st.integers(0, 2**31))
@@ -912,6 +950,21 @@ class TestFactoredAdjacency:
         assert a.pair_count == 5  # counted from the factors' expansion
         assert "matrix" not in vars(a)
         assert a.matrix is a.matrix
+
+
+class TestRootDegreeFixedPoint:
+    @settings(max_examples=200, deadline=None)
+    @given(factored_case(), st.integers(0, 2**31))
+    def test_adjacencies_map_the_root_degrees_to_themselves(self, case, seed):
+        # A = D̃^{-1/2} (W + I) D̃^{-1/2} and D̃1 = (W + I)1, so
+        # A D̃^{1/2}1 = D̃^{-1/2} D̃1 = D̃^{1/2}1, with D̃ taken from the
+        # emitted pairs; in both forms, through `product` and `.matrix`. A
+        # factored correction term that is off breaks it
+        h, s, _ = case
+        for a in (mediator_adjacency(h, s, np.random.default_rng(seed)), clique_adjacency(h)):
+            root = np.sqrt(a.pairs().incident_pair_weight() + 1.0)
+            for got in (spmm(a, root[:, None])[:, 0], a.matrix @ root):
+                assert np.abs(got - root).max() <= 1e-13 * root.max()
 
 
 class TestCsrAdjacency:

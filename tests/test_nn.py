@@ -126,6 +126,24 @@ class TestElementwise:
             log_softmax_rows(x), np.log(softmax_rows(x)), atol=1e-12
         )
 
+    @pytest.mark.parametrize("classes", [1, 2, 3, 10])
+    def test_softmax_forms_equal_the_row_max_form_bit_for_bit(self, classes):
+        # the row max is taken column by column; the reference takes it with
+        # x.max(axis=1). Rows of normal, tied, signed-zero and dominated
+        # logits (a lone maximum of ±0 over -800, whose row sums to 1)
+        rng = np.random.default_rng(classes)
+        x = rng.normal(size=(600, classes))
+        x[:100] = np.round(x[:100])
+        x[100:200] = rng.choice([-0.0, 0.0, 1.0], size=(100, classes))
+        x[200:300] = rng.choice([-0.0, 0.0], size=(100, classes))
+        x[300:400] = rng.choice([-0.0, 0.0, -800.0], size=(100, classes))
+        x[400:500] = rng.choice([-700.0, 700.0, 3.0], size=(100, classes))
+        shifted = x - x.max(axis=1, keepdims=True)
+        total = np.exp(shifted).sum(axis=1, keepdims=True)
+        for got, want in ((softmax_rows(x), np.exp(shifted) / total),
+                          (log_softmax_rows(x), shifted - np.log(total))):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestGlorot:
     def test_bounds_and_spread(self):

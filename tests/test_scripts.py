@@ -25,10 +25,11 @@ class TestEquivalenceScript:
         names = [line["part"] for line in first[:-1]]
         assert "60/unit/clique/csr" in names and "densek/hypergcn" in names
         assert "60/picks/zero" in names and "densek/picks" in names
+        kinds = ("zero", "rounded", "ulp", "ulp32", "duplicated", "subnormal", "subnormal-all",
+                 "mixed-scale", "2^150", "2^-150", "2^250", "2^-250")
         assert [name for name in names if name.startswith("60/picks/")] == [
-            f"60/picks/{kind}" for kind in ("zero", "rounded", "ulp", "ulp32", "duplicated",
-                                            "subnormal", "subnormal-all", "mixed-scale", "2^150",
-                                            "2^-150", "2^250", "2^-250")]
+            *(f"60/picks/{kind}" for kind in kinds),
+            *(f"60/picks/w{width}/{kind}" for width in (2, 32) for kind in kinds)]
         assert [name for name in names if name.startswith("60/spmm/")] == [
             f"60/spmm/{form}/{cols}"
             for form in ("identity", "one-edge", "mediators", "clique", "clique_adjacency",
