@@ -71,7 +71,9 @@ its digest.
 so written, by this tree or another, and then prints per part whether it
 is identical and its largest absolute and relative deltas, where the
 relative delta of two entries is |a - b| / max(|a|, |b|) (0 for two
-zeros), then one summary line. BLAS runs one thread.
+zeros), then one summary line, which names every saved part this run
+did not compute (`missing`). The exit code is 1 if any part differs or
+is missing, else 0. BLAS runs one thread.
 """
 
 from __future__ import annotations
@@ -300,7 +302,9 @@ def main() -> int:
     other = load(args.against) if args.against else None
     saved, total = {}, hashlib.sha256()
     summary = {"parts": 0, "identical": 0, "max_abs": 0.0, "max_rel": 0.0}
+    computed = set()
     for name, arrays in parts(args.sizes):
+        computed.add(name)
         if isinstance(arrays, str):
             line = {"part": name, "error": arrays}
             saved[f"{name}#error"] = np.array(arrays)
@@ -319,10 +323,12 @@ def main() -> int:
             summary["parts"] += 1
             summary["identical"] += line["against"]["identical"]
         print(json.dumps(line), flush=True)
+    if other is not None:
+        summary["missing"] = [name for name in other if name not in computed]
     print(json.dumps({"digest": total.hexdigest(), **({"against": summary} if other else {})}))
     if args.save:
         np.savez(args.save, **saved)
-    return 0
+    return int(summary["identical"] < summary["parts"] or bool(summary.get("missing")))
 
 
 if __name__ == "__main__":

@@ -20,12 +20,13 @@ over a signal at least 8 wide first screens each block in float32: the
 signal scaled by the power of two that puts max |s| in [1/2, 1), half
 the bytes per row. It keeps the pairs within a slack of their
 hyperedge's screened maximum, a slack proven to keep every pair at the
-float64 maximum (`_screen` derives it), and the float64 search then runs
-over those alone, so the picks are the same, draw for draw. Small or
-narrow searches, and signals whose max |s| lies outside
-[2^-200, 2^200], are searched in float64 alone. At width 2 the float64
-distances are summed by one BLAS product with a ones vector, not by
-numpy's per-row loop, with the same bits (`_distances`).
+float64 maximum (`_screen` derives it), and the block's one float64 tie
+pick then runs over those alone, so the picks are the same, draw for
+draw. One rule, `_near_max`, lists both the screen's candidates and the
+pick's ties. Small or narrow searches, and signals whose max |s| lies
+outside [2^-200, 2^200], are searched in float64 alone. At width 2 the
+float64 distances are summed by one BLAS product with a ones vector, not
+by numpy's per-row loop, with the same bits (`_distances`).
 
 A `WeightedGraph` is flat arrays: pair t joins u[t] < v[t] with weight
 w[t], and pairs are listed in key order (u*n + v ascending), which is the
@@ -186,15 +187,16 @@ class IncidenceFactors:
                             shape=(self.h.n, 2 * m))
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """A x = D̃^{-1/2} (W + I) D̃^{-1/2} x for an n x k `x`, through
-        the incidence matrices: with y = D̃^{-1/2} x and S_e the sum of y over
+        """A x = D̃^{-1/2} (W + I) D̃^{-1/2} x for an n x k `x` (or a
+        length-n one, as a column, in its own shape), through the
+        incidence matrices: with y = D̃^{-1/2} x and S_e the sum of y over
         e's members, a clique member k receives c_e (S_e - y_k); a mediator
         member receives c_e (y_i + y_j), except i, which receives
         c_e (S_e - y_i), and j, which receives c_e (S_e - y_j). The two
         incidence products run scipy's CSR kernel directly (`_csr_matmul`)."""
         ht, hm = self.h.incidence
         c = self.coef[:, None]
-        y = self.dinv[:, None] * x
+        y = self.dinv[:, None] * x.reshape(self.n, -1)
         s = _csr_matmul(ht, y)
         if self.ext is None:
             s *= c
@@ -212,7 +214,7 @@ class IncidenceFactors:
             out += self._select @ q.reshape(-1, q.shape[2])
         out += y
         out *= self.dinv[:, None]
-        return out
+        return out.reshape(x.shape)
 
     def _emitted(self) -> tuple[np.ndarray, np.ndarray]:
         """(a, b): every pair each hyperedge emits, in hyperedge order; e
@@ -300,73 +302,52 @@ def extreme_pairs(
 
     Squared distances are computed for the i < j pairs only. The search
     walks blocks of whole hyperedges, at most `_BLOCK` pairs each (or one
-    hyperedge's s(s-1)/2, if more), and picks once per block: it takes
-    each hyperedge's largest distance (`np.maximum.reduceat` over its run
-    of pairs), lists the positions of the pairs equal to it, and takes
-    the ranked one of each hyperedge's tied positions. A block's
-    distances are filled in 1-D tiles of pairs that hold at most `_TILE`
-    values of temporaries, so memory does not grow with the signal's
-    width; a block adds its distances, its hyperedges' maxima repeated
-    per pair, and the tied positions.
+    hyperedge's s(s-1)/2, if more). Each block has a pair list, at first
+    all its pairs, and one float64 tie pick runs over it: `_near_max`
+    with slack 0 lists the positions equal to each hyperedge's largest
+    distance (`np.maximum.reduceat` over its run of pairs), and the ranked
+    one of each hyperedge's tied positions is taken. A block's distances
+    are filled in 1-D tiles of pairs that hold at most `_TILE` values of
+    temporaries, so memory does not grow with the signal's width; a
+    block adds its distances, its hyperedges' maxima repeated per pair,
+    and the tied positions.
 
     A search over at least `_SCREEN` pairs, on a signal of width d in
     [`_SCREEN_WIDTH`, 2^22] with max |s| in [2^-200, 2^200], screens each
-    block in float32 first, in the same tiles (`_scaled`, `_screen`): a
-    pair is a candidate if its screened distance is at least its
+    block in float32 first, in the same tiles (`_scaled`, `_screen`), and
+    only narrows the block's pair list to its candidates: by the same
+    `_near_max`, the pairs whose screened distance is at least their
     hyperedge's screened maximum less a slack of twice the worst-case
     error of both distances, so every pair at a hyperedge's float64
-    maximum is one. A hyperedge with one candidate has a unique maximum,
-    its pick; the block's search runs over the others' candidates alone,
-    in pair order and with their own draws, so every pick is the same,
-    draw for draw. A block whose screen would keep more than half its
-    pairs (many ties, as equal rows make, or fewer than two pairs per
-    hyperedge) is searched whole. The screen adds a float32 copy of the
-    signal for the search; its other arrays (float32 distances and floors
-    and a 1 B mask per pair, the candidates' positions and pairs) are the
-    block's, so memory still does not grow with the search. Every other
-    search takes every pair: a small or narrow one, where the screen does
-    not pay (`_SCREEN`), and one outside the window, where float64
-    distances can overflow to inf or underflow into ties that the scaled
-    screen would separate.
+    maximum is one. The pick then runs over the candidates, which keep
+    their pair order, with the same draws, so every pick is the same,
+    draw for draw (a hyperedge with one candidate has k = 1, rank 0). A
+    block whose screen would keep more than half its pairs (many ties,
+    as equal rows make, or fewer than two pairs per hyperedge) keeps its
+    whole list. The screen adds a float32 copy of the signal for the
+    search; its other arrays (float32 distances and floors and a 1 B
+    mask per pair, the candidates' positions and pairs) are the block's,
+    so memory still does not grow with the search. Every other search
+    takes every pair: a small or narrow one, where the screen does not
+    pay (`_SCREEN`), and one outside the window, where float64 distances
+    can overflow to inf or underflow into ties that the scaled screen
+    would separate.
     """
     s = as_signal(signal, h.n)
     draws = rng.random(h.m)
     ptr, a, b = h.clique_pairs
-    return _search(s, ptr, a, b, draws, _scaled(s, ptr))
-
-
-def _search(s: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray,
-            draws: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-    """The extreme pair of each hyperedge of the pair list (ptr, a, b),
-    hyperedge e's pairs at a[ptr[e]:ptr[e+1]], b[...], ties drawn by
-    draws[e]: `extreme_pairs`' search, block by block. Given the float32
-    screen signal `x`, each block is screened first (`_screen`): a
-    hyperedge with one candidate takes it, and the search runs over the
-    others' candidates alone."""
-    out = np.empty((ptr.size - 1, 2), dtype=np.int64)
+    x = _scaled(s, ptr)
+    out = np.empty((h.m, 2), dtype=np.int64)
     for lo, hi in _blocks(ptr):
         p0, p1 = ptr[lo], ptr[hi]
-        bptr = ptr[lo : hi + 1] - p0
-        cand = None if x is None else _screen(x, bptr, a[p0:p1], b[p0:p1])
-        if cand is not None:
-            cptr = np.searchsorted(cand, bptr)  # hyperedge e's candidates: cand[cptr[e]:cptr[e+1]]
-            k = np.diff(cptr)
-            first = p0 + cand[cptr[:-1]]  # the pick of a hyperedge with one candidate
-            out[lo:hi, 0], out[lo:hi, 1] = a[first], b[first]
-            multi = k > 1
-            if multi.any():
-                sub = p0 + cand[np.repeat(multi, k)]
-                out[lo:hi][multi] = _search(s, np.concatenate([[0], np.cumsum(k[multi])]),
-                                            a[sub], b[sub], draws[lo:hi][multi])
-            continue
-        vals = _distances(s, a[p0:p1], b[p0:p1], np.empty(p1 - p0))
-        top = np.repeat(np.maximum.reduceat(vals, bptr[:-1]), np.diff(bptr))
-        tied = np.flatnonzero(vals == top)
-        first = np.searchsorted(tied, bptr[:-1])  # each hyperedge's first tied pair
-        k = np.diff(first, append=tied.size)
-        rank = np.minimum((draws[lo:hi] * k).astype(np.int64), k - 1)
-        pick = p0 + tied[first + rank]
-        out[lo:hi, 0], out[lo:hi, 1] = a[pick], b[pick]
+        bptr, ba, bb = ptr[lo : hi + 1] - p0, a[p0:p1], b[p0:p1]
+        cand = None if x is None else _screen(x, bptr, ba, bb)
+        if cand is not None:  # hyperedge e's candidates: cand[bptr[e]:bptr[e+1]]
+            bptr, ba, bb = np.searchsorted(cand, bptr), ba[cand], bb[cand]
+        tied, tptr = _near_max(_distances(s, ba, bb, np.empty(ba.size)), bptr, 0.0)
+        k = np.diff(tptr)
+        pick = tied[tptr[:-1] + np.minimum((draws[lo:hi] * k).astype(np.int64), k - 1)]
+        out[lo:hi, 0], out[lo:hi, 1] = ba[pick], bb[pick]
     return out
 
 
@@ -441,28 +422,38 @@ def _screen(x: np.ndarray, ptr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
       γ_d = du/(1 - du), and Σ δ'_k² <= d(2 + β)²;
 
     so |D' - D| <= ε32 = 16.05du + 4.01d²u/(1 - du) + d·2^-150, which is
-    below 5.4d(d + 4)u for d <= 2^22 (du <= 1/4). The float64 value V of
-    `_search`, scaled by the exact 2^-2e, is off from D by at most
-    ε64 = (d + 2)2^-52·4d for its rounding, plus d·2^-676 for underflow:
-    inside the window 2^-2e <= 2^398, no square overflows and each loses
-    at most 2^-1074. If pair p ties a hyperedge's float64 maximum, then
-    for every pair q of it
+    below 5.4d(d + 4)u for d <= 2^22 (du <= 1/4). The float64 distance V
+    that the tie pick compares, scaled by the exact 2^-2e, is off from D
+    by at most ε64 = (d + 2)2^-52·4d for its rounding, plus d·2^-676 for
+    underflow: inside the window 2^-2e <= 2^398, no square overflows and
+    each loses at most 2^-1074. If pair p ties a hyperedge's float64
+    maximum, then for every pair q of it
     D'_q - D'_p <= (D_q - D_p) + 2ε32 <= (V_q - V_p) + 2ε32 + 2ε64
     <= 2ε32 + 2ε64 < slack = 16d(d + 4)u + 2^-100, so p is a candidate.
     The floor, top - slack, is formed in float64 (off by at most
-    4d·2^-53, inside the slack's margin) and rounded to float32: no
-    float32 value at or above the float64 floor falls below the rounded
-    one.
+    4d·2^-53, inside the slack's margin) and rounded to float32
+    (`_near_max`): no float32 value at or above the float64 floor falls
+    below the rounded one.
     """
     if 2 * (ptr.size - 1) > ptr[-1]:
         return None
     d = x.shape[1]
     slack = 16 * d * (d + 4) * 2.0**-24 + 2.0**-100
-    vals = _distances(x, a, b, np.empty(ptr[-1], dtype=np.float32))
+    cand = _near_max(_distances(x, a, b, np.empty(ptr[-1], dtype=np.float32)), ptr, slack)[0]
+    return cand if 2 * cand.size <= ptr[-1] else None
+
+
+def _near_max(vals: np.ndarray, ptr: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """(near, nptr): the positions, ascending, of each hyperedge's values
+    at least its maximum less `slack`, hyperedge e's values being
+    vals[ptr[e]:ptr[e+1]] (none empty), and their own pointers: e's are
+    near[nptr[e]:nptr[e+1]]. The floor is formed in float64 and rounded
+    to the dtype of `vals`. With `slack` 0 these are the ties of each
+    maximum, since distances are never NaN."""
     floor = np.subtract(np.maximum.reduceat(vals, ptr[:-1]), slack, dtype=np.float64)
-    floor = floor.astype(np.float32)
-    cand = np.flatnonzero(vals >= np.repeat(floor, np.diff(ptr)))
-    return cand if 2 * cand.size <= vals.size else None
+    floor = floor.astype(vals.dtype, copy=False)
+    near = np.flatnonzero(vals >= np.repeat(floor, np.diff(ptr)))
+    return near, np.searchsorted(near, ptr)
 
 
 def _pair_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from hypergcn.expansion import (
 )
 from hypergcn.hypergraph import Hypergraph
 from hypergcn.nn import spmm
+from hypergcn.training import pair_laplacian
 
 NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -515,14 +516,14 @@ def dict_oracle(h, rule, ext):
 
 
 @st.composite
-def hypergraph_and_signal(draw):
+def hypergraph_and_signal(draw, max_width=3):
     n = draw(st.integers(2, 60))
     edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 50), unique=True)
     edges = draw(st.lists(edge, min_size=1, max_size=10))
     # duplicate hyperedges accumulate
     edges += draw(st.lists(st.sampled_from(edges), max_size=3))
     weights = draw(st.lists(st.floats(0.1, 5.0), min_size=len(edges), max_size=len(edges)))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, max_width))
     kind = draw(st.sampled_from(["normal", "rounded", "zero"]))
     s = np.random.default_rng(draw(st.integers(0, 2**31))).normal(size=(n, d))
     s = {"normal": s, "rounded": np.round(s), "zero": np.zeros_like(s)}[kind]
@@ -599,13 +600,13 @@ def screen_results(monkeypatch) -> list:
     return results
 
 
-def distance_dtypes(monkeypatch) -> list:
-    """The dtype of every `expansion._distances` call from now on, in call
-    order: float32 for a block's screen, float64 for a float64 search."""
-    dtypes, distances = [], expansion._distances
-    monkeypatch.setattr(expansion, "_distances",
-                        lambda x, a, b, out: dtypes.append(out.dtype) or distances(x, a, b, out))
-    return dtypes
+def distance_calls(monkeypatch) -> list:
+    """(dtype, pairs) of every `expansion._distances` call from now on, in
+    call order: float32 for a block's screen, float64 for its tie pick."""
+    calls, distances = [], expansion._distances
+    monkeypatch.setattr(expansion, "_distances", lambda x, a, b, out: calls.append(
+        (out.dtype, out.size)) or distances(x, a, b, out))
+    return calls
 
 
 class TestScreen:
@@ -662,9 +663,9 @@ class TestScreen:
         s = np.zeros_like(x) if scale is None else np.ldexp(x, scale)
         scalar_rng = np.random.default_rng(0)
         want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
-        dtypes = distance_dtypes(monkeypatch)
+        calls = distance_calls(monkeypatch)
         assert [tuple(p) for p in screened_search(h, s, 0).tolist()] == want
-        assert dtypes == [np.float64]
+        assert calls == [(np.float64, h.clique_pairs[0][-1])]
 
     @pytest.mark.parametrize("case", ["size-2", "narrow", "small", "screened"])
     def test_searches_the_screen_cannot_pay_for_skip_it(self, case, monkeypatch):
@@ -686,24 +687,65 @@ class TestScreen:
                                       for _ in range(m)])
         s = rng.normal(size=(n, width))
         assert (h.clique_pairs[0][-1] >= expansion._SCREEN) == (case != "small")
-        dtypes = distance_dtypes(monkeypatch)
+        calls = distance_calls(monkeypatch)
         got = extreme_pairs(h, s, np.random.default_rng(0))
-        assert (np.float32 in dtypes) == (case == "screened")
+        assert (np.float32 in [dtype for dtype, _ in calls]) == (case == "screened")
         np.testing.assert_array_equal(got, screened_search(h, s, 0, screen=False))
 
     def test_blocks_of_size_2_hyperedges_skip_the_screen(self, monkeypatch):
-        # blocks of 5 size-20 hyperedges are screened; the blocks of the
-        # size-2 hyperedges after them are searched in float64 alone
+        # blocks of 5 size-20 hyperedges are screened (the last with the
+        # first 50 size-2 hyperedges); the blocks of the other size-2
+        # hyperedges are searched in float64 alone. Each block makes one
+        # float64 pass: over the screen's candidates, or over all its pairs
         rng = np.random.default_rng(7)
         edges = ([rng.choice(500, size=20, replace=False) for _ in range(30)]
                  + [rng.choice(500, size=2, replace=False) for _ in range(3000)])
         h = Hypergraph.from_edges(500, edges)
         s = rng.normal(size=(500, 8))
         want = screened_search(h, s, 1, screen=False, _BLOCK=1000)
-        dtypes = distance_dtypes(monkeypatch)
+        kept, calls = screen_results(monkeypatch), distance_calls(monkeypatch)
         got = screened_search(h, s, 1, _BLOCK=1000)
         np.testing.assert_array_equal(got, want)
-        assert dtypes.count(np.float32) == 6 and dtypes[-3:] == [np.float64] * 3
+        assert len(kept) == 9 and kept[6:] == [None] * 3
+        screened = [(np.float32, pairs) for pairs in [950] * 5 + [1000]]
+        assert calls == [call for cand, first in zip(kept, screened)
+                         for call in (first, (np.float64, cand.size))] + [
+            (np.float64, 1000), (np.float64, 1000), (np.float64, 950)]
+
+    @pytest.mark.parametrize("screen", [True, False], ids=["screened", "off"])
+    def test_a_block_makes_one_float64_pass_over_its_pair_list(self, screen, monkeypatch):
+        # one block of 40 size-10 hyperedges, alternately normal rows (one
+        # candidate each, the float64 maximum) and rows ±e_1, ±e_2 and 0
+        # (pairs (e_1, -e_1) and (e_2, -e_2) tie at the maximum: two
+        # candidates),
+        # then a block of size-2 hyperedges. Screened, the first block
+        # makes one float32 pass over its 1,800 pairs and one float64 pass
+        # over the candidates alone; off, or unscreenable, one float64
+        # pass over all its pairs
+        rng = np.random.default_rng(12)
+        s = rng.normal(size=(460, 8))
+        ties = np.zeros((10, 8))
+        ties[[0, 1], 0], ties[[2, 3], 1] = (1.0, -1.0), (1.0, -1.0)
+        for e in range(0, 40, 2):
+            s[10 * e : 10 * e + 10] = ties[rng.permutation(10)]
+        edges = [range(10 * e, 10 * e + 10) for e in range(40)] + [
+            rng.choice(np.arange(400, 460), size=2, replace=False) for _ in range(30)]
+        h = Hypergraph.from_edges(460, edges)
+        kept, calls = screen_results(monkeypatch), distance_calls(monkeypatch)
+        for seed in range(10):
+            kept.clear()
+            calls.clear()
+            scalar_rng = np.random.default_rng(seed)
+            want = [extreme_pair(h, idx, s, scalar_rng) for idx in range(h.m)]
+            got = screened_search(h, s, seed, screen, _BLOCK=1800)
+            assert [tuple(p) for p in got.tolist()] == want
+            if not screen:
+                assert kept == [] and calls == [(np.float64, 1800), (np.float64, 30)]
+                continue
+            counts = np.diff(np.searchsorted(kept[0], h.clique_pairs[0][:41]))
+            assert counts.tolist() == [2, 1] * 20
+            assert kept[1:] == [None]
+            assert calls == [(np.float32, 1800), (np.float64, 60), (np.float64, 30)]
 
     @pytest.mark.parametrize("screen", [True, False], ids=["screened", "off"])
     def test_zero_width_signal_ties_every_pair(self, screen):
@@ -971,3 +1013,73 @@ class TestCsrAdjacency:
     def test_a_matrix_is_required(self):
         with pytest.raises(TypeError):
             NormalizedAdjacency(3)
+
+
+class TestOneDimensionalOperand:
+    @settings(max_examples=60, deadline=None)
+    @given(factored_case(), st.integers(0, 2**31))
+    def test_every_form_returns_the_operands_shape(self, case, seed):
+        # a length-n operand is multiplied as one column and keeps its
+        # shape in both forms, where scaling it by an n x 1 column of
+        # degrees would broadcast it to n x n
+        h, s, x = case
+        forms = [NormalizedAdjacency.identity(h.n),
+                 normalize(expand_one_edge(h, s, np.random.default_rng(seed))),
+                 normalize(expand_mediators(h, s, np.random.default_rng(seed))),
+                 normalize(expand_clique(h)), clique_adjacency(h),
+                 mediator_adjacency(h, s, np.random.default_rng(seed))]
+        column = x[:, 0].copy()
+        for a in forms:
+            got = spmm(a, column)
+            assert got.shape == (h.n,)
+            np.testing.assert_array_equal(got, spmm(a, column[:, None])[:, 0])
+        want = spmm(forms[3], column)
+        assert np.abs(spmm(forms[4], column) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def max_square_distances(h, s):
+    """max over i, j in e of ‖s_i - s_j‖², per hyperedge, by enumeration."""
+    out = []
+    for e in edges(h):
+        diff = s[list(e)][:, None, :] - s[list(e)][None, :, :]
+        out.append(np.einsum("abk,abk->ab", diff, diff).max())
+    return np.array(out)
+
+
+def energy(g, s):
+    """tr(sᵀ L s) of the pair Laplacian L of `g`, and the same sum taken
+    over absolute values, which bounds its rounding error."""
+    lap = pair_laplacian(g)
+    return float((s * (lap @ s)).sum()), float((np.abs(s) * (abs(lap) @ np.abs(s))).sum())
+
+
+class TestHypergraphEnergy:
+    # E(S) = Σ_e w_e·max ‖S_i - S_j‖², the energy of the hypergraph
+    # Laplacian that the pair graphs stand for; each graph's tr(Sᵀ L S) is
+    # its pairs' Σ w_uv ‖S_u - S_v‖², within rounding of `scale`
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_signal(max_width=5), st.integers(0, 2**31))
+    def test_one_edge_energy_is_each_maximum_over_the_size(self, hs, seed):
+        h, s = hs
+        got, scale = energy(expand_one_edge(h, s, np.random.default_rng(seed)), s)
+        want = float((h.weights / h.edge_sizes() * max_square_distances(h, s)).sum())
+        assert abs(got - want) <= 1e-12 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_signal(max_width=5), st.integers(0, 2**31))
+    def test_mediator_energy_lies_between_its_bounds(self, hs, seed):
+        # each other member k adds c(‖S_i - S_k‖² + ‖S_j - S_k‖²) >= c·max²/2
+        # (the triangle inequality and a² + b² >= (a + b)²/2), and no pair
+        # exceeds max²: c·max²·|e|/2 <= the hyperedge's energy <= w_e·max²
+        h, s = hs
+        got, scale = energy(expand_mediators(h, s, np.random.default_rng(seed)), s)
+        sizes, top = h.edge_sizes(), h.weights * max_square_distances(h, s)
+        lower = float((sizes / (2 * (2 * sizes - 3)) * top).sum())
+        assert lower - 1e-12 * scale <= got <= top.sum() + 1e-12 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraph_and_signal(max_width=5))
+    def test_clique_energy_is_at_most_the_hypergraphs(self, hs):
+        h, s = hs
+        got, scale = energy(expand_clique(h), s)
+        assert got <= float((h.weights * max_square_distances(h, s)).sum()) + 1e-12 * scale

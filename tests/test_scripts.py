@@ -9,11 +9,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_equivalence(*args):
+def run_equivalence(*args, code=0):
+    """The JSON lines of one `--sizes 60` run, which must exit with `code`."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "equivalence.py"), "--sizes", "60", *args],
-        capture_output=True, text=True, timeout=300, check=True,
+        capture_output=True, text=True, timeout=300,
     )
+    assert out.returncode == code, out.stderr
     return [json.loads(line) for line in out.stdout.splitlines()]
 
 
@@ -42,7 +44,7 @@ class TestEquivalenceScript:
         assert [line["part"] for line in again[:-1]] == names
         assert again[-1]["digest"] == first[-1]["digest"]
         assert again[-1]["against"] == {"parts": len(names), "identical": len(names),
-                                        "max_abs": 0.0, "max_rel": 0.0}
+                                        "max_abs": 0.0, "max_rel": 0.0, "missing": []}
         # an SSL part holds the report's adjacency pairs, expansions, N, N_m and N_c
         from hypergcn import dataio, expansion, hypergraph
 
@@ -59,12 +61,25 @@ class TestEquivalenceScript:
             arrays = dict(parts)
         arrays["densek/hypergcn#1"][0, 0] *= 1.0 + 1e-9  # Θ1
         np.savez(saved, **arrays)
-        lines = {line.get("part"): line for line in run_equivalence("--against", str(saved))}
+        lines = {line.get("part"): line
+                 for line in run_equivalence("--against", str(saved), code=1)}
         changed = lines["densek/hypergcn"]["against"]
         assert not changed["identical"]
         assert 0.9e-9 < changed["max_rel"] < 1.1e-9
         assert lines["densek/fast-hypergcn"]["against"]["identical"]
         assert lines[None]["against"]["identical"] == lines[None]["against"]["parts"] - 1
+        assert lines[None]["against"]["missing"] == []
+
+    def test_names_each_saved_part_it_did_not_compute(self, tmp_path):
+        # every computed part is identical, but two saved ones were dropped
+        saved = tmp_path / "parts.npz"
+        run_equivalence("--save", str(saved))
+        with np.load(saved) as parts:
+            arrays = {**parts, "gone/part#0": np.zeros(2), "gone/error#error": np.array("x")}
+        np.savez(saved, **arrays)
+        summary = run_equivalence("--against", str(saved), code=1)[-1]["against"]
+        assert summary["identical"] == summary["parts"]
+        assert sorted(summary["missing"]) == ["gone/error", "gone/part"]
 
 
 def load_epoch_times():
