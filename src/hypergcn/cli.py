@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def cmd_counts(args) -> int:
 
 def cmd_train(args) -> int:
     # the one trial of `trials --trials 1`, losses included
-    _emit(_trials(args, load_bundle(args.data), trials=1).reports[0].to_dict())
+    _emit(asdict(_trials(args, load_bundle(args.data), trials=1).reports[0]))
     return 0
 
 
@@ -139,7 +139,7 @@ def cmd_trials(args) -> int:
     bundle = load_bundle(args.data)
     result = _trials(args, bundle, args.trials)
     for t, report in enumerate(result.reports):
-        row = report.to_dict()
+        row = asdict(report)
         row["trial"] = t
         row.pop("losses")  # per-trial traces stay out of the aggregate stream
         _emit(row)

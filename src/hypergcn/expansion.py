@@ -41,14 +41,16 @@ loop last, so both depend on the graph alone, and every result is a
 fixed function of the hypergraph, the signal and the draws.
 
 A normalized adjacency (`Adjacency`) has two forms, each with its `n`,
-CSR `matrix`, `pair_count` and `product(x)`, which `nn.spmm` calls:
-the CSR `NormalizedAdjacency` that `normalize` builds, and the
-`IncidenceFactors` of a clique or mediator graph (`*_adjacency`), one
-coefficient per hyperedge (and its extreme pair, for mediators). Those
-emit their pairs (`expand_*`) or multiply through the incidence
+CSR `matrix` and `product(x)`, which `nn.spmm` calls: the CSR
+`NormalizedAdjacency` that `normalize` builds, and the `IncidenceFactors`
+of a clique or mediator graph (`*_adjacency`), one coefficient per
+hyperedge (and its extreme pair, for mediators). Those emit their pairs
+(`expand_*`), count them (`pair_count`) or multiply through the incidence
 matrices, and build the CSR only if `matrix` is read. Every CSR product
-calls scipy's compiled kernel directly (`_csr_matmul`). Which method
-convolves with which form, and why, is `training.method_graph`'s to say.
+here calls scipy's compiled kernel directly (`_csr_matmul`); the CSC
+mediator selector (`_select`) and `training.hlr_ce`'s Laplacian product
+stay on `@`. Which method convolves with which form, and why, is
+`training.method_graph`'s to say.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ class IncidenceFactors:
         2c_e where it is not extreme and (|e|-1)c_e where it is."""
         sizes, hm = self.h.edge_sizes(), self.h.incidence[1]
         if self.ext is None:
-            incident = hm @ ((sizes - 1) * self.coef)
+            incident = _csr_matmul(hm, (sizes - 1) * self.coef)
         else:
-            incident = hm @ (2.0 * self.coef) + np.bincount(
+            incident = _csr_matmul(hm, 2.0 * self.coef) + np.bincount(
                 self.ext.ravel(), weights=np.repeat((sizes - 3) * self.coef, 2),
                 minlength=self.h.n)
         return 1.0 / np.sqrt(incident + 1.0)
@@ -176,7 +178,7 @@ class IncidenceFactors:
     @functools.cached_property
     def _loop(self) -> np.ndarray:
         """Clique: the unit loop less the self term Σ_{e∋v} c_e of H c Hᵀ."""
-        return 1.0 - self.h.incidence[1] @ self.coef
+        return 1.0 - _csr_matmul(self.h.incidence[1], self.coef)
 
     @functools.cached_property
     def _select(self) -> sp.csc_array:
@@ -255,11 +257,6 @@ class NormalizedAdjacency:
 
     n: int
     matrix: sp.csr_array
-
-    @property
-    def pair_count(self) -> int:
-        """Distinct vertex pairs joined: the off-diagonal entries, halved."""
-        return (self.matrix.nnz - self.n) // 2
 
     def product(self, x: np.ndarray) -> np.ndarray:
         return _csr_matmul(self.matrix, x)

@@ -74,12 +74,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, shifted and summed as `softmax_rows` is."""
-    shifted = x - _row_max(x)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform initialization in +-sqrt(6 / (rows + cols))."""
     limit = np.sqrt(6.0 / (rows + cols))
@@ -162,13 +156,18 @@ def softmax_ce(
     logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Loss function for `training.fit_step`: softmax cross-entropy
-    averaged over the labelled set `mask`, from the logits by a fused
-    log-softmax, and its gradient on the logits. `labels` and `mask` are
-    int64 arrays and `mask` is non-empty, rules that `dataio.LabeledSplit`
-    holds. `mask` is a multiset: a vertex listed twice counts twice."""
+    averaged over the labelled set `mask`, and its gradient on the logits,
+    from one pass of `softmax_rows` over all rows: the log-probability of
+    a label is its shifted logit less the log of its row's sum. `labels`
+    and `mask` are int64 arrays and `mask` is non-empty, rules that
+    `dataio.LabeledSplit` holds. `mask` is a multiset: a vertex listed
+    twice counts twice."""
     picked = labels[mask]
-    loss = float(-log_softmax_rows(logits[mask])[np.arange(mask.size), picked].mean())
-    z = softmax_rows(logits)
+    shifted = logits - _row_max(logits)
+    z = np.exp(shifted)
+    total = z.sum(axis=1, keepdims=True)
+    loss = float(-(shifted[mask, picked] - np.log(total[mask, 0])).mean())
+    z /= total
     dlogits = np.zeros_like(z)
     np.add.at(dlogits, mask, z[mask])
     np.add.at(dlogits, (mask, picked), -1.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from typing import Callable, Sequence
 
@@ -78,10 +78,6 @@ class TrainReport:
     edge_counts: dict[str, int]
     adjacency_pairs: int
     expansions: int
-
-    def to_dict(self) -> dict:
-        """The report's fields as a JSON-ready dict, in field order."""
-        return asdict(self)
 
 
 def pair_laplacian(g: WeightedGraph) -> sp.csr_array:
@@ -270,7 +266,6 @@ def evaluate(z: np.ndarray, split: LabeledSplit) -> float:
 class TrialsResult:
     mean_error: float
     std_error: float
-    errors: list[float]
     reports: list[TrainReport] = field(default_factory=list)
 
 
@@ -297,4 +292,4 @@ def run_trials(
     errors = [r.test_error for r in reports]
     mean = float(np.mean(errors))
     std = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
-    return TrialsResult(mean_error=mean, std_error=std, errors=errors, reports=reports)
+    return TrialsResult(mean_error=mean, std_error=std, reports=reports)

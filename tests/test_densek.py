@@ -485,3 +485,26 @@ class TestTrainDensek:
         x = vertex_features(h)
         np.testing.assert_allclose(x[:, 0], [1.0, 0.5, 0.5])
         np.testing.assert_allclose(x[:, 1], 1.0)
+
+
+def density_ratio(solve, s):
+    """Density of `solve`'s set over the planted set's, on the held-out
+    instance drawn by gen_sample(1000, 750, 0.75, default_rng(s))."""
+    h, target = gen_sample(1000, 750, 0.75, np.random.default_rng(s))
+    return density(h, solve(DenseKInstance(h, 750))) / density(h, np.flatnonzero(target))
+
+
+class TestLearningFloor:
+    # Mean density ratios on the held-out seeds 1-3: learned fast-hypergcn
+    # 0.872, max-degree 0.783 (margin 0.090). With its graph replaced by the
+    # identity, the learned solver picks max-degree's sets (margin 0).
+    def test_learned_beats_max_degree_by_2_points(self):
+        rng = np.random.default_rng(7)
+        train = [gen_sample(int(s), int(s) * 3 // 4, 0.75, rng)
+                 for s in rng.integers(100, 301, 40)]
+        cfg = TrainConfig(method="fast-hypergcn", epochs=50, seed=0)
+        model = train_densek(train, cfg, maps=8)
+        learned = np.mean([density_ratio(lambda i: solve_learned(model, i, seed=0), s)
+                           for s in (1, 2, 3)])
+        greedy = np.mean([density_ratio(max_degree, s) for s in (1, 2, 3)])
+        assert learned >= greedy + 0.02

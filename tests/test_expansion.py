@@ -946,11 +946,12 @@ class TestFactoredAdjacency:
     @given(factored_case(), st.integers(0, 2**31))
     def test_products_and_matrix_equal_normalize(self, case, seed):
         h, s, x = case
-        for factored, csr in (
+        for factored, g in (
             (mediator_adjacency(h, s, np.random.default_rng(seed)),
-             normalize(expand_mediators(h, s, np.random.default_rng(seed)))),
-            (clique_adjacency(h), normalize(expand_clique(h))),
+             expand_mediators(h, s, np.random.default_rng(seed))),
+            (clique_adjacency(h), expand_clique(h)),
         ):
+            csr = normalize(g)
             assert isinstance(factored, IncidenceFactors)
             assert isinstance(csr, NormalizedAdjacency)
             want = spmm(csr, x)
@@ -961,7 +962,7 @@ class TestFactoredAdjacency:
             np.testing.assert_array_equal(m.indptr, csr.matrix.indptr)
             np.testing.assert_array_equal(m.indices, csr.matrix.indices)
             np.testing.assert_allclose(m.data, csr.matrix.data, rtol=1e-13, atol=0)
-            assert factored.pair_count == csr.pair_count
+            assert factored.pair_count == g.pair_count
 
     @settings(max_examples=150, deadline=None)
     @given(hypergraph_and_signal(), st.integers(0, 2**31))

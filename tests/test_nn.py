@@ -33,7 +33,6 @@ from hypergcn.nn import (
     forward_hidden,
     forward_logits,
     glorot_init,
-    log_softmax_rows,
     relu,
     reexpanding_graph,
     rng_streams,
@@ -119,12 +118,12 @@ class TestElementwise:
         np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(z >= 0.0)
 
-    def test_log_softmax_matches_log_of_softmax(self):
+    def test_softmax_ce_loss_matches_log_of_softmax(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 4))
-        np.testing.assert_allclose(
-            log_softmax_rows(x), np.log(softmax_rows(x)), atol=1e-12
-        )
+        labels, mask = rng.integers(0, 4, 5), np.array([3, 0, 3, 1])
+        assert softmax_ce(x, labels, mask)[0] == pytest.approx(
+            loss_ce(softmax_rows(x), labels, mask), abs=1e-12)
 
     @pytest.mark.parametrize("classes", [1, 2, 3, 10])
     def test_softmax_forms_equal_the_row_max_form_bit_for_bit(self, classes):
@@ -140,9 +139,25 @@ class TestElementwise:
         x[400:500] = rng.choice([-700.0, 700.0, 3.0], size=(100, classes))
         shifted = x - x.max(axis=1, keepdims=True)
         total = np.exp(shifted).sum(axis=1, keepdims=True)
-        for got, want in ((softmax_rows(x), np.exp(shifted) / total),
-                          (log_softmax_rows(x), shifted - np.log(total))):
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        z = np.exp(shifted) / total
+        np.testing.assert_array_equal(softmax_rows(x).view(np.int64), z.view(np.int64))
+        # softmax_ce against its two-pass form: a log-softmax of the masked
+        # rows for the loss, then the softmax of all rows for the gradient,
+        # on a mask that repeats and reorders vertices
+        labels = rng.integers(0, classes, x.shape[0])
+        order = rng.permutation(x.shape[0])
+        mask = np.concatenate([order[:400], order[:50], order[350:380]])
+        rows = x[mask]
+        rshift = rows - rows.max(axis=1, keepdims=True)
+        logp = rshift - np.log(np.exp(rshift).sum(axis=1, keepdims=True))
+        want_loss = float(-logp[np.arange(mask.size), labels[mask]].mean())
+        want = np.zeros_like(z)
+        np.add.at(want, mask, z[mask])
+        np.add.at(want, (mask, labels[mask]), -1.0)
+        want /= mask.size
+        loss, dlogits = softmax_ce(x, labels, mask)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        np.testing.assert_array_equal(dlogits.view(np.int64), want.view(np.int64))
 
 
 class TestGlorot:

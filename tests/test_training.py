@@ -4,7 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cache, partial
 from pathlib import Path
 
@@ -193,10 +193,10 @@ class TestTrainSsl:
         # the CLI prints this dict as a JSON line
         h, x, split = two_component_instance()
         report = train_ssl(h, x, split, TrainConfig(method="mlp", epochs=2))
-        assert list(report.to_dict()) == [
+        assert list(asdict(report)) == [
             "method", "test_error", "losses", "seconds_per_epoch", "edge_counts",
             "adjacency_pairs", "expansions"]
-        assert report.to_dict()["losses"] == report.losses
+        assert asdict(report)["losses"] == report.losses
 
     def test_deterministic_given_seed(self):
         h, x, split = two_component_instance()
@@ -479,14 +479,14 @@ class TestRunTrials:
         cfg = TrainConfig(method="mlp", epochs=5, seed=0)
         res = run_trials(h, x, labels, cfg, trials=1, budget=4)
         assert res.std_error == 0.0
-        assert res.mean_error == res.errors[0]
+        assert res.mean_error == res.reports[0].test_error
 
     def test_reproducible_across_calls(self):
         h, x, labels = self._data()
         cfg = TrainConfig(method="fast-hypergcn", epochs=5, seed=11)
         r1 = run_trials(h, x, labels, cfg, trials=4, budget=4)
         r2 = run_trials(h, x, labels, cfg, trials=4, budget=4)
-        assert r1.errors == r2.errors
+        assert [r.test_error for r in r1.reports] == [r.test_error for r in r2.reports]
         assert r1.mean_error == r2.mean_error
         assert r1.std_error == r2.std_error
 
@@ -494,8 +494,9 @@ class TestRunTrials:
         h, x, labels = self._data()
         cfg = TrainConfig(method="mlp", epochs=4, seed=5)
         res = run_trials(h, x, labels, cfg, trials=5, budget=4)
-        assert res.mean_error == pytest.approx(np.mean(res.errors))
-        assert res.std_error == pytest.approx(np.std(res.errors, ddof=1))
+        errors = [r.test_error for r in res.reports]
+        assert res.mean_error == pytest.approx(np.mean(errors))
+        assert res.std_error == pytest.approx(np.std(errors, ddof=1))
 
 
 @cache
