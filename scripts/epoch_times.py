@@ -3,8 +3,14 @@
     python3 scripts/epoch_times.py [--src DIR] [--sizes 1000 20000] [--methods M ...]
                                    [--against DIR [--pairs N]]
 
-Times `train_ssl` for every method (or those given with `--methods`) on
-two fixed instances: the default noisy benchmark,
+First it times the cold start: `import hypergcn.cli` in `IMPORTS` (5)
+fresh interpreters on `--src`, one line with the median ms of the whole
+import statement (`import_ms`: numpy, scipy.sparse and the package) and
+of `import hypergcn.cli` alone after `import hypergcn` (`cli_import_ms`),
+and whether the import loaded `scipy.special`.
+
+Then it times `train_ssl` for every method (or those given with
+`--methods`) on two fixed instances: the default noisy benchmark,
 `gen_noisy_ssl(0.5, default_rng(7))` (n=1000, 500 hyperedges, 256
 feature dims, budget 100, 50 epochs), and the 20k instance
 `gen_noisy_ssl(0.5, default_rng(7), n=20000, pure=2000, noisy=8000,
@@ -51,12 +57,12 @@ two trees can be timed by one script. `--sizes 60` adds a tiny instance
 (`gen_noisy_ssl(0.5, default_rng(7), n=60, pure=6, noisy=24,
 feat_dim=16)`, budget 10, 5 epochs) for smoke tests.
 
-Prints one JSON line per (n, method), per n for the search, per (n, rule),
-per (n, factored rule), per DkSH phase and per DkSH method, then one with
-the environment. Each line but the last carries `host_s`: the time of
-one pass of `bench/reference.py`'s kernel, the mean of its readings just
-before and just after the line's measurements, as `bench/run.py` reads
-the host's speed around each op. The kernel runs between lines, outside
+Prints one JSON line for the import, one per (n, method), per n for the
+search, per (n, rule), per (n, factored rule), per DkSH phase and per
+DkSH method, then one with the environment. Each line but the last
+carries `host_s`: the time of one pass of `bench/reference.py`'s kernel,
+the mean of its readings just before and just after the line's
+measurements, as `bench/run.py` reads the host's speed around each op. The kernel runs between lines, outside
 every timed or fault-counted region.
 
 `--against DIR` compares two trees: `--src` (the change) and DIR (the
@@ -95,6 +101,7 @@ from reference import NOMINAL_S, Reference  # noqa: E402
 
 REPEATS = 3
 PHASE_REPEATS = 11
+IMPORTS = 5
 PAIRS = 10
 # n -> (gen_noisy_ssl keyword arguments, label budget, epochs)
 INSTANCES = {
@@ -130,6 +137,34 @@ class StepProbe:
 
     def faults_per_step(self) -> float:
         return (self.faults[-1] - self.faults[0]) / max(1, len(self.faults) - 1)
+
+
+# Run in a fresh interpreter with the source tree as argv[1]: ms of the
+# whole import, ms of the CLI's part of it, and whether scipy.special loaded.
+IMPORT_PROBE = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import hypergcn
+t1 = time.perf_counter()
+import hypergcn.cli
+t2 = time.perf_counter()
+print(json.dumps([1e3 * (t2 - t0), 1e3 * (t2 - t1), "scipy.special" in sys.modules]))
+"""
+
+
+def import_times(src: Path) -> dict:
+    """Median ms of `import hypergcn.cli`, whole and after `import
+    hypergcn`, over `IMPORTS` fresh interpreters on `src`, and whether it
+    loaded scipy.special."""
+    runs = [json.loads(subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(src)],
+                                      capture_output=True, text=True, check=True).stdout)
+            for _ in range(IMPORTS)]
+    whole, cli, special = zip(*runs)
+    return {"phase": "import", "module": "hypergcn.cli",
+            "import_ms": round(statistics.median(whole), 3),
+            "cli_import_ms": round(statistics.median(cli), 3),
+            "runs_ms": [round(r, 3) for r in whole], "scipy_special": any(special)}
 
 
 def median_ms(run) -> float:
@@ -290,6 +325,7 @@ def main() -> int:
         line["host_s"], host = round((host + after) / 2, 6), after
         print(json.dumps(line), flush=True)
 
+    emit(import_times(args.src.resolve()))
     probe = StepProbe(training)
     for n in args.sizes:
         kwargs, budget, epochs = INSTANCES[n]

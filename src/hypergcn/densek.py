@@ -19,7 +19,6 @@ from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import nn, training
 from .expansion import expand_mediators, normalize  # bound only for bench/selftest.py
@@ -144,6 +143,16 @@ class ProbabilityMaps:
         return self.values.shape[1]
 
 
+def _expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`scipy.special.expit`, imported on the first call: loading
+    scipy.special costs about 5 MB and 40-130 ms that only the learned
+    solver needs. The import rebinds this global to the ufunc itself."""
+    global _expit
+    from scipy.special import expit as _expit
+
+    return _expit(x, out=out)
+
+
 def hindsight_bce(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, int]:
     """Per-map binary cross-entropy, softplus(l) - t l averaged over the
     vertices, and the index of the best map. `target` is the 0/1
@@ -173,7 +182,7 @@ def hindsight_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.nd
     as an n x 1 float64 column."""
     per_map, best = hindsight_bce(logits, target)
     dlogits = np.zeros(logits.shape)
-    grad = expit(logits[:, best : best + 1], out=dlogits[:, best : best + 1])
+    grad = _expit(logits[:, best : best + 1], out=dlogits[:, best : best + 1])
     grad -= target
     grad /= logits.shape[0]
     return float(per_map[best]), dlogits
@@ -244,7 +253,7 @@ def predict_maps(model: DenseKModel, h: Hypergraph, seed: int = 0) -> Probabilit
     streams = nn.rng_streams(seed)
     x, graph = _sample_inputs(h, model.method, streams.ties)
     logits, _ = nn.forward(graph, x, model.theta1, model.theta2)
-    return ProbabilityMaps(values=expit(logits))
+    return ProbabilityMaps(values=_expit(logits))
 
 
 def decode_topk(maps: ProbabilityMaps, inst: DenseKInstance) -> list[int]:

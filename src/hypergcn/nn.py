@@ -66,12 +66,21 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return top
 
 
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """`e.sum(axis=1, keepdims=True)` of non-negative rows: at width 2 one
+    vector add, the a + b of numpy's per-row loop. From 3 columns on the
+    order matters, and for signed rows numpy's sum of -0 and -0 is +0."""
+    if e.shape[1] == 2:
+        return e[:, :1] + e[:, 1:]
+    return e.sum(axis=1, keepdims=True)
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction stability (`_row_max`). The
-    row sums stay numpy's, whose order matters from 3 classes on."""
+    """Row-wise softmax with max-subtraction stability (`_row_max`,
+    `_row_sum`)."""
     shifted = x - _row_max(x)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _row_sum(e)
 
 
 def glorot_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,7 +174,7 @@ def softmax_ce(
     picked = labels[mask]
     shifted = logits - _row_max(logits)
     z = np.exp(shifted)
-    total = z.sum(axis=1, keepdims=True)
+    total = _row_sum(z)
     loss = float(-(shifted[mask, picked] - np.log(total[mask, 0])).mean())
     z /= total
     dlogits = np.zeros_like(z)

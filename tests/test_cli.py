@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypergcn
 from hypergcn.cli import build_parser, main
 from hypergcn.dataio import DatasetBundle, save_bundle
 from hypergcn.hypergraph import Hypergraph
@@ -402,3 +407,39 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert mask_timing(out1) == mask_timing(out2)
+
+
+# Run in a fresh interpreter: this one has loaded scipy.special already.
+# Prints which of (after the imports, after an SSL `trials` run, after
+# the first sigmoid call) had scipy.special in sys.modules.
+FOOTPRINT = """
+import contextlib, io, json, sys
+import numpy as np
+import hypergcn, hypergcn.cli, hypergcn.densek as dk
+loaded = ["scipy.special" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hypergcn.cli.main(["trials", "--data", sys.argv[1], "--method", "hypergcn",
+                              "--budget", "4", "--epochs", "2", "--trials", "1"])
+loaded.append("scipy.special" in sys.modules)
+h, target = dk.gen_sample(20, 15, 0.75, np.random.default_rng(0))
+if sys.argv[2] == "hindsight_loss":
+    dk.hindsight_loss(np.zeros((20, 2)), target.reshape(-1, 1).astype(float))
+else:
+    dk.predict_maps(dk.DenseKModel(np.ones((2, 3)), np.ones((3, 2)), "fast-hypergcn"), h)
+loaded.append("scipy.special" in sys.modules)
+bound = loaded[-1] and dk._expit is sys.modules["scipy.special"].expit
+print(json.dumps({"code": code, "loaded": loaded, "bound": bound}))
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("first_sigmoid", ["hindsight_loss", "predict_maps"])
+    def test_scipy_special_loads_with_the_first_sigmoid_only(self, dataset_dir, first_sigmoid):
+        src = str(Path(hypergcn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", FOOTPRINT, dataset_dir, first_sigmoid],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"code": 0, "loaded": [False, False, True],
+                                          "bound": True}

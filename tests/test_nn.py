@@ -127,9 +127,11 @@ class TestElementwise:
 
     @pytest.mark.parametrize("classes", [1, 2, 3, 10])
     def test_softmax_forms_equal_the_row_max_form_bit_for_bit(self, classes):
-        # the row max is taken column by column; the reference takes it with
-        # x.max(axis=1). Rows of normal, tied, signed-zero and dominated
-        # logits (a lone maximum of ±0 over -800, whose row sums to 1)
+        # the row max is taken column by column, and at width 2 the row sum
+        # of the exponentials is one add; the reference takes them with
+        # x.max(axis=1) and numpy's sum. Rows of normal, tied, signed-zero
+        # and dominated logits (a lone maximum of ±0 over -800, whose row
+        # sums to 1)
         rng = np.random.default_rng(classes)
         x = rng.normal(size=(600, classes))
         x[:100] = np.round(x[:100])
@@ -141,6 +143,11 @@ class TestElementwise:
         total = np.exp(shifted).sum(axis=1, keepdims=True)
         z = np.exp(shifted) / total
         np.testing.assert_array_equal(softmax_rows(x).view(np.int64), z.view(np.int64))
+        # the sum alone, also on rows with exact zeros and no 1
+        e = np.exp(np.concatenate([shifted, rng.choice([-np.inf, -800.0, -0.5, 0.0, 2.0],
+                                                        size=(200, classes))]))
+        np.testing.assert_array_equal(nn._row_sum(e).view(np.int64),
+                                      e.sum(axis=1, keepdims=True).view(np.int64))
         # softmax_ce against its two-pass form: a log-softmax of the masked
         # rows for the loss, then the softmax of all rows for the gradient,
         # on a mask that repeats and reorders vertices

@@ -137,6 +137,19 @@ class TestEpochTimesPhases:
         assert lines[0]["us_per_call"] > 0 and lines[1]["ms_per_pass"] > 0
 
 
+class TestEpochTimesImport:
+    def test_a_line_for_the_cold_import(self):
+        epoch_times = load_epoch_times()
+        line = epoch_times.import_times(ROOT / "src")
+        assert set(line) == {"phase", "module", "import_ms", "cli_import_ms", "runs_ms",
+                             "scipy_special"}
+        assert line["phase"] == "import" and line["module"] == "hypergcn.cli"
+        assert len(line["runs_ms"]) == epoch_times.IMPORTS
+        assert 0 < line["cli_import_ms"] < line["import_ms"]
+        # importing the CLI leaves the sigmoid's module unloaded
+        assert line["scipy_special"] is False
+
+
 class TestEpochTimesAgainst:
     def test_readings_scale_each_timing_by_its_lines_host(self):
         epoch_times = load_epoch_times()
@@ -160,6 +173,7 @@ class TestEpochTimesAgainst:
         result = lines[-1]["epoch_times"]
         names = [line["line"] for line in lines[:-1]]
         assert "n=60 method=mlp ms_per_epoch" in names
+        assert names[:2] == ["phase=import import_ms", "phase=import cli_import_ms"]
         assert "n=60 phase=extreme_pairs search32_ms" in names
         assert "n=60 phase=extreme_pairs search_features_ms" in names
         assert names == list(result["summary"])
