@@ -67,6 +67,15 @@ pure=2000, noisy=8000, feat_dim=64; 2 epochs) and a tiny n=60 one for
 smoke tests (5 epochs). A part that raises records the error in place of
 its digest.
 
+The last line also gives the `environment()` the parts were computed in.
+`tests/equivalence_digests.jsonl` holds this script's output at
+`--sizes 60 1000`, which a tier-1 test recomputes; after a change to an
+output that is meant, regenerate it with
+
+    python3 scripts/equivalence.py --sizes 60 1000 > tests/equivalence_digests.jsonl
+
+and list the changed parts in CHANGES.md.
+
 `--save` writes every part's arrays to an `.npz`. `--against` reads one
 so written, by this tree or another, and then prints per part whether it
 is identical and its largest absolute and relative deltas, where the
@@ -84,6 +93,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -273,6 +283,17 @@ def deltas(mine: list, theirs: list) -> dict:
             "max_abs": worst_abs, "max_rel": worst_rel}
 
 
+def environment() -> dict:
+    """The versions that a part's bits may depend on: Python, numpy, scipy
+    and the BLAS numpy was built with."""
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
 def load(path: Path) -> dict:
     """Part name -> its arrays in order, or its error string, from `--save`."""
     import numpy as np
@@ -325,7 +346,8 @@ def main() -> int:
         print(json.dumps(line), flush=True)
     if other is not None:
         summary["missing"] = [name for name in other if name not in computed]
-    print(json.dumps({"digest": total.hexdigest(), **({"against": summary} if other else {})}))
+    print(json.dumps({"digest": total.hexdigest(), "environment": environment(),
+                      **({"against": summary} if other else {})}))
     if args.save:
         np.savez(args.save, **saved)
     return int(summary["identical"] < summary["parts"] or bool(summary.get("missing")))

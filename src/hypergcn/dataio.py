@@ -71,10 +71,23 @@ class DatasetBundle:
     num_classes: int
 
 
+def _lines(path: Path) -> list[str]:
+    """The lines of UTF-8 text file `path`; DataError naming the line of the
+    first byte that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; "x" stands in for the byte, so
+        # that the count includes its line
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DataError(f"{path.name} line {lineno}: not UTF-8 ({exc.reason})") from None
+
+
 def _parse_hyperedges(path: Path, n: int) -> list[tuple[int, ...]]:
     edges: list[tuple[int, ...]] = []
     dropped = 0
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_lines(path), start=1):
         if not line.strip():
             continue
         try:
@@ -103,10 +116,10 @@ def _parse_features(path: Path) -> np.ndarray:
         with warnings.catch_warnings():  # an empty file is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             feats = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError too
         # slow path: locate the offending line for the error message
         width = None
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_lines(path), start=1):
             if not line.strip():
                 continue  # loadtxt skips blank lines
             toks = line.split(",")
@@ -130,25 +143,24 @@ def _parse_features(path: Path) -> np.ndarray:
 
 
 def _parse_labels(path: Path, n: int, q: int | None) -> tuple[np.ndarray, int]:
-    lines = [ln for ln in path.read_text().splitlines()]
+    # without a manifest's q a label need only fit int64; q is then the largest + 1
+    bound = np.iinfo(np.int64).max if q is None else q
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(path), start=1):
         if not line.strip():
             raise DataError(f"{path.name} line {lineno}: empty label")
         try:
-            values.append(int(line))
+            y = int(line)
         except ValueError as exc:
             raise DataError(f"{path.name} line {lineno}: {exc}") from None
+        if not 0 <= y < bound:
+            raise DataError(f"{path.name} line {lineno}: label {y} out of range [0, {bound})")
+        values.append(y)
     if len(values) != n:
         raise DataError(f"{path.name}: {len(values)} labels for {n} vertices")
     labels = np.asarray(values, dtype=np.int64)
     if q is None:
         q = int(labels.max()) + 1 if labels.size else 0
-    for lineno, y in enumerate(values, start=1):
-        if not 0 <= y < q:
-            raise DataError(
-                f"{path.name} line {lineno}: label {y} out of range [0, {q})"
-            )
     for c in range(q):
         if not np.any(labels == c):
             raise DataError(f"{path.name}: class {c} has no members")

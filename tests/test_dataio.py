@@ -164,6 +164,66 @@ class TestLoadBundle:
         assert loaded.labels.tolist() == labels.tolist()
         assert loaded.num_classes == q
 
+    @pytest.mark.parametrize("name", ["hyperedges.txt", "features.csv", "labels.txt"])
+    def test_non_utf8_byte_names_line(self, tmp_path, name):
+        # a UnicodeDecodeError escaped each parser
+        write_dataset(tmp_path, "0 1\n1 2\n", "1,0\n0,1\n1,1\n", "0\n1\n0\n")
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        (tmp_path / name).write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+        with pytest.raises(DataError, match=f"^{re.escape(name)} line 2: not UTF-8"):
+            load_bundle(tmp_path)
+
+    @pytest.mark.parametrize("manifest", [None, {"q": 2}])
+    def test_label_beyond_int64_names_line(self, tmp_path, manifest):
+        # an OverflowError escaped from the int64 conversion
+        write_dataset(tmp_path, "0 1\n", "1,0\n0,1\n", "0\n99999999999999999999\n",
+                      manifest=manifest)
+        with pytest.raises(DataError, match=r"^labels\.txt line 2: label 99999999999999999999 "
+                                            r"out of range"):
+            load_bundle(tmp_path)
+
+
+# what a splice inserts: single bytes and tokens that broke the loader or
+# lie at a parser's edges
+SPLICE_TOKENS = [b"\xff", b"\xc3", b"\x00", b"99999999999999999999", b"-1", b"nan", b"1e400",
+                 b"1e308", b",", b" ", b"\n", b"\r", b"#", b"x", b"0.5", b"{", b'"', b"\t"]
+
+
+class TestHostileFiles:
+    def test_spliced_bundles_exit_0_or_name_the_file(self, tmp_path, capsys):
+        # validate and a 1-epoch train of every mutated bundle exit 0, or
+        # exit 2 naming a bundle file (the mutated one, unless a changed
+        # manifest count turns up elsewhere); any exception escaping `main`
+        # fails the test with its traceback
+        names = ("hyperedges.txt", "features.csv", "labels.txt", "manifest.json")
+        save_bundle(gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
+                                  feat_dim=4), tmp_path / "bundle")
+        originals = {name: (tmp_path / "bundle" / name).read_bytes() for name in names}
+        rng = np.random.default_rng(2024)
+        outcomes = {0: 0, 2: 0}
+        for name in names:
+            for _ in range(40):
+                data = bytearray(originals[name])
+                for _ in range(int(rng.integers(1, 4))):
+                    at = int(rng.integers(len(data) + 1))
+                    if rng.random() < 0.25:
+                        data[at:at] = bytes([int(rng.integers(256))])
+                    else:
+                        data[at:at] = SPLICE_TOKENS[int(rng.integers(len(SPLICE_TOKENS)))]
+                (tmp_path / "bundle" / name).write_bytes(bytes(data))
+                for argv in (["validate"], ["train", "--method", "hgnn", "--budget", "10",
+                                            "--epochs", "1"]):
+                    code = main([argv[0], "--data", str(tmp_path / "bundle"), *argv[1:]])
+                    err = capsys.readouterr().err
+                    case = (name, bytes(data), argv[0], err)
+                    assert code in outcomes, case
+                    outcomes[code] += 1
+                    if code == 2:
+                        named = err.removeprefix("data error: ").split(":")[0].split(" ")[0]
+                        assert named == name or (name == "manifest.json" and named in names), case
+            (tmp_path / "bundle" / name).write_bytes(originals[name])
+        assert min(outcomes.values()) > 0  # both kinds occur
+
 
 class TestLabeledSplit:
     @pytest.mark.parametrize("labels, train_idx, eval_idx, problem", [

@@ -5,14 +5,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_equivalence(*args, code=0):
-    """The JSON lines of one `--sizes 60` run, which must exit with `code`."""
+def run_equivalence(*args, code=0, sizes=("60",)):
+    """The JSON lines of one run at `sizes`, which must exit with `code`."""
     out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "equivalence.py"), "--sizes", "60", *args],
+        [sys.executable, str(ROOT / "scripts" / "equivalence.py"), "--sizes", *sizes, *args],
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == code, out.stderr
@@ -20,6 +21,19 @@ def run_equivalence(*args, code=0):
 
 
 class TestEquivalenceScript:
+    def test_outputs_match_the_committed_digests(self):
+        # regenerated by the command in scripts/equivalence.py's docstring
+        committed = [json.loads(line)
+                     for line in (ROOT / "tests" / "equivalence_digests.jsonl").open()]
+        lines = run_equivalence(sizes=("60", "1000"))
+        here, there = lines[-1]["environment"], committed[-1]["environment"]
+        assert here == there, f"environment {here}, but the digests were made in {there}"
+        mine, theirs = ({line["part"]: line.get("sha256", line.get("error"))
+                         for line in run[:-1]} for run in (lines, committed))
+        differing = [name for name in {**theirs, **mine} if mine.get(name) != theirs.get(name)]
+        assert not differing, f"{len(differing)} parts differ from the committed digests: {differing}"
+        assert lines[-1]["digest"] == committed[-1]["digest"]
+
     def test_a_tree_is_identical_to_its_own_saved_run(self, tmp_path):
         saved = tmp_path / "parts.npz"
         first = run_equivalence("--save", str(saved))
@@ -151,23 +165,10 @@ class TestEpochTimesImport:
 
 
 class TestEpochTimesAgainst:
-    def test_readings_scale_each_timing_by_its_lines_host(self):
-        epoch_times = load_epoch_times()
-        nominal = epoch_times.NOMINAL_S
-        stdout = "\n".join(json.dumps(line) for line in (
-            {"n": 60, "method": "mlp", "epochs": 5, "ms_per_epoch": 3.0, "runs_ms": [3.0],
-             "faults_per_epoch": [0.0], "host_s": 2 * nominal},
-            {"densek": "hypergcn", "samples": 3, "us_per_step": 10.0, "host_s": nominal / 2},
-            {"src_sha256": "abc", "python": "3"}))
-        timings, digest = epoch_times.readings(stdout)
-        assert timings == {"n=60 method=mlp ms_per_epoch": 1.5,
-                           "densek=hypergcn us_per_step": 20.0}
-        assert digest == "abc"
-
     def test_a_tree_against_itself(self):
         out = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "epoch_times.py"), "--sizes", "60",
-             "--methods", "mlp", "--against", str(ROOT / "src"), "--pairs", "2"],
+             "--methods", "mlp", "--against", str(ROOT / "src"), "--pairs", "3"],
             capture_output=True, text=True, timeout=300, check=True)
         lines = [json.loads(line) for line in out.stdout.splitlines()]
         result = lines[-1]["epoch_times"]
@@ -176,11 +177,81 @@ class TestEpochTimesAgainst:
         assert names[:2] == ["phase=import import_ms", "phase=import cli_import_ms"]
         assert "n=60 phase=extreme_pairs search32_ms" in names
         assert "n=60 phase=extreme_pairs search_features_ms" in names
+        assert not any(name.startswith("densek") for name in names)  # mlp only
         assert names == list(result["summary"])
         assert result["src_sha256"]["parent"] == result["src_sha256"]["change"]
+        for line in lines[:-1]:
+            timing = result["summary"][line["line"]]
+            assert len(timing["parent"]) == len(timing["change"]) == 3  # one per round
+            assert timing["change_lower_rounds"] in ("0/3", "1/3", "2/3", "3/3")
+            assert {k: v for k, v in timing.items() if k not in ("parent", "change")} == {
+                k: v for k, v in line.items() if k != "line"}
+            if timing["ratio_median"] is not None:
+                low, high = timing["ratio_range"]
+                q1, q3 = timing["ratio_quartiles"]
+                assert 0 < low <= q1 <= timing["ratio_median"] <= q3 <= high
         ms = result["summary"]["n=60 method=mlp ms_per_epoch"]
-        assert len(ms["parent"]) == len(ms["change"]) == 2
-        assert ms["ratio_median"] > 0 and ms["change_lower_pairs"] in ("0/2", "1/2", "2/2")
+        ratios = sorted(c / p for c, p in zip(ms["change"], ms["parent"]))
+        assert ms["ratio_median"] == round(ratios[1], 4)
+        assert ms["ratio_range"] == [round(ratios[0], 4), round(ratios[2], 4)]
+        assert "host_s" not in lines[0]
+
+
+@pytest.fixture
+def two_trees():
+    """The source tree loaded twice, as two distinct packages."""
+    epoch_times = load_epoch_times()
+    yield epoch_times, [epoch_times.load_tree(ROOT / "src", f"tree_{side}") for side in "ab"]
+    for name in [name for name in sys.modules if name.startswith(("tree_a", "tree_b"))]:
+        del sys.modules[name]
+
+
+class TestLoadTree:
+    def test_two_trees_load_as_distinct_packages(self, two_trees):
+        import hypergcn
+
+        _, (a, b) = two_trees
+        for name in ("dataio", "densek", "expansion", "nn", "training"):
+            mine, theirs = getattr(a, name), getattr(b, name)
+            assert mine is not theirs and mine is not getattr(hypergcn, name, None)
+            assert mine.__name__ == f"tree_a.{name}" and theirs.__name__ == f"tree_b.{name}"
+        # each tree's modules import that tree's own modules
+        for tree in (a, b):
+            assert tree.training.nn is tree.nn and tree.densek.training is tree.training
+            assert tree.training.normalize is tree.expansion.normalize
+
+    def test_a_probe_on_one_tree_leaves_the_other_alone(self, two_trees):
+        epoch_times, (a, b) = two_trees
+        step = b.training.fit_step
+        probe = epoch_times.StepProbe(a.training)
+        assert b.training.fit_step is step and a.training.fit_step is not step
+        samples = [b.densek.gen_sample(n, 3 * n // 4, 0.75, np.random.default_rng(7))
+                   for n in (20, 30)]
+        cfg = b.training.TrainConfig(method="fast-hypergcn", epochs=2)
+        b.densek.train_densek(samples, cfg, maps=2)
+        assert probe.faults == []  # b's steps are not a's
+        a.densek.train_densek(samples, a.training.TrainConfig(method="fast-hypergcn", epochs=2),
+                              maps=2)
+        assert len(probe.faults) == 2 * 2
+
+    def test_the_search_stub_acts_on_one_tree(self, two_trees, monkeypatch):
+        epoch_times, (a, b) = two_trees
+        searches = a.expansion.extreme_pairs, b.expansion.extreme_pairs
+        seen = []
+
+        def normalize(g, inner=a.expansion.normalize):
+            seen.append((a.expansion.extreme_pairs is searches[0],
+                         b.expansion.extreme_pairs is searches[1]))
+            return inner(g)
+
+        monkeypatch.setattr(a.expansion, "normalize", normalize)
+        bundle = a.dataio.gen_noisy_ssl(0.5, np.random.default_rng(7), n=60, pure=6, noisy=24,
+                                        feat_dim=16)
+        epoch_times.phase_times(a.expansion, a.nn, bundle.hypergraph, bundle.features,
+                                np.random.default_rng(0))
+        # while a's search is stubbed, b's stays bound
+        assert seen and all(pair == (False, True) for pair in seen)
+        assert (a.expansion.extreme_pairs, b.expansion.extreme_pairs) == searches
 
 
 class TestStepProbe:
